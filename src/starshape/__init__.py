@@ -19,7 +19,6 @@ from .direction import (
     direction_density,
     direction_integral,
     direction_sample,
-    uniform_sphere,
 )
 from .errors import StarshapeError
 from .gauge import (
@@ -66,13 +65,12 @@ from .radial import (
     profile_from_dict,
     radial_constant,
     radial_density,
-    radial_sample,
 )
+from .rng import uniform_sphere
 from .starshaped import (
     OrbitalRecord,
     StarDistribution,
     planar_angles,
-    polar_integral,
     pushforward_densities,
     pushforward_density,
     within_orbit_map,

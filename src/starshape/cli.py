@@ -3,7 +3,7 @@
 Commands: sample | density | constant | direction-density | verify |
 independence-test | matrix.  All randomness is keyed by --seed through
 counter-based streams, so a command line is reproducible byte for byte
-(including Monte Carlo standard errors) at a fixed STARSHAPE_THREADS.
+(including Monte Carlo standard errors) from its seed alone.
 Exit codes: 0 success, 1 failed verification, 2 configuration/input error.
 """
 

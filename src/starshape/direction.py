@@ -25,6 +25,8 @@ from .errors import (
     QuadratureFailureError,
 )
 from .gauge import Gauge, SphereBounds, sphere_surface, unit_angles
+from .quadrature import arcs, mean_stderr, panels, simpson
+from .rng import uniform_sphere
 
 UNIT_ATOL = 1e-9
 _CHUNK = 1 << 17
@@ -56,21 +58,6 @@ class DirectionDraws(NamedTuple):
     n_proposed: int
 
 
-def _arcs_from_kinks(kinks: np.ndarray) -> list[tuple[float, float]]:
-    """Split [0, 2pi) into smooth arcs at the given angles."""
-    two_pi = 2.0 * np.pi
-    if kinks.size == 0:
-        return [(0.0, two_pi)]
-    ks = np.unique(np.mod(kinks, two_pi))
-    arcs = []
-    for i in range(len(ks)):
-        a = ks[i]
-        b = ks[(i + 1) % len(ks)] + (two_pi if i == len(ks) - 1 else 0.0)
-        if b - a > 1e-13:
-            arcs.append((float(a), float(b)))
-    return arcs
-
-
 def integrate_circle(func, kinks: np.ndarray, n_panels: int) -> float:
     """Composite Simpson of ``func(theta)`` over [0, 2pi), kink-aligned.
 
@@ -78,22 +65,18 @@ def integrate_circle(func, kinks: np.ndarray, n_panels: int) -> float:
     the integrand is C^1 inside every Simpson cell and the rule keeps its
     full order even for polytope gauges.
     """
-    arcs = _arcs_from_kinks(kinks)
-    total_len = sum(b - a for a, b in arcs)
+    smooth = arcs(kinks)
+    total_len = sum(b - a for a, b in smooth)
     acc = 0.0
-    for a, b in arcs:
-        k = max(8, int(round(n_panels * (b - a) / total_len)))
-        k += k % 2
+    for a, b in smooth:
+        k = panels(n_panels, b - a, total_len)
         theta = np.linspace(a, b, k + 1)
-        h = (b - a) / k
         # Chunk the evaluation so huge panel counts stay memory-bounded.
         vals = np.empty(k + 1)
         for lo in range(0, k + 1, _CHUNK):
             hi = min(lo + _CHUNK, k + 1)
             vals[lo:hi] = func(theta[lo:hi])
-        acc += h / 3.0 * (
-            vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-2:2].sum()
-        )
+        acc += simpson(vals, (b - a) / k)
     return acc
 
 
@@ -102,14 +85,13 @@ def direction_integral(
     n_panels: int = 1 << 20,
     n_mc: int = 1_000_000,
     seed: int = 0,
-    shards: int | None = None,
 ) -> SphereIntegral:
     """Integral of g^(-p) over the unit sphere.
 
     p = 2 uses kink-aligned composite Simpson with ``n_panels`` panels
     (deterministic, stderr 0); p >= 3 uses ``n_mc`` uniform sphere points
-    split over Philox streams, so the result is a deterministic function of
-    (seed, shard count).
+    from Philox stream 1000 of ``seed``, so the result is a deterministic
+    function of the seed.
     """
     p = gauge.dim
     if p < 2:
@@ -123,29 +105,10 @@ def direction_integral(
         if not np.isfinite(val) or val <= 0:
             raise QuadratureFailureError(f"sphere integral evaluated to {val}")
         return SphereIntegral(float(val), 0.0, "angular-quadrature", n_panels + 1)
-    shards = _rng.shard_count() if shards is None else shards
-    per = n_mc // shards
-    count = 0
-    acc = 0.0
-    acc2 = 0.0
-    for s in range(shards):
-        gen = _rng.stream(seed, 1000 + s)
-        m = per if s < shards - 1 else n_mc - per * (shards - 1)
-        U = gen.normal(size=(m, p))
-        U /= np.linalg.norm(U, axis=1, keepdims=True)
-        h = gauge.values(U) ** (-float(p))
-        acc += h.sum()
-        acc2 += (h * h).sum()
-        count += m
-    mean = acc / count
-    var = max(acc2 / count - mean * mean, 0.0) * count / (count - 1)
+    U = uniform_sphere(_rng.stream(seed, 1000), n_mc, p)
+    mean, stderr = mean_stderr(gauge.values(U) ** (-float(p)))
     omega = sphere_surface(p)
-    return SphereIntegral(
-        float(omega * mean),
-        float(omega * np.sqrt(var / count)),
-        "monte-carlo",
-        count,
-    )
+    return SphereIntegral(omega * mean, omega * stderr, "monte-carlo", n_mc)
 
 
 def direction_constant(
@@ -153,10 +116,9 @@ def direction_constant(
     n_panels: int = 1 << 20,
     n_mc: int = 1_000_000,
     seed: int = 0,
-    shards: int | None = None,
 ) -> C0Estimate:
     """Normalizing constant c0 = 1 / integral of g^(-p) over the sphere."""
-    integral = direction_integral(gauge, n_panels, n_mc, seed, shards)
+    integral = direction_integral(gauge, n_panels, n_mc, seed)
     c0 = 1.0 / integral.value
     stderr = integral.stderr / integral.value ** 2
     return C0Estimate(float(c0), float(stderr), integral)
@@ -184,12 +146,6 @@ def direction_densities(gauge: Gauge, c0: float, Z) -> np.ndarray:
     if np.max(np.abs(norms - 1.0)) > UNIT_ATOL:
         raise NotUnitVectorError("batch contains non-unit directions")
     return c0 * gauge.values(Z) ** (-float(gauge.dim))
-
-
-def uniform_sphere(gen: np.random.Generator, n: int, p: int) -> np.ndarray:
-    """n uniform points on the unit sphere via normalized Gaussians."""
-    U = gen.normal(size=(n, p))
-    return U / np.linalg.norm(U, axis=1, keepdims=True)
 
 
 def direction_sample(
@@ -292,19 +248,13 @@ def cross_section_mass(gauge: Gauge, c0: float, n_panels: int = 1 << 14) -> floa
     # Pull panel boundaries slightly inside each arc so the finite
     # differences above never straddle a ridge; the lost slivers are added
     # back as endpoint rectangles (error O(inset^2)).
-    kinks = gauge.kink_angles()
-    arcs = _arcs_from_kinks(np.asarray(kinks, dtype=float))
     total = 0.0
-    for a, b in arcs:
-        k = max(8, int(round(n_panels * (b - a) / (2.0 * np.pi))))
-        k += k % 2
+    for a, b in arcs(gauge.kink_angles()):
+        k = panels(n_panels, b - a, 2.0 * np.pi)
         inset = 4.0 * delta
         theta = np.linspace(a + inset, b - inset, k + 1)
-        h = theta[1] - theta[0]
         vals = integrand(theta)
-        total += h / 3.0 * (
-            vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-2:2].sum()
-        )
+        total += simpson(vals, theta[1] - theta[0])
         total += inset * (vals[0] + vals[-1])
     return float(total)
 
@@ -316,6 +266,7 @@ def angle_bin_probs(
     if gauge.dim != 2:
         raise DimensionMismatchError("angle bins are planar only")
     kinks = gauge.kink_angles()
+    k = panels(panels_per_bin)
     probs = np.empty(len(edges) - 1)
     for i in range(len(edges) - 1):
         a, b = float(edges[i]), float(edges[i + 1])
@@ -323,13 +274,8 @@ def angle_bin_probs(
         cuts = np.concatenate([[a], np.sort(inner), [b]])
         acc = 0.0
         for lo, hi in zip(cuts[:-1], cuts[1:]):
-            k = max(8, panels_per_bin)
-            k += k % 2
             theta = np.linspace(lo, hi, k + 1)
             vals = c0 * gauge.values(unit_angles(theta)) ** -2.0
-            h = (hi - lo) / k
-            acc += h / 3.0 * (
-                vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-2:2].sum()
-            )
+            acc += simpson(vals, (hi - lo) / k)
         probs[i] = acc
     return probs

@@ -39,10 +39,6 @@ class QuadratureFailureError(StarshapeError, ArithmeticError):
     """Adaptive quadrature did not reach its error target."""
 
 
-class TableNotBuiltError(StarshapeError, RuntimeError):
-    """Sampling requested before the radial table was built."""
-
-
 class NotUnitVectorError(StarshapeError, ValueError):
     """Direction argument is not on the unit sphere."""
 

@@ -22,18 +22,20 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from . import rng as _rng
 from .errors import (
+    ConfigError,
     DimensionMismatchError,
     NonPositiveError,
     NonSmoothPointError,
     NotADensityError,
     ZeroVectorError,
 )
+from .quadrature import simpson
 
 # Points with Euclidean norm below this are treated as the origin.  The
 # threshold is a denormal guard, not an exact-zero test.
@@ -162,9 +164,7 @@ class Gauge(ABC):
             g_min = max(lo - 10.0 * slack, 0.5 * lo)
             g_max = hi + 10.0 * slack
         else:
-            gen = _rng.stream(0, 901)
-            U = gen.normal(size=(200_000, self.dim))
-            U /= np.linalg.norm(U, axis=1, keepdims=True)
+            U = _rng.uniform_sphere(_rng.stream(0, 901), 200_000, self.dim)
             vals = self.values(U)
             lo, hi = float(vals.min()), float(vals.max())
             pad = 0.1 * (hi - lo)
@@ -449,11 +449,9 @@ def gauge_from_direction_density(
         vals = np.asarray(density(unit_angles(theta)), dtype=float)
         if np.min(vals) <= 0.0:
             raise NonPositiveError("direction density must be positive")
-        total = _simpson_closed(vals, theta[1] - theta[0])
+        total = simpson(vals, theta[1] - theta[0])
     else:
-        gen = _rng.stream(0, 902)
-        U = gen.normal(size=(200_000, dim))
-        U /= np.linalg.norm(U, axis=1, keepdims=True)
+        U = _rng.uniform_sphere(_rng.stream(0, 902), 200_000, dim)
         vals = np.asarray(density(U), dtype=float)
         if np.min(vals) <= 0.0:
             raise NonPositiveError("direction density must be positive")
@@ -472,22 +470,23 @@ def sphere_surface(p: int) -> float:
     return float(2.0 * np.pi ** (p / 2.0) / gamma(p / 2.0))
 
 
-def _simpson_closed(vals: np.ndarray, h: float) -> float:
-    """Composite Simpson for an odd number of equally spaced samples."""
-    if vals.size % 2 == 0:
-        raise ValueError("Simpson needs an odd sample count")
-    return float(h / 3.0 * (vals[0] + vals[-1] + 4 * vals[1:-1:2].sum() + 2 * vals[2:-2:2].sum()))
-
-
 # -- JSON (de)serialization ------------------------------------------------
 
-_VARIANTS = {"elliptical", "sup", "l1", "polytope", "tabulated"}
+# variant -> (factory(dim, **params), required params)
+_VARIANTS = {
+    "elliptical": (lambda dim, sigma: EllipticalGauge(sigma), ["sigma"]),
+    "sup": (SupNormGauge, []),
+    "l1": (L1NormGauge, []),
+    "polytope": (lambda dim, facets: PolytopeGauge(facets), ["facets"]),
+    "tabulated": (
+        lambda dim, angles, radii: TabulatedRadialGauge(angles, radii),
+        ["angles", "radii"],
+    ),
+}
 
 
 def gauge_from_dict(obj: dict) -> Gauge:
     """Rebuild a gauge from its JSON descriptor, rejecting unknown fields."""
-    from .errors import ConfigError
-
     if not isinstance(obj, dict):
         raise ConfigError("gauge: expected a JSON object")
     unknown = set(obj) - {"dim", "variant", "params"}
@@ -504,30 +503,16 @@ def gauge_from_dict(obj: dict) -> Gauge:
     if variant not in _VARIANTS:
         raise ConfigError(f"gauge.variant: unknown variant '{variant}'")
 
-    def need(keys: Sequence[str]):
+    factory, keys = _VARIANTS[variant]
+    # ConfigError is a ValueError, so these two are re-wrapped below too.
+    try:
         unknown = set(params) - set(keys)
         if unknown:
             raise ConfigError(f"gauge.params: unknown field '{sorted(unknown)[0]}'")
         for k in keys:
             if k not in params:
                 raise ConfigError(f"gauge.params: missing field '{k}'")
-
-    try:
-        if variant == "elliptical":
-            need(["sigma"])
-            g = EllipticalGauge(params["sigma"])
-        elif variant == "sup":
-            need([])
-            g = SupNormGauge(dim)
-        elif variant == "l1":
-            need([])
-            g = L1NormGauge(dim)
-        elif variant == "polytope":
-            need(["facets"])
-            g = PolytopeGauge(params["facets"])
-        else:
-            need(["angles", "radii"])
-            g = TabulatedRadialGauge(params["angles"], params["radii"])
+        g = factory(dim, **params)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"gauge.params: {exc}") from exc
     if g.dim != dim:

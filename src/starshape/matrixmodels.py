@@ -145,10 +145,7 @@ def lt_orbital_decompose(
     """Decompose a positive-definite pair under the triangular action."""
     W1, W2 = validate_pd_pair(W1, W2)
     p = W1.shape[0]
-    T = cholesky_factor(W1 + W2)
-    Ti = linalg.solve_triangular(T, np.eye(p), lower=True)
-    U = Ti @ W1 @ Ti.T
-    U = 0.5 * (U + U.T)
+    T, U = (x[0] for x in lt_decompose_batch(W1[None], W2[None]))
     eig = np.linalg.eigvalsh(U)
     if eig[0] <= 0.0 or eig[-1] >= 1.0:
         raise NotPositiveDefiniteError(
@@ -332,9 +329,12 @@ def gl_decompose_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized general-linear decomposition of stacked pairs.
 
-    Returns (B, l, ok) where ``ok`` flags the slices whose congruence roots
-    are separated beyond ``gap_tol``; degenerate slices keep their raw
-    numbers but should be dropped by the caller.
+    Solves W1 v = l (W1 + W2) v by Cholesky reduction of W1 + W2; B = T V
+    holds the eigenvectors for the decreasing roots, re-signed into the
+    column convention.  Returns (B, l, ok) where ``ok`` flags the slices
+    whose roots lie in (0, 1) and are separated beyond ``gap_tol``;
+    degenerate slices keep their raw numbers but should be dropped by the
+    caller.
     """
     T, U = lt_decompose_batch(W1, W2)
     lam, V = np.linalg.eigh(U)
@@ -345,18 +345,26 @@ def gl_decompose_batch(
     if p > 1:
         ok &= np.min(-np.diff(lam, axis=1), axis=1) > gap_tol
     ok &= (lam[:, 0] < 1.0) & (lam[:, -1] > 0.0)
-    B = T @ V
-    # Column sign convention: first (significantly) nonzero entry positive.
+    return _sign_normalize(T @ V), lam, ok
+
+
+def _sign_normalize(B: np.ndarray) -> np.ndarray:
+    """Re-sign the columns of each (p, p) slice: first nonzero entry positive.
+
+    An entry counts as nonzero above 1e-12 times its column's largest
+    magnitude, so the convention does not depend on the scale of B.
+    """
+    n, p = B.shape[0], B.shape[-1]
     col_scale = np.max(np.abs(B), axis=1)
-    sign = np.zeros((len(W1), p))
-    decided = np.zeros((len(W1), p), dtype=bool)
+    sign = np.zeros((n, p))
+    decided = np.zeros((n, p), dtype=bool)
     for i in range(p):
         row = B[:, i, :]
         significant = (np.abs(row) > 1e-12 * col_scale) & ~decided
         sign = np.where(significant, np.sign(row), sign)
         decided |= significant
     sign = np.where(decided, sign, 1.0)
-    return B * sign[:, None, :], lam, ok
+    return B * sign[:, None, :]
 
 
 @dataclass(frozen=True)
@@ -380,16 +388,6 @@ class GLDecomposition:
         return np.diag(self.l)
 
 
-def _fix_column_signs(B: np.ndarray) -> np.ndarray:
-    B = B.copy()
-    for j in range(B.shape[1]):
-        col = B[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-12 * max(1.0, np.max(np.abs(col))))[0]
-        if nz.size and col[nz[0]] < 0.0:
-            B[:, j] = -col
-    return B
-
-
 def gl_orbital_decompose(
     W1,
     W2,
@@ -398,34 +396,25 @@ def gl_orbital_decompose(
 ) -> GLDecomposition:
     """Decompose a positive-definite pair under the general linear action.
 
-    Solves the symmetric-definite eigenproblem W1 v = l (W1 + W2) v by
-    Cholesky reduction of W1 + W2, normalizes eigenvectors against
-    W1 + W2, and assembles B as the inverse-transpose of the eigenvector
-    matrix, re-signed into the column convention.  Raises
+    The validated single-pair form of :func:`gl_decompose_batch`, with
+    residuals and the optional normalizer twist.  Raises
     :class:`DegenerateRootsError` when the roots are closer than
     ``gap_tol``.
     """
     W1, W2 = validate_pd_pair(W1, W2)
     p = W1.shape[0]
-    T = cholesky_factor(W1 + W2)
-    Ti = linalg.solve_triangular(T, np.eye(p), lower=True)
-    M = Ti @ W1 @ Ti.T
-    lam, V = np.linalg.eigh(0.5 * (M + M.T))
-    order = np.argsort(lam)[::-1]
-    lam = lam[order]
-    V = V[:, order]
+    B, lam, ok = (x[0] for x in gl_decompose_batch(W1[None], W2[None], gap_tol))
     if lam[0] >= 1.0 or lam[-1] <= 0.0:
         raise NotPositiveDefiniteError(f"congruence roots {lam} outside (0, 1)")
-    if p > 1 and np.min(-np.diff(lam)) <= gap_tol:
+    if not ok:
         raise DegenerateRootsError(
             f"congruence roots {lam} are not separated beyond {gap_tol:g}"
         )
-    B = _fix_column_signs(T @ V)
     if p_handle is None:
         G = B
     else:
         P = _check_monomial(np.asarray(p_handle(lam), dtype=float))
-        G = _fix_column_signs(B @ np.linalg.inv(P))
+        G = _sign_normalize((B @ np.linalg.inv(P))[None])[0]
     L = np.diag(lam)
     R1 = B @ L @ B.T
     R2 = B @ (np.eye(p) - L) @ B.T

@@ -21,7 +21,6 @@ from .errors import (
     DivergentError,
     NonPositiveError,
     QuadratureFailureError,
-    TableNotBuiltError,
 )
 
 _QUAD_RTOL = 1e-11
@@ -118,12 +117,6 @@ class HeavyTailProfile(RadialProfile):
     def shape(self, g, p: int) -> np.ndarray:
         g = np.asarray(g, dtype=float)
         return (1.0 + g ** 2) ** (-(p + self.nu) / 2.0)
-
-    def check_integrable(self, p: int) -> None:
-        super().check_integrable(p)
-        # f(g) g^(p-1) ~ g^(-nu-1); need nu > 0 (enforced at construction).
-        if self.nu <= 0:
-            raise DivergentError("heavy-tail marginal diverges for nu <= 0")
 
     def _params(self):
         return {"nu": self.nu}
@@ -300,10 +293,3 @@ class RadialTable:
     def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
         """n i.i.d. lengths by inverse-CDF transform."""
         return self.quantile(gen.random(n))
-
-
-def radial_sample(table: RadialTable | None, gen: np.random.Generator, n: int) -> np.ndarray:
-    """Draw n lengths from a built table."""
-    if table is None:
-        raise TableNotBuiltError("build a RadialTable before sampling")
-    return table.sample(gen, n)

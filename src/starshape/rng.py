@@ -2,19 +2,14 @@
 
 All randomness in the package flows through Philox generators keyed by
 ``(seed, stream_id)``.  Philox is counter-based, so two streams with
-different keys are statistically independent and a run is a deterministic
-function of the seed and the stream layout, regardless of how work is
-sharded.
+different keys are statistically independent, and every result is a
+deterministic function of the seed: each task draws from its own fixed
+stream id.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-#: Environment variable overriding the Monte Carlo shard count.
-THREADS_ENV = "STARSHAPE_THREADS"
 
 
 def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
@@ -25,12 +20,8 @@ def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def shard_count(default: int = 1) -> int:
-    """Shard count for Monte Carlo work, honoring STARSHAPE_THREADS."""
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return default
-    n = int(raw)
-    if n < 1:
-        raise ValueError(f"{THREADS_ENV} must be >= 1, got {n}")
-    return n
+def uniform_sphere(gen: np.random.Generator, n: int, p: int) -> np.ndarray:
+    """n uniform points on the unit sphere via normalized Gaussians."""
+    U = gen.normal(size=(n, p))
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    return U

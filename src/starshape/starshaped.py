@@ -21,13 +21,13 @@ from scipy import integrate, stats
 from . import rng as _rng
 from .direction import (
     C0Estimate,
-    _arcs_from_kinks,
     direction_constant,
     direction_sample,
     sphere_surface,
 )
 from .errors import DimensionMismatchError, QuadratureFailureError
 from .gauge import Gauge, _as_batch, _as_point
+from .quadrature import mean_stderr
 from .radial import (
     ExponentialProfile,
     GaussianProfile,
@@ -228,44 +228,6 @@ def planar_angles(X) -> np.ndarray:
     return np.mod(np.arctan2(X[:, 1], X[:, 0]), 2.0 * np.pi)
 
 
-def polar_integral(
-    func,
-    radius: float,
-    kinks: np.ndarray = np.empty(0),
-    n_r: int = 2048,
-    n_theta: int = 4096,
-) -> float:
-    """Simpson integral over a disk of a vectorized density func((n,2))->(n,).
-
-    The angular grid is kink-aligned; the radial integrand func * r vanishes
-    at the origin, evaluated from a tiny inset to keep func off x = 0.
-    """
-    arcs = _arcs_from_kinks(np.asarray(kinks, dtype=float))
-    r_lo = radius * 1e-9
-    r = np.linspace(r_lo, radius, n_r + 1)
-    wr = _simpson_weights(n_r) * ((radius - r_lo) / n_r)
-    total = 0.0
-    for a, b in arcs:
-        k = max(8, int(round(n_theta * (b - a) / (2.0 * np.pi))))
-        k += k % 2
-        theta = np.linspace(a, b, k + 1)
-        wt = _simpson_weights(k) * ((b - a) / k)
-        pts = np.empty((len(theta) * len(r), 2))
-        R, T = np.meshgrid(r, theta)
-        pts[:, 0] = (R * np.cos(T)).ravel()
-        pts[:, 1] = (R * np.sin(T)).ravel()
-        vals = func(pts).reshape(len(theta), len(r)) * r[None, :]
-        total += float(wt @ vals @ wr)
-    return total
-
-
-def _simpson_weights(k: int) -> np.ndarray:
-    w = np.ones(k + 1)
-    w[1:-1:2] = 4.0
-    w[2:-2:2] = 2.0
-    return w / 3.0
-
-
 def _plane_integral_2d(
     gauge: Gauge, profile: RadialProfile, table: RadialTable
 ) -> tuple[float, float]:
@@ -330,7 +292,6 @@ def _plane_integral_mc(
     bounds,
     seed: int = 0,
     n_mc: int = 1_000_000,
-    shards: int | None = None,
 ) -> tuple[float, float]:
     """Importance-sampled integral of profile(g(x)) dx for p >= 3.
 
@@ -350,24 +311,9 @@ def _plane_integral_mc(
         raise QuadratureFailureError(
             "no finite-variance proposal for this profile family at p >= 3"
         )
-    shards = _rng.shard_count() if shards is None else shards
-    per = n_mc // shards
-    omega = sphere_surface(p)
-    acc = 0.0
-    acc2 = 0.0
-    count = 0
-    for s in range(shards):
-        gen = _rng.stream(seed, 2000 + s)
-        m = per if s < shards - 1 else n_mc - per * (shards - 1)
-        radius = gen.gamma(shape=p, scale=theta, size=m)
-        U = gen.normal(size=(m, p))
-        U /= np.linalg.norm(U, axis=1, keepdims=True)
-        X = radius[:, None] * U
-        dens = stats.gamma.pdf(radius, a=p, scale=theta) / (omega * radius ** (p - 1))
-        w = profile.shape(gauge.values(X), p) / dens
-        acc += w.sum()
-        acc2 += (w * w).sum()
-        count += m
-    mean = acc / count
-    var = max(acc2 / count - mean * mean, 0.0) * count / (count - 1)
-    return float(mean), float(np.sqrt(var / count))
+    gen = _rng.stream(seed, 2000)
+    radius = gen.gamma(shape=p, scale=theta, size=n_mc)
+    X = _rng.uniform_sphere(gen, n_mc, p)
+    X *= radius[:, None]
+    dens = stats.gamma.pdf(radius, a=p, scale=theta) / (sphere_surface(p) * radius ** (p - 1))
+    return mean_stderr(profile.shape(gauge.values(X), p) / dens)

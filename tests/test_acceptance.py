@@ -29,7 +29,6 @@ from starshape import (
     ks_test,
     lt_decompose_batch,
     planar_angles,
-    polar_integral,
     pushforward_densities,
     two_sample_ks,
     unit_angles,
@@ -39,7 +38,7 @@ from starshape import (
 )
 from starshape import angle_bin_probs
 from starshape.errors import DegenerateRootsError
-from conftest import stream
+from conftest import polar_integral, stream
 
 
 def announce(num: int, label: str, ok: bool, detail: str = "") -> None:

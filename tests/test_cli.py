@@ -9,7 +9,6 @@ from scipy import stats as sstats
 from starshape import direction_integral, ks_test, SupNormGauge
 from starshape.cli import main
 from starshape.io import load_schema
-from starshape import rng as srng
 
 
 @pytest.fixture()
@@ -211,15 +210,11 @@ def test_matrix_command_lt_p2_u_in_bounds(runner):
     assert np.all((u11 > 0) & (u11 < 1) & (det > 0) & (det_c > 0))
 
 
-def test_shard_count_env(monkeypatch):
-    monkeypatch.delenv(srng.THREADS_ENV, raising=False)
-    assert srng.shard_count() == 1
-    monkeypatch.setenv(srng.THREADS_ENV, "4")
-    assert srng.shard_count() == 4
-    # Monte Carlo results are a deterministic function of (seed, shards).
+def test_monte_carlo_depends_on_seed_only(monkeypatch):
+    # Seeded Monte Carlo results depend on the seed, not on STARSHAPE_THREADS.
     g = SupNormGauge(3)
-    a = direction_integral(g, n_mc=40_000, seed=9, shards=2)
-    b = direction_integral(g, n_mc=40_000, seed=9, shards=2)
-    assert a == b
-    c = direction_integral(g, n_mc=40_000, seed=9, shards=4)
-    assert c != a
+    monkeypatch.delenv("STARSHAPE_THREADS", raising=False)
+    a = direction_integral(g, n_mc=40_000, seed=9)
+    monkeypatch.setenv("STARSHAPE_THREADS", "4")
+    assert direction_integral(g, n_mc=40_000, seed=9) == a
+    assert direction_integral(g, n_mc=40_000, seed=10) != a

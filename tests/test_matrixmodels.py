@@ -399,6 +399,17 @@ def test_b_l_independence():
     assert report.passed, report
 
 
+def test_scalar_and_batch_gl_share_the_sign_convention():
+    # Column 2 leads with 8e-13: below an absolute 1e-12 cut-off, but above
+    # 1e-12 times its column's scale (0.5), so it decides the column's sign.
+    B = np.array([[1.3, 8e-13], [0.4, -0.5]])
+    L = np.diag([0.7, 0.3])
+    W1 = B @ L @ B.T
+    W2 = B @ (np.eye(2) - L) @ B.T
+    batch = gl_decompose_batch(W1[None], W2[None])[0][0]
+    np.testing.assert_array_equal(gl_orbital_decompose(W1, W2).B, batch)
+
+
 # -- cross-section audits --------------------------------------------------------
 
 

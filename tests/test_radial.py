@@ -12,10 +12,9 @@ from starshape import (
     profile_from_dict,
     radial_constant,
     radial_density,
-    radial_sample,
     two_sample_ks,
 )
-from starshape.errors import ConfigError, NonPositiveError, TableNotBuiltError
+from starshape.errors import ConfigError, NonPositiveError
 from conftest import stream
 
 
@@ -118,11 +117,6 @@ def test_gaussian_scale_equivariance():
     scaled = RadialTable.build(GaussianProfile(2.5), 2).sample(stream(105), 50_000)
     report = two_sample_ks(2.5 * base, scaled, alpha=0.01)
     assert report.passed, report
-
-
-def test_radial_sample_requires_table():
-    with pytest.raises(TableNotBuiltError):
-        radial_sample(None, stream(106), 10)
 
 
 def test_profile_validation():

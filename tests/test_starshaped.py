@@ -11,7 +11,6 @@ from starshape import (
     gauge_from_direction_density,
     independence_chisq,
     planar_angles,
-    polar_integral,
     pushforward_densities,
     pushforward_density,
     two_sample_ks,
@@ -19,7 +18,7 @@ from starshape import (
     within_orbit_map_many,
 )
 from starshape.errors import DimensionMismatchError, ZeroVectorError
-from conftest import stream
+from conftest import polar_integral, stream
 
 BUILD = dict(n_panels=1 << 16)
 
