@@ -14,6 +14,7 @@ from .direction import (
     angle_bin_probs,
     cross_section_mass,
     cross_section_measure_density,
+    cross_section_measure_densities,
     direction_constant,
     direction_densities,
     direction_density,

@@ -17,7 +17,7 @@ import click
 import numpy as np
 
 from . import rng as _rng
-from .direction import direction_constant, direction_density
+from .direction import direction_constant, direction_densities
 from .errors import ConfigError, StarshapeError
 from .io import format_float, load_distribution
 from .matrixmodels import gl_decompose_batch, lt_decompose_batch, wishart_sample
@@ -75,6 +75,16 @@ def _rows_to_json(columns: list[str], rows: np.ndarray) -> str:
     return json.dumps({"columns": columns, "rows": rows.tolist()}) + "\n"
 
 
+def _write_densities(out: str, fmt: str, prefix: str, X: np.ndarray, vals: np.ndarray) -> None:
+    """Write points and their density values as JSON records or CSV rows."""
+    if fmt == "json":
+        records = [{"x": x, "density": v} for x, v in zip(X.tolist(), vals.tolist())]
+        _write_text(out, json.dumps({"values": records}) + "\n")
+    else:
+        columns = [f"{prefix}{i + 1}" for i in range(X.shape[1])] + ["density"]
+        _write_text(out, _rows_to_csv(columns, np.column_stack([X, vals])))
+
+
 @click.group()
 @click.version_option()
 def main() -> None:
@@ -119,15 +129,8 @@ def density(dist_path, points, out, fmt, seed):
     """Evaluate the density at given points."""
     gauge, profile, _ = load_distribution(dist_path)
     dist = StarDistribution(gauge, profile, n_panels=_CLI_PANELS, seed=seed)
-    xs = [_parse_point(raw, gauge.dim) for raw in points]
-    vals = [dist.density(x) for x in xs]
-    if fmt == "json":
-        payload = {"values": [{"x": x.tolist(), "density": v} for x, v in zip(xs, vals)]}
-        _write_text(out, json.dumps(payload) + "\n")
-    else:
-        rows = np.column_stack([np.array(xs), np.array(vals)])
-        columns = [f"x{i + 1}" for i in range(gauge.dim)] + ["density"]
-        _write_text(out, _rows_to_csv(columns, rows))
+    X = np.array([_parse_point(raw, gauge.dim) for raw in points])
+    _write_densities(out, fmt, "x", X, dist.densities(X))
 
 
 @main.command("direction-density")
@@ -141,15 +144,8 @@ def direction_density_cmd(dist_path, points, out, fmt, seed):
     """Evaluate the direction density at unit vectors."""
     gauge, _, _ = load_distribution(dist_path)
     c0 = direction_constant(gauge, n_panels=_CLI_PANELS, seed=seed).c0
-    xs = [_parse_point(raw, gauge.dim) for raw in points]
-    vals = [direction_density(gauge, c0, x) for x in xs]
-    if fmt == "json":
-        payload = {"values": [{"x": x.tolist(), "density": v} for x, v in zip(xs, vals)]}
-        _write_text(out, json.dumps(payload) + "\n")
-    else:
-        rows = np.column_stack([np.array(xs), np.array(vals)])
-        columns = [f"z{i + 1}" for i in range(gauge.dim)] + ["density"]
-        _write_text(out, _rows_to_csv(columns, rows))
+    Z = np.array([_parse_point(raw, gauge.dim) for raw in points])
+    _write_densities(out, fmt, "z", Z, direction_densities(gauge, c0, Z))
 
 
 @main.command()

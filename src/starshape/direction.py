@@ -124,28 +124,28 @@ def direction_constant(
     return C0Estimate(float(c0), float(stderr), integral)
 
 
-def _check_unit(z, dim: int) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    if z.shape != (dim,):
-        raise DimensionMismatchError(f"expected a unit vector of dimension {dim}")
-    if abs(np.linalg.norm(z) - 1.0) > UNIT_ATOL:
-        raise NotUnitVectorError(f"|z'| = {np.linalg.norm(z):.12g} is not 1")
-    return z
+def _check_ones(vals: np.ndarray, error: type, label: str) -> None:
+    """Raise ``error`` naming the value farthest from 1 if it misses by > UNIT_ATOL."""
+    dev = np.abs(vals - 1.0)
+    if dev.size and dev.max() > UNIT_ATOL:
+        raise error(f"{label} = {vals.flat[np.argmax(dev)]:.12g} is not 1")
 
 
 def direction_density(gauge: Gauge, c0: float, zprime) -> float:
     """Density c0 g(z')^(-p) of the direction with respect to dz'."""
-    z = _check_unit(zprime, gauge.dim)
-    return float(c0 * gauge.value(z) ** (-float(gauge.dim)))
+    z = np.asarray(zprime, dtype=float)
+    if z.shape != (gauge.dim,):
+        raise DimensionMismatchError(f"expected a unit vector of dimension {gauge.dim}")
+    return float(direction_densities(gauge, c0, z[None, :])[0])
 
 
 def direction_densities(gauge: Gauge, c0: float, Z) -> np.ndarray:
     """Vectorized :func:`direction_density` over rows of Z."""
     Z = np.asarray(Z, dtype=float)
-    norms = np.linalg.norm(Z, axis=1)
-    if np.max(np.abs(norms - 1.0)) > UNIT_ATOL:
-        raise NotUnitVectorError("batch contains non-unit directions")
-    return c0 * gauge.values(Z) ** (-float(gauge.dim))
+    _check_ones(np.linalg.norm(Z, axis=-1), NotUnitVectorError, "|z'|")
+    # float_power calls the C library pow per element, as Python's float **
+    # does; np.power may use a SIMD pow that differs in the last bit.
+    return c0 * np.float_power(gauge.values(Z), -float(gauge.dim))
 
 
 def direction_sample(
@@ -214,10 +214,15 @@ def cross_section_measure_density(gauge: Gauge, c0: float, z) -> float:
     z = np.asarray(z, dtype=float)
     if z.shape != (gauge.dim,):
         raise DimensionMismatchError(f"expected a point of dimension {gauge.dim}")
-    if abs(gauge.value(z) - 1.0) > UNIT_ATOL:
-        raise NotOnCrossSectionError(f"g(z) = {gauge.value(z):.12g} is not 1")
-    grad = gauge.gradient(z)
-    return float(c0 * np.dot(z, grad) / np.linalg.norm(grad))
+    return float(cross_section_measure_densities(gauge, c0, z[None, :])[0])
+
+
+def cross_section_measure_densities(gauge: Gauge, c0: float, Z) -> np.ndarray:
+    """Vectorized :func:`cross_section_measure_density` over rows of Z."""
+    Z = np.asarray(Z, dtype=float)
+    _check_ones(gauge.values(Z), NotOnCrossSectionError, "g(z)")
+    grad = gauge.gradients(Z)
+    return c0 * np.einsum("ij,ij->i", Z, grad) / np.linalg.norm(grad, axis=1)
 
 
 def cross_section_mass(gauge: Gauge, c0: float, n_panels: int = 1 << 14) -> float:
@@ -240,10 +245,7 @@ def cross_section_mass(gauge: Gauge, c0: float, n_panels: int = 1 << 14) -> floa
         z_plus = u_plus / gauge.values(u_plus)[:, None]
         z_minus = u_minus / gauge.values(u_minus)[:, None]
         speed = np.linalg.norm(z_plus - z_minus, axis=1) / (2.0 * delta)
-        dens = np.array(
-            [cross_section_measure_density(gauge, c0, zi) for zi in z]
-        )
-        return dens * speed
+        return cross_section_measure_densities(gauge, c0, z) * speed
 
     # Pull panel boundaries slightly inside each arc so the finite
     # differences above never straddle a ridge; the lost slivers are added

@@ -14,8 +14,9 @@ come in six flavors:
 * ``DirectionDerivedGauge`` built from a target direction density, see
   :func:`gauge_from_direction_density`
 
-All evaluation paths accept single points (shape ``(p,)``) via ``value`` /
-``gradient`` and batches (shape ``(n, p)``) via ``values``.
+Batches (shape ``(n, p)``) go through ``values`` / ``gradients``, each
+written once per variant; the single-point forms ``value`` / ``gradient``
+(shape ``(p,)``) validate their point and index the batch result.
 """
 
 from __future__ import annotations
@@ -94,6 +95,21 @@ def unit_angles(theta) -> np.ndarray:
     return np.column_stack([np.cos(theta), np.sin(theta)])
 
 
+def _active_facets(scores: np.ndarray, strict: bool, floor: float, shape: str) -> np.ndarray:
+    """Row-wise index of the largest score, ties going to the lowest index.
+
+    With ``strict``, raises :class:`NonSmoothPointError` if any row's top two
+    scores are within ``RIDGE_TIE_RTOL * max(floor, |top|)``.
+    """
+    j = np.argmax(scores, axis=1)
+    if strict and scores.shape[1] > 1:
+        top = scores[np.arange(len(scores)), j]
+        second = np.partition(scores, -2, axis=1)[:, -2]
+        if np.any(top - second <= RIDGE_TIE_RTOL * np.maximum(floor, np.abs(top))):
+            raise NonSmoothPointError(f"point lies on a {shape} ridge")
+    return j
+
+
 class Gauge(ABC):
     """Positively homogeneous degree-1 positive function on R^p - {0}."""
 
@@ -120,21 +136,31 @@ class Gauge(ABC):
 
     # -- geometry ---------------------------------------------------------
 
-    def gradient(self, x, strict: bool = False) -> np.ndarray:
-        """Gradient of g at x.
+    def gradients(self, X, strict: bool = False) -> np.ndarray:
+        """Gradients of g at a batch of points, shape (n, p) -> (n, p).
 
-        With ``strict=True``, evaluation at a facet ridge (two competing
-        facets within a relative gap of 1e-9) raises
-        :class:`NonSmoothPointError`; otherwise the lowest-index active
-        facet wins.  Ridges are null sets for every continuous
-        distribution involved, so the tie-break is statistically inert.
+        With ``strict=True``, a row at a facet ridge (two competing facets
+        within a relative gap of 1e-9) raises :class:`NonSmoothPointError`;
+        otherwise the lowest-index active facet wins.  Ridges are null sets
+        for every continuous distribution involved, so the tie-break is
+        statistically inert.
         """
-        x = _as_point(x, self.dim)
-        return self._gradient(x, strict)
+        return self._gradients(_as_batch(X, self.dim), strict)
 
-    @abstractmethod
-    def _gradient(self, x: np.ndarray, strict: bool) -> np.ndarray:
-        ...
+    def gradient(self, x, strict: bool = False) -> np.ndarray:
+        """Gradient of g at a single point; see :meth:`gradients`."""
+        return self.gradients(_as_point(x, self.dim)[None, :], strict)[0]
+
+    def _gradients(self, X: np.ndarray, strict: bool) -> np.ndarray:
+        # Central differences, for gauges without a closed-form gradient.
+        n, p = X.shape
+        h = FD_STEP * np.maximum(1.0, np.linalg.norm(X, axis=1))
+        probes = np.repeat(X[:, None, :], 2 * p, axis=1)
+        axes = np.arange(p)
+        probes[:, 2 * axes, axes] += h[:, None]
+        probes[:, 2 * axes + 1, axes] -= h[:, None]
+        vals = self.values(probes.reshape(-1, p)).reshape(n, 2 * p)
+        return (vals[:, 0::2] - vals[:, 1::2]) / (2.0 * h[:, None])
 
     def cross_section_point(self, x) -> np.ndarray:
         """Projection z = x / g(x) onto the unit cross section {g = 1}."""
@@ -174,15 +200,6 @@ class Gauge(ABC):
             raise NonPositiveError("gauge is not positive on the unit sphere")
         return SphereBounds(g_min, g_max)
 
-    def _fd_gradient(self, x: np.ndarray) -> np.ndarray:
-        h = FD_STEP * max(1.0, float(np.linalg.norm(x)))
-        probes = np.repeat(x[None, :], 2 * self.dim, axis=0)
-        for i in range(self.dim):
-            probes[2 * i, i] += h
-            probes[2 * i + 1, i] -= h
-        vals = self.values(probes)
-        return (vals[0::2] - vals[1::2]) / (2.0 * h)
-
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -217,8 +234,8 @@ class EllipticalGauge(Gauge):
         X = _as_batch(X, self.dim)
         return np.sqrt(np.einsum("ij,jk,ik->i", X, self.sigma_inv, X))
 
-    def _gradient(self, x, strict):
-        return (self.sigma_inv @ x) / self.value(x)
+    def _gradients(self, X, strict):
+        return (X @ self.sigma_inv.T) / self.values(X)[:, None]
 
     def sphere_bounds(self) -> SphereBounds:
         return SphereBounds(
@@ -238,15 +255,11 @@ class SupNormGauge(Gauge):
         X = _as_batch(X, self.dim)
         return np.max(np.abs(X), axis=1)
 
-    def _gradient(self, x, strict):
-        a = np.abs(x)
-        j = int(np.argmax(a))
-        if strict:
-            rest = np.delete(a, j)
-            if rest.size and a[j] - rest.max() <= RIDGE_TIE_RTOL * a[j]:
-                raise NonSmoothPointError("point lies on a hypercube ridge")
-        grad = np.zeros(self.dim)
-        grad[j] = 1.0 if x[j] >= 0 else -1.0
+    def _gradients(self, X, strict):
+        j = _active_facets(np.abs(X), strict, 0.0, "hypercube")
+        rows = np.arange(len(X))
+        grad = np.zeros_like(X)
+        grad[rows, j] = np.where(X[rows, j] >= 0, 1.0, -1.0)
         return grad
 
     def sphere_bounds(self) -> SphereBounds:
@@ -270,12 +283,12 @@ class L1NormGauge(Gauge):
         X = _as_batch(X, self.dim)
         return np.sum(np.abs(X), axis=1)
 
-    def _gradient(self, x, strict):
+    def _gradients(self, X, strict):
         if strict:
-            a = np.abs(x)
-            if a.min() <= RIDGE_TIE_RTOL * a.max():
+            a = np.abs(X)
+            if np.any(a.min(axis=1) <= RIDGE_TIE_RTOL * a.max(axis=1)):
                 raise NonSmoothPointError("point lies on a crosspolytope ridge")
-        return np.where(x >= 0, 1.0, -1.0)
+        return np.where(X >= 0, 1.0, -1.0)
 
     def sphere_bounds(self) -> SphereBounds:
         return SphereBounds(1.0, self.dim ** 0.5)
@@ -312,16 +325,8 @@ class PolytopeGauge(Gauge):
         X = _as_batch(X, self.dim)
         return np.max(X @ self.facets.T, axis=1)
 
-    def _gradient(self, x, strict):
-        vals = self.facets @ x
-        j = int(np.argmax(vals))
-        if strict:
-            rest = np.delete(vals, j)
-            if rest.size and vals[j] - rest.max() <= RIDGE_TIE_RTOL * max(
-                1.0, abs(vals[j])
-            ):
-                raise NonSmoothPointError("point lies on a polytope ridge")
-        return self.facets[j].copy()
+    def _gradients(self, X, strict):
+        return self.facets[_active_facets(X @ self.facets.T, strict, 1.0, "polytope")]
 
     def sphere_bounds(self) -> SphereBounds:
         return self._bounds
@@ -386,9 +391,6 @@ class TabulatedRadialGauge(Gauge):
         theta = np.arctan2(X[:, 1], X[:, 0])
         return np.linalg.norm(X, axis=1) / self._radius(theta)
 
-    def _gradient(self, x, strict):
-        return self._fd_gradient(x)
-
     def sphere_bounds(self) -> SphereBounds:
         # Piecewise-linear r attains its extremes at the nodes.
         return SphereBounds(float(1.0 / self.radii.max()), float(1.0 / self.radii.min()))
@@ -420,9 +422,6 @@ class DirectionDerivedGauge(Gauge):
         norms = np.linalg.norm(X, axis=1)
         f = np.asarray(self.density(X / norms[:, None]), dtype=float)
         return norms * f ** (-1.0 / self.dim)
-
-    def _gradient(self, x, strict):
-        return self._fd_gradient(x)
 
     def _params(self):
         raise NotADensityError(
@@ -504,7 +503,6 @@ def gauge_from_dict(obj: dict) -> Gauge:
         raise ConfigError(f"gauge.variant: unknown variant '{variant}'")
 
     factory, keys = _VARIANTS[variant]
-    # ConfigError is a ValueError, so these two are re-wrapped below too.
     try:
         unknown = set(params) - set(keys)
         if unknown:
@@ -513,6 +511,8 @@ def gauge_from_dict(obj: dict) -> Gauge:
             if k not in params:
                 raise ConfigError(f"gauge.params: missing field '{k}'")
         g = factory(dim, **params)
+    except ConfigError:
+        raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"gauge.params: {exc}") from exc
     if g.dim != dim:

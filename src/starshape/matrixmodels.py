@@ -25,6 +25,7 @@ is not provided separately.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -168,11 +169,13 @@ def lt_orbital_decompose(
 
 
 def _check_lower_triangular(G: np.ndarray) -> np.ndarray:
-    G = _as_square(G)
-    scale = max(1.0, float(np.max(np.abs(G))))
-    if np.max(np.abs(np.triu(G, k=1))) > 1e-12 * scale:
+    """Validate one (p, p) matrix or a stack (..., p, p), each on its own scale."""
+    if G.ndim < 2 or G.shape[-1] != G.shape[-2]:
+        raise DimensionMismatchError(f"matrix must be square, got shape {G.shape}")
+    scale = np.maximum(1.0, np.max(np.abs(G), axis=(-2, -1)))
+    if np.any(np.max(np.abs(np.triu(G, k=1)), axis=(-2, -1)) > 1e-12 * scale):
         raise NotTriangularError("matrix has entries above the diagonal")
-    if np.any(np.diag(G) <= 0.0):
+    if np.any(np.diagonal(G, axis1=-2, axis2=-1) <= 0.0):
         raise NotTriangularError("triangular factor needs a positive diagonal")
     return G
 
@@ -188,23 +191,24 @@ def multivariate_beta(p: int, a: float, b: float) -> float:
     return float(np.exp(log_gamma_p(a) + log_gamma_p(b) - log_gamma_p(a + b)))
 
 
-def _beta_core(U: np.ndarray, a: float, b: float) -> float:
-    p = U.shape[0]
+def _beta_shape(U: np.ndarray, a: float, b: float, s_handle) -> np.ndarray:
+    """Unnormalized matrix-beta shape at one (p, p) matrix or a stack of them."""
+    p = U.shape[-1]
     dU = np.linalg.det(U)
     dI = np.linalg.det(np.eye(p) - U)
-    return float(dU ** (a - (p + 1) / 2.0) * dI ** (b - (p + 1) / 2.0))
+    value = dU ** (a - (p + 1) / 2.0) * dI ** (b - (p + 1) / 2.0)
+    return value if s_handle is None else value * _s_factor(U, a, b, s_handle)
 
 
 def _s_factor(
     U: np.ndarray, a: float, b: float, s_handle: Callable[[np.ndarray], np.ndarray]
-) -> float:
-    p = U.shape[0]
-    S = _check_lower_triangular(np.asarray(s_handle(U), dtype=float))
+) -> np.ndarray:
+    # The handle takes one matrix, so it is called once per matrix of the stack.
+    p = U.shape[-1]
+    S = np.stack([np.asarray(s_handle(u), dtype=float) for u in U.reshape(-1, p, p)])
+    S = _check_lower_triangular(S.reshape(U.shape[:-2] + S.shape[1:]))
     exps = 2.0 * (a + b) + p - 2.0 * np.arange(1, p + 1) + 1.0
-    return float(np.prod(np.diag(S) ** exps))
-
-
-_beta_norm_cache: dict = {}
+    return np.prod(np.diagonal(S, axis1=-2, axis2=-1) ** exps, axis=-1)
 
 
 def matrix_beta_density(
@@ -232,29 +236,24 @@ def matrix_beta_density(
         raise OutOfRangeError(f"U must satisfy 0 < U < I, eigenvalues {eig}")
     if normalized is None:
         normalized = p <= 2
-    value = _beta_core(U, a, b)
-    if s_handle is not None:
-        value *= _s_factor(U, a, b, s_handle)
+    value = float(_beta_shape(U, a, b, s_handle))
     if not normalized:
         return value
     if p > 2:
         raise OutOfRangeError("normalized values are available for p <= 2 only")
     if s_handle is None:
         return value / multivariate_beta(p, a, b)
+    return value / _beta_normalizer(p, a, b, s_handle)
+
+
+@functools.lru_cache(maxsize=64)
+def _beta_normalizer(p: int, a: float, b: float, s_handle) -> float:
+    """Integral of the twisted shape over 0 < U < I (p <= 2), cached per handle."""
     if p == 1:
-        key = (1, a, b, s_handle)
-        if key not in _beta_norm_cache:
-            _beta_norm_cache[key] = integrate.quad(
-                lambda u: _beta_core(np.array([[u]]), a, b)
-                * _s_factor(np.array([[u]]), a, b, s_handle),
-                0.0,
-                1.0,
-            )[0]
-        return value / _beta_norm_cache[key]
-    key = (2, a, b, s_handle)
-    if key not in _beta_norm_cache:
-        _beta_norm_cache[key] = _twisted_beta_normalizer_p2(a, b, s_handle)
-    return value / _beta_norm_cache[key]
+        return integrate.quad(
+            lambda u: _beta_shape(np.array([[u]]), a, b, s_handle), 0.0, 1.0
+        )[0]
+    return _twisted_beta_normalizer_p2(a, b, s_handle)
 
 
 def _twisted_beta_normalizer_p2(
@@ -264,35 +263,35 @@ def _twisted_beta_normalizer_p2(
 
     The off-diagonal is rescaled to t = u12 / sqrt(min(u11 u22,
     (1-u11)(1-u22))) so the domain becomes a box, and the (u11, u22) square
-    is split along u11 + u22 = 1 where the min() kink lives.  The map
-    handle is called per node (it takes one matrix), so the order is kept
-    moderate; relative accuracy is ~1e-4, plenty for shape normalization.
+    is split along u11 + u22 = 1 where the min() kink lives.  The node
+    tensor has axes (u11, half of the split, u22, t); the map handle takes
+    one matrix and is called once per node inside the domain, so the order
+    is kept moderate.  Relative accuracy is ~1e-4, plenty for shape
+    normalization.
     """
     nodes, weights = np.polynomial.legendre.leggauss(order)
 
     def seg(lo, hi):
         return 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo), 0.5 * (hi - lo) * weights
 
-    u11_n, u11_w = seg(0.0, 1.0)
-    t_n, t_w = seg(-1.0, 1.0)
-    total = 0.0
-    for x, wx in zip(u11_n, u11_w):
-        for lo_22, hi_22 in ((0.0, 1.0 - x), (1.0 - x, 1.0)):
-            u22_n, u22_w = seg(lo_22, hi_22)
-            for y, wy in zip(u22_n, u22_w):
-                s = np.sqrt(min(x * y, (1.0 - x) * (1.0 - y)))
-                if s <= 0.0:
-                    continue
-                acc = 0.0
-                for t, wt in zip(t_n, t_w):
-                    U = np.array([[x, t * s], [t * s, y]])
-                    if x * y - (t * s) ** 2 <= 0.0:
-                        continue
-                    if (1 - x) * (1 - y) - (t * s) ** 2 <= 0.0:
-                        continue
-                    acc += wt * _beta_core(U, a, b) * _s_factor(U, a, b, s_handle)
-                total += wx * wy * s * acc
-    return total
+    u11, w11 = seg(0.0, 1.0)
+    t, wt = seg(-1.0, 1.0)
+    lo = np.stack([np.zeros(order), 1.0 - u11], axis=1)[:, :, None]
+    hi = np.stack([1.0 - u11, np.ones(order)], axis=1)[:, :, None]
+    u22, w22 = seg(lo, hi)
+    u11 = u11[:, None, None]
+    s = np.sqrt(np.minimum(u11 * u22, (1.0 - u11) * (1.0 - u22)))
+    x, y, off = u11[..., None], u22[..., None], t * s[..., None]
+    inside = (
+        (s[..., None] > 0.0)
+        & (x * y - off**2 > 0.0)
+        & ((1.0 - x) * (1.0 - y) - off**2 > 0.0)
+    )
+    entries = [np.broadcast_to(v, inside.shape)[inside] for v in (x, off, off, y)]
+    shape = np.zeros(inside.shape)
+    shape[inside] = _beta_shape(np.stack(entries, axis=-1).reshape(-1, 2, 2), a, b, s_handle)
+    acc = np.sum(wt * shape, axis=-1)
+    return float(np.sum(w11[:, None, None] * w22 * s * acc))
 
 
 def equivariant_density_lt(
@@ -438,9 +437,6 @@ def _check_monomial(P: np.ndarray) -> np.ndarray:
     return P
 
 
-_eigen_norm_cache: dict = {}
-
-
 def eigenvalue_density(
     l,
     a: float,
@@ -467,51 +463,39 @@ def eigenvalue_density(
         raise NotOrderedError(f"roots {l} must be strictly decreasing")
     if normalized is None:
         normalized = p <= 2
-    value = _eigen_core(l, a, b)
-    if p_handle is not None:
-        P = _check_monomial(np.asarray(p_handle(l), dtype=float))
-        value *= abs(np.linalg.det(P)) ** (2.0 * (a + b))
+    value = _eigen_shape(l, a, b, p_handle)
     if not normalized:
         return value
     if p > 2:
         raise OutOfRangeError("normalized values are available for p <= 2 only")
+    if p == 1 and p_handle is None:
+        return value * np.exp(gammaln(a + b) - gammaln(a) - gammaln(b))
+    return value / _eigen_normalizer(p, a, b, p_handle)
+
+
+@functools.lru_cache(maxsize=64)
+def _eigen_normalizer(p: int, a: float, b: float, p_handle) -> float:
+    """Integral of the root shape over the ordered roots in (0, 1) (p <= 2), cached."""
     if p == 1:
-        if p_handle is None:
-            return value * np.exp(
-                gammaln(a + b) - gammaln(a) - gammaln(b)
-            )
-        key = (1, a, b, p_handle)
-        if key not in _eigen_norm_cache:
-            _eigen_norm_cache[key] = integrate.quad(
-                lambda t: _eigen_core(np.array([t]), a, b)
-                * abs(np.linalg.det(np.asarray(p_handle(np.array([t]))))) ** (2 * (a + b)),
-                0.0,
-                1.0,
-            )[0]
-        return value / _eigen_norm_cache[key]
-    key = (2, a, b, p_handle)
-    if key not in _eigen_norm_cache:
-
-        def dens(l2, l1):
-            core = _eigen_core(np.array([l1, l2]), a, b)
-            if p_handle is not None:
-                P = np.asarray(p_handle(np.array([l1, l2])), dtype=float)
-                core *= abs(np.linalg.det(P)) ** (2.0 * (a + b))
-            return core
-
-        _eigen_norm_cache[key] = integrate.dblquad(
-            dens, 0.0, 1.0, 0.0, lambda l1: l1, epsabs=1e-12, epsrel=1e-10
+        return integrate.quad(
+            lambda t: _eigen_shape(np.array([t]), a, b, p_handle), 0.0, 1.0
         )[0]
-    return value / _eigen_norm_cache[key]
+    return integrate.dblquad(
+        lambda l2, l1: _eigen_shape(np.array([l1, l2]), a, b, p_handle),
+        0.0, 1.0, 0.0, lambda l1: l1, epsabs=1e-12, epsrel=1e-10,
+    )[0]
 
 
-def _eigen_core(l: np.ndarray, a: float, b: float) -> float:
+def _eigen_shape(l: np.ndarray, a: float, b: float, p_handle) -> float:
+    """Unnormalized ordered-root shape at one point, times |det P(L)|^(2(a+b))."""
     p = l.size
-    value = float(np.prod(l ** (a - (p + 1) / 2.0)) * np.prod((1.0 - l) ** (b - (p + 1) / 2.0)))
-    for i in range(p):
-        for j in range(i + 1, p):
-            value *= l[i] - l[j]
-    return value
+    value = np.prod(l ** (a - (p + 1) / 2.0)) * np.prod((1.0 - l) ** (b - (p + 1) / 2.0))
+    for i, j in itertools.combinations(range(p), 2):
+        value *= l[i] - l[j]
+    if p_handle is not None:
+        P = _check_monomial(np.asarray(p_handle(l), dtype=float))
+        value *= abs(np.linalg.det(P)) ** (2.0 * (a + b))
+    return float(value)
 
 
 def sign_matrices(p: int) -> list[np.ndarray]:

@@ -16,7 +16,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import integrate
+from scipy.special import gammaln, xlogy
 
 from . import rng as _rng
 from .direction import (
@@ -123,8 +124,8 @@ class StarDistribution:
     def orbital_decompose(self, x) -> OrbitalRecord:
         """Split x into (g, z, z') = (g(x), x/g(x), x/|x|)."""
         x = _as_point(x, self.p)
-        g = self.gauge.value(x)
-        return OrbitalRecord(g, x / g, x / np.linalg.norm(x))
+        g, z, zprime = self.decompose_many(x[None, :])
+        return OrbitalRecord(float(g[0]), z[0], zprime[0])
 
     def decompose_many(self, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized decomposition: returns (g, Z, Zprime) arrays."""
@@ -186,10 +187,8 @@ def within_orbit_map(gauge_from: Gauge, gauge_to: Gauge, x) -> np.ndarray:
     with lambda > 0.  The map is a bijection of each ray, inverted by
     swapping the two gauges.
     """
-    if gauge_from.dim != gauge_to.dim:
-        raise DimensionMismatchError("gauges must share the ambient dimension")
     x = _as_point(x, gauge_from.dim)
-    return (gauge_from.value(x) / gauge_to.value(x)) * x
+    return within_orbit_map_many(gauge_from, gauge_to, x[None, :])[0]
 
 
 def within_orbit_map_many(gauge_from: Gauge, gauge_to: Gauge, X) -> np.ndarray:
@@ -315,5 +314,8 @@ def _plane_integral_mc(
     radius = gen.gamma(shape=p, scale=theta, size=n_mc)
     X = _rng.uniform_sphere(gen, n_mc, p)
     X *= radius[:, None]
-    dens = stats.gamma.pdf(radius, a=p, scale=theta) / (sphere_surface(p) * radius ** (p - 1))
+    # Gamma(p, theta) pdf of the radius, in the form scipy.stats evaluates it.
+    u = radius / theta
+    gamma_pdf = np.exp(xlogy(p - 1.0, u) - u - gammaln(p)) / theta
+    dens = gamma_pdf / (sphere_surface(p) * radius ** (p - 1))
     return mean_stderr(profile.shape(gauge.values(X), p) / dens)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 from scipy import stats as sstats
 
+import starshape
 from starshape import direction_integral, ks_test, SupNormGauge
 from starshape.cli import main
 from starshape.io import load_schema
@@ -218,3 +222,13 @@ def test_monte_carlo_depends_on_seed_only(monkeypatch):
     monkeypatch.setenv("STARSHAPE_THREADS", "4")
     assert direction_integral(g, n_mc=40_000, seed=9) == a
     assert direction_integral(g, n_mc=40_000, seed=10) != a
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(starshape.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, starshape.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -179,6 +179,67 @@ def test_strict_gradient_flags_ridges(analytic_gauges):
     assert analytic_gauges["poly"].gradient([0.5, 0.1]) is not None
 
 
+_SQUARE = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+
+
+def _all_variants(analytic_gauges):
+    nodes = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    return {
+        "elliptical": analytic_gauges["ell-14"],
+        "sup": analytic_gauges["sup"],
+        "l1": analytic_gauges["l1"],
+        "polytope": analytic_gauges["poly"],
+        "square": PolytopeGauge(_SQUARE),
+        "tabulated": TabulatedRadialGauge(nodes, 1.0 + 0.3 * np.cos(2 * nodes)),
+        "derived": gauge_from_direction_density(
+            lambda U: (2.0 + U[:, 0]) / (4.0 * np.pi), 2
+        ),
+    }
+
+
+def test_batch_gradients_match_scalar_rows(analytic_gauges):
+    # Random rows plus ridge rows: tied facets and zero coordinates.
+    ties = [[1.0, 1.0], [-2.0, 2.0], [0.0, 1.5], [-0.5, 0.0], [0.7, 0.1]]
+    X = np.vstack([np.random.default_rng(71).normal(size=(40, 2)), ties])
+    for name, g in _all_variants(analytic_gauges).items():
+        G = g.gradients(X)
+        assert G.shape == X.shape
+        for i, x in enumerate(X):
+            np.testing.assert_array_equal(G[i], g.gradient(x), err_msg=name)
+
+
+def test_gradient_ties_go_to_the_lowest_index():
+    ties = np.array([[1.0, 1.0], [-2.0, 2.0], [-1.0, -1.0]])
+    np.testing.assert_array_equal(
+        SupNormGauge(2).gradients(ties), [[1.0, 0.0], [-1.0, 0.0], [-1.0, 0.0]]
+    )
+    np.testing.assert_array_equal(
+        PolytopeGauge(_SQUARE).gradients(ties), [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]
+    )
+
+
+def test_strict_gradients_raise_if_any_row_is_on_a_ridge():
+    smooth = np.array([[3.0, 0.5], [-0.2, 2.0], [1.0, -4.0]])
+    for g, ridge in (
+        (SupNormGauge(2), [2.0, -2.0]),
+        (L1NormGauge(2), [0.0, -1.0]),
+        (PolytopeGauge(_SQUARE), [-1.0, 1.0]),
+    ):
+        np.testing.assert_array_equal(g.gradients(smooth, strict=True), g.gradients(smooth))
+        for k in range(len(smooth) + 1):
+            with pytest.raises(NonSmoothPointError):
+                g.gradients(np.insert(smooth, k, ridge, axis=0), strict=True)
+
+
+def test_polytope_ridge_raises_in_strict_mode(analytic_gauges):
+    poly = analytic_gauges["poly"]
+    x = np.array([0.7, 0.1])  # facets 0 and 4 both give 0.72, the largest value
+    with pytest.raises(NonSmoothPointError, match="polytope ridge"):
+        poly.gradient(x, strict=True)
+    grad = poly.gradient(x)
+    assert any(np.array_equal(grad, poly.facets[k]) for k in (0, 4))
+
+
 def test_direction_derived_uniform_target():
     omega = sphere_surface(2)
     g = gauge_from_direction_density(lambda U: np.full(len(U), 1.0 / omega), 2)
@@ -237,3 +298,18 @@ def test_json_rejects_unknown_and_missing_fields():
         gauge_from_dict({"dim": 2, "variant": "elliptical", "params": {}})
     with pytest.raises(ConfigError):
         gauge_from_dict({"dim": 3, "variant": "elliptical", "params": {"sigma": [[1.0]]}})
+
+
+def test_json_params_errors_carry_one_prefix():
+    cases = [
+        ({"variant": "sup", "params": {"x": 1}}, "gauge.params: unknown field 'x'"),
+        ({"variant": "elliptical", "params": {}}, "gauge.params: missing field 'sigma'"),
+        (
+            {"variant": "elliptical", "params": {"sigma": [[1.0, 0.0], [0.0, -1.0]]}},
+            "gauge.params: sigma must be positive definite",
+        ),
+    ]
+    for obj, text in cases:
+        with pytest.raises(ConfigError) as info:
+            gauge_from_dict({"dim": 2, **obj})
+        assert str(info.value) == text

@@ -30,6 +30,7 @@ from starshape.errors import (
     NotTriangularError,
     OutOfRangeError,
 )
+from starshape.matrixmodels import _twisted_beta_normalizer_p2
 from conftest import stream
 
 
@@ -181,6 +182,104 @@ def test_beta_density_twisted_normalizer():
     val2 = matrix_beta_density(U2, a, b, s_handle=s_handle)
     shape2 = matrix_beta_density(U2, a, b, s_handle=s_handle, normalized=False)
     assert shape2 / val2 == pytest.approx(ratio, rel=1e-6)
+
+
+def test_identity_s_handle_matches_untwisted_density():
+    # An identity S(U) leaves the shape unchanged, so only the numeric
+    # normaliser separates the two values: cubature (~1e-4) at p = 2,
+    # adaptive quadrature at p = 1.
+    a, b = 2.5, 3.5
+    for U, rel in ((np.array([[0.4, 0.1], [0.1, 0.5]]), 1e-4), (np.array([[0.3]]), 1e-8)):
+        twisted = matrix_beta_density(U, a, b, s_handle=lambda V: np.eye(len(V)))
+        assert twisted == pytest.approx(matrix_beta_density(U, a, b), rel=rel)
+
+
+def test_identity_p_handle_gives_scalar_beta():
+    a, b = 2.5, 3.5
+    val = eigenvalue_density(np.array([0.3]), a, b, p_handle=lambda l: np.eye(1))
+    assert val == pytest.approx(sstats.beta.pdf(0.3, a, b), rel=1e-8)
+
+
+def test_twisted_normalizer_matches_per_node_loop():
+    # Reference: the same Gauss-Legendre node tensor summed one node at a
+    # time.  Only the summation order differs, so the two agree to rounding.
+    a, b, order = 2.5, 3.5, 10
+    calls = {"loop": 0, "tensor": 0}
+
+    def handle(key):
+        def s_map(U):
+            calls[key] += 1
+            return np.linalg.cholesky(np.eye(2) + U)
+        return s_map
+
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+
+    def seg(lo, hi):
+        return 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo), 0.5 * (hi - lo) * weights
+
+    s_map = handle("loop")
+    exps = 2.0 * (a + b) + 2 - 2.0 * np.arange(1, 3) + 1.0
+    total = 0.0
+    for x, wx in zip(*seg(0.0, 1.0)):
+        for lo, hi in ((0.0, 1.0 - x), (1.0 - x, 1.0)):
+            for y, wy in zip(*seg(lo, hi)):
+                s = np.sqrt(min(x * y, (1.0 - x) * (1.0 - y)))
+                for t, wt in zip(*seg(-1.0, 1.0)):
+                    off = t * s
+                    if s <= 0.0 or x * y - off**2 <= 0.0 or (1 - x) * (1 - y) - off**2 <= 0.0:
+                        continue
+                    U = np.array([[x, off], [off, y]])
+                    dU, dI = np.linalg.det(U), np.linalg.det(np.eye(2) - U)
+                    s_factor = np.prod(np.diag(s_map(U)) ** exps)
+                    total += wx * wy * s * wt * dU ** (a - 1.5) * dI ** (b - 1.5) * s_factor
+    tensor = _twisted_beta_normalizer_p2(a, b, handle("tensor"), order=order)
+    assert tensor == pytest.approx(total, rel=1e-13)
+    assert calls["tensor"] == calls["loop"] > 0
+
+
+def test_twisted_normalizer_rejects_a_bad_s_map_at_any_node():
+    # Both maps are valid at the probe point (u12 = 0.1, u11 = 0.4) and
+    # invalid only at some cubature nodes.
+    def above_diagonal(U):
+        return np.array([[1.0, 0.5 if U[0, 1] > 0.2 else 0.0], [0.0, 1.0]])
+
+    def negative_diagonal(U):
+        return np.diag([1.0, -1.0 if U[0, 0] > 0.9 else 1.0])
+
+    U = np.array([[0.4, 0.1], [0.1, 0.5]])
+    for handle, text in (
+        (above_diagonal, "above the diagonal"),
+        (negative_diagonal, "positive diagonal"),
+    ):
+        assert matrix_beta_density(U, 2.5, 3.5, s_handle=handle, normalized=False) > 0
+        with pytest.raises(NotTriangularError, match=text):
+            matrix_beta_density(U, 2.5, 3.5, s_handle=handle)
+
+
+def test_normalizers_are_cached_per_handle():
+    calls = []
+
+    def s_handle(U):
+        calls.append("s")
+        return np.linalg.cholesky(np.eye(2) + U)
+
+    def p_handle(l):
+        calls.append("p")
+        return np.diag([1.0 + l[0], 1.0])
+
+    U1 = np.array([[0.4, 0.1], [0.1, 0.5]])
+    U2 = np.array([[0.2, -0.05], [-0.05, 0.7]])
+    l1, l2 = np.array([0.7, 0.3]), np.array([0.6, 0.1])
+    for density, handle, first, second in (
+        (matrix_beta_density, s_handle, U1, U2),
+        (eigenvalue_density, p_handle, l1, l2),
+    ):
+        calls.clear()
+        density(first, 2.5, 3.5, handle)
+        assert len(calls) > 100  # the normaliser ran
+        before = len(calls)
+        density(second, 2.5, 3.5, handle)
+        assert len(calls) == before + 1
 
 
 def test_beta_density_range_errors():
