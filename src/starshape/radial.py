@@ -3,49 +3,89 @@
 A profile is the scalar shape f(g) of the density along every ray; it is
 stored unnormalized, all constants being absorbed by the distribution-level
 normalizer.  The length marginal in dimension p is f(g) g^(p-1) / c with
-c = integral of f(g) g^(p-1) over (0, inf), computed here by adaptive
-quadrature.  Sampling goes through an inverse-CDF table on a geometric grid
-so that one code path serves light and heavy tails alike.
+c = integral of f(g) g^(p-1) over (0, inf).  Every family has a closed-form
+length law: g^s exp(-r g^t) (the Gaussian, exponential and Kotz families)
+makes r g^t Gamma((p + s)/t)-distributed, and the heavy tail makes
+g^2/(1 + g^2) Beta(p/2, nu/2)-distributed.  Sampling goes through an
+inverse-CDF table of that law on a geometric grid, so one code path serves
+light and heavy tails alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
-from scipy import integrate
-
-from .errors import (
-    ConfigError,
-    DivergentError,
-    NonPositiveError,
-    QuadratureFailureError,
+from scipy.special import (
+    beta,
+    betainc,
+    betaincinv,
+    gammainc,
+    gammainccinv,
+    gammaincinv,
+    gammaln,
 )
 
-_QUAD_RTOL = 1e-11
-_QUAD_TARGET = 1e-9
+from .errors import ConfigError, DivergentError, NonPositiveError, QuadratureFailureError
+
+_LOG_TINY = float(np.log(np.finfo(float).tiny))
 
 
 class RadialProfile:
-    """Base class for unnormalized radial profile shapes f(g) on (0, inf)."""
+    """Base class for unnormalized radial profile shapes f(g) on (0, inf).
+
+    The shape and the closed forms here are those of f(g) = g^s exp(-r g^t),
+    with (s, r, t) from :meth:`_kotz_form`; the heavy tail overrides them.
+    """
 
     family: str
 
     def shape(self, g, p: int) -> np.ndarray:
         """Profile value f(g); ``p`` only matters for the heavy-tail family."""
-        raise NotImplementedError
-
-    def check_integrable(self, p: int) -> None:
-        """Raise DivergentError unless f(g) g^(p-1) is integrable on (0, inf)."""
-        if p < 1:
-            raise DivergentError("dimension must be >= 1")
+        s, r, t = self._kotz_form()
+        g = np.asarray(g, dtype=float)
+        return g**s * np.exp(-r * g**t)
 
     def to_dict(self) -> dict:
         return {"family": self.family, "params": self._params()}
 
     def _params(self) -> dict:
         raise NotImplementedError
+
+    def _kotz_form(self) -> tuple[float, float, float]:
+        """(s, r, t) with f(g) = g^s exp(-r g^t)."""
+        raise NotImplementedError
+
+    def _mass(self, p: int) -> float:
+        """Integral of f(g) g^(p-1): Gamma(k) / (t r^k), k = (p + s)/t."""
+        s, r, t = self._kotz_form()
+        k = (p + s) / t
+        with np.errstate(over="ignore"):  # inf is rejected by radial_constant
+            return float(np.exp(gammaln(k) - k * np.log(r)) / t)
+
+    def _cdf(self, g: np.ndarray, p: int) -> np.ndarray:
+        """Length-law CDF at g: the regularized gamma P(k, r g^t).
+
+        Where x = r g^t underflows the normal range (small k = (p + s)/t),
+        P(k, x) is its leading series term x^k / Gamma(k + 1) to double
+        precision, and that is taken in logs.
+        """
+        s, r, t = self._kotz_form()
+        k = (p + s) / t
+        log_x = np.minimum(np.log(r) + t * np.log(g), _LOG_TINY)
+        series = np.exp(k * log_x - gammaln(k + 1.0))
+        return np.where(log_x < _LOG_TINY, series, gammainc(k, r * g**t))
+
+    def _quantiles(self, p: int, head: float, tail: float) -> tuple[float, float]:
+        """Lengths with CDF ``head`` and with upper-tail mass ``tail``."""
+        s, r, t = self._kotz_form()
+        k = (p + s) / t
+        g_hi = float((gammainccinv(k, tail) / r) ** (1.0 / t))
+        # Invert the series of :meth:`_cdf` where it applies (small k).
+        log_x_lo = (np.log(head) + gammaln(k + 1.0)) / k
+        if log_x_lo < _LOG_TINY:
+            return float(np.exp((log_x_lo - np.log(r)) / t)), g_hi
+        return float((gammaincinv(k, head) / r) ** (1.0 / t)), g_hi
 
 
 class GaussianProfile(RadialProfile):
@@ -58,12 +98,11 @@ class GaussianProfile(RadialProfile):
             raise NonPositiveError("gaussian scale must be positive")
         self.scale = float(scale)
 
-    def shape(self, g, p: int) -> np.ndarray:
-        g = np.asarray(g, dtype=float)
-        return np.exp(-0.5 * (g / self.scale) ** 2)
-
     def _params(self):
         return {"scale": self.scale}
+
+    def _kotz_form(self):
+        return 0.0, 0.5 / self.scale**2, 2.0
 
 
 class ExponentialProfile(RadialProfile):
@@ -76,12 +115,11 @@ class ExponentialProfile(RadialProfile):
             raise NonPositiveError("exponential rate must be positive")
         self.rate = float(rate)
 
-    def shape(self, g, p: int) -> np.ndarray:
-        g = np.asarray(g, dtype=float)
-        return np.exp(-self.rate * g)
-
     def _params(self):
         return {"rate": self.rate}
+
+    def _kotz_form(self):
+        return 0.0, self.rate, 1.0
 
 
 class KotzProfile(RadialProfile):
@@ -96,12 +134,11 @@ class KotzProfile(RadialProfile):
             raise NonPositiveError("kotz decay parameters r, t must be positive")
         self.s, self.r, self.t = float(s), float(r), float(t)
 
-    def shape(self, g, p: int) -> np.ndarray:
-        g = np.asarray(g, dtype=float)
-        return g ** self.s * np.exp(-self.r * g ** self.t)
-
     def _params(self):
         return {"s": self.s, "r": self.r, "t": self.t}
+
+    def _kotz_form(self):
+        return self.s, self.r, self.t
 
 
 class HeavyTailProfile(RadialProfile):
@@ -120,6 +157,25 @@ class HeavyTailProfile(RadialProfile):
 
     def _params(self):
         return {"nu": self.nu}
+
+    def _mass(self, p: int) -> float:
+        return float(0.5 * beta(p / 2.0, self.nu / 2.0))
+
+    def _cdf(self, g: np.ndarray, p: int) -> np.ndarray:
+        # Past g = 1 take the upper tail from 1 - x = 1/(1 + g^2), which
+        # stays exact where x itself rounds to 1.
+        a, b = p / 2.0, self.nu / 2.0
+        x = g**2 / (1.0 + g**2)
+        return np.where(x < 0.5, betainc(a, b, x), 1.0 - betainc(b, a, 1.0 / (1.0 + g**2)))
+
+    def _quantiles(self, p: int, head: float, tail: float) -> tuple[float, float]:
+        # x = g^2/(1 + g^2) is Beta(p/2, nu/2) and 1 - x is Beta(nu/2, p/2);
+        # inverting each on its own small side keeps both ends accurate.  A
+        # subnormal 1 - x (nu near 0) has no accurate quantile: report none.
+        x = betaincinv(p / 2.0, self.nu / 2.0, head)
+        y = betaincinv(self.nu / 2.0, p / 2.0, tail)
+        g_hi = np.sqrt((1.0 - y) / y) if y >= np.finfo(float).tiny else np.inf
+        return float(np.sqrt(x / (1.0 - x))), float(g_hi)
 
 
 _FAMILIES = {
@@ -159,28 +215,19 @@ def profile_from_dict(obj: dict) -> RadialProfile:
 
 
 def radial_constant(profile: RadialProfile, p: int) -> float:
-    """Integral of f(g) g^(p-1) over (0, inf), relative error ~1e-9.
+    """Integral of f(g) g^(p-1) over (0, inf), in closed form.
 
     This equals the distribution's normalizing constant exactly when the
     profile's constants are matched to the gauge (e.g. a Gaussian profile
     carrying the multivariate-normal constant for an elliptical gauge);
     in general it normalizes the length marginal.
     """
-    profile.check_integrable(p)
-
-    def integrand(g):
-        return profile.shape(g, p) * g ** (p - 1)
-
-    val, err = integrate.quad(
-        integrand, 0.0, np.inf, epsabs=0.0, epsrel=_QUAD_RTOL, limit=400
-    )
-    if not np.isfinite(val) or val <= 0.0:
-        raise DivergentError(f"radial integral evaluated to {val}")
-    if err > _QUAD_TARGET * val:
-        raise QuadratureFailureError(
-            f"radial quadrature error {err:.2e} exceeds target on value {val:.6e}"
-        )
-    return float(val)
+    if p < 1:
+        raise DivergentError("dimension must be >= 1")
+    value = profile._mass(p)
+    if not np.isfinite(value) or value <= 0.0:
+        raise DivergentError(f"radial integral evaluated to {value}")
+    return value
 
 
 def radial_density(profile: RadialProfile, p: int, c0: float, g) -> np.ndarray:
@@ -194,19 +241,14 @@ def radial_density(profile: RadialProfile, p: int, c0: float, g) -> np.ndarray:
     return out if out.ndim else float(out)
 
 
-# Fixed 10-point Gauss-Legendre rule used per table interval.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
-
-
 @dataclass
 class RadialTable:
     """Inverse-CDF table for the length marginal on a geometric grid.
 
-    ``grid`` holds n node positions and ``cdf`` the cumulative mass at each
-    node (normalized by the quadrature constant, so the final entry sits
-    within the truncated tail of 1).  Quantiles invert the piecewise-linear
-    CDF; draws below/above the covered range clamp to the grid ends, which
-    carry ~1e-12 / ~1e-10 of mass by construction.
+    ``grid`` holds n node positions from the ``head_mass`` quantile to the
+    ``1 - tail_mass`` quantile of the length law, and ``cdf`` the exact CDF
+    at each node.  Quantiles invert the piecewise-linear CDF; draws
+    below/above the covered range clamp to the grid ends.
     """
 
     profile: RadialProfile
@@ -226,59 +268,15 @@ class RadialTable:
         head_mass: float = 1e-12,
     ) -> "RadialTable":
         total = radial_constant(profile, p)
-
-        def mass(a, b):
-            return integrate.quad(
-                lambda g: profile.shape(g, p) * g ** (p - 1),
-                a,
-                b,
-                epsabs=total * 1e-15,
-                epsrel=1e-10,
-                limit=400,
-            )[0]
-
-        g_hi = 1.0
-        while mass(g_hi, np.inf) > tail_mass * total:
-            g_hi *= 2.0
-            if g_hi > 1e300:
-                raise DivergentError("could not cover the radial tail")
-        # Pull g_hi back to the actual tail quantile; a doubling overshoot
-        # would leave grid cells whose mass underflows the cumulative sum.
-        lo_b, hi_b = g_hi / 2.0, g_hi
-        for _ in range(60):
-            midpoint = 0.5 * (lo_b + hi_b)
-            tail = mass(midpoint, np.inf)
-            if 0.2 * tail_mass * total <= tail <= tail_mass * total:
-                g_hi = midpoint
-                break
-            if tail > tail_mass * total:
-                lo_b = midpoint
-            else:
-                hi_b = midpoint
-                g_hi = midpoint
-        g_lo = g_hi * 1e-6
-        while mass(0.0, g_lo) > head_mass * total:
-            g_lo *= 0.5
-
+        g_lo, g_hi = profile._quantiles(p, head_mass, tail_mass)
+        if not np.isfinite(g_hi):
+            raise DivergentError("could not cover the radial tail")
         grid = np.geomspace(g_lo, g_hi, size)
-        # Per-interval Gauss-Legendre masses, vectorized over intervals.
-        mid = 0.5 * (grid[1:] + grid[:-1])
-        half = 0.5 * (grid[1:] - grid[:-1])
-        nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-        dens = profile.shape(nodes.ravel(), p) * nodes.ravel() ** (p - 1)
-        masses = half * (dens.reshape(nodes.shape) @ _GL_WEIGHTS)
-        head = mass(0.0, g_lo)
-        cdf = np.concatenate([[head], head + np.cumsum(masses)]) / total
+        cdf = profile._cdf(grid, p)
         if np.any(np.diff(cdf) <= 0):
             raise QuadratureFailureError("radial CDF is not strictly increasing")
-        return cls(
-            profile,
-            p,
-            total,
-            grid,
-            cdf,
-            meta={"g_lo": g_lo, "g_hi": g_hi, "coverage": float(cdf[-1])},
-        )
+        meta = {"g_lo": g_lo, "g_hi": g_hi, "coverage": float(cdf[-1])}
+        return cls(profile, p, total, grid, cdf, meta)
 
     def cdf_at(self, g) -> np.ndarray:
         """Piecewise-linear CDF value at g (clamped outside the grid)."""

@@ -12,11 +12,9 @@ factorization into a numerical cross-check.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gammaln, xlogy
 
 from . import rng as _rng
@@ -28,15 +26,20 @@ from .direction import (
 )
 from .errors import DimensionMismatchError, QuadratureFailureError
 from .gauge import Gauge, _as_batch, _as_point
-from .quadrature import mean_stderr
+from .quadrature import gauss, mean_stderr
 from .radial import (
     ExponentialProfile,
     GaussianProfile,
     KotzProfile,
     RadialProfile,
     RadialTable,
-    radial_constant,
 )
+
+# Plane rule: Gauss-Legendre of the first order gives the value, the second
+# order the error estimate; panels are graded over this many halvings.
+_PLANE_ORDERS = (12, 10)
+_PLANE_LEVELS = 30
+_PLANE_CHUNK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,6 @@ class StarDistribution:
         gauge: Gauge,
         profile: RadialProfile,
         table_size: int = 4096,
-        n_panels: int = 1 << 20,
         n_mc: int = 1_000_000,
         seed: int = 0,
     ):
@@ -79,18 +81,18 @@ class StarDistribution:
         self.gauge = gauge
         self.profile = profile
         self.p = gauge.dim
-        est: C0Estimate = direction_constant(gauge, n_panels, n_mc, seed)
+        est: C0Estimate = direction_constant(gauge, n_mc, seed)
         self.c0 = est.c0
         self.c0_stderr = est.stderr
         self.c0_provenance = "spherical-integral"
         self.sphere_integral = est.integral
-        self.radial_norm = radial_constant(profile, self.p)
+        self.table = RadialTable.build(profile, self.p, size=table_size)
+        self.radial_norm = self.table.constant
         # density(x) = scale * profile(g(x)); scale folds the profile's
         # missing constants so that the density integrates to 1.
         self.scale = self.c0 / self.radial_norm
-        self.table = RadialTable.build(profile, self.p, size=table_size)
         self.bounds = gauge.sphere_bounds()
-        self._c0_radial_cache: tuple[float, float] | None = None
+        self._c0_radial_cache: dict[tuple[int, int] | None, tuple[float, float]] = {}
 
     # -- densities ----------------------------------------------------------
 
@@ -140,19 +142,21 @@ class StarDistribution:
 
         The profile is unnormalized, so the radial integral is divided by
         the total mass Z = integral of profile(g(x)) dx, computed by a
-        method independent of the sphere route: adaptive Cartesian
-        quadrature with kink-ray split points at p = 2, importance-sampled
-        Monte Carlo at p >= 3.  Agreement with the spherical constant is a
-        numerical check of the length/direction factorization.
+        method independent of the sphere route: a graded Cartesian
+        Gauss-Legendre rule with kink-ray split points at p = 2,
+        importance-sampled Monte Carlo at p >= 3.  Agreement with the
+        spherical constant is a numerical check of the length/direction
+        factorization.  Results are cached per ``(seed, n_mc)`` at p >= 3;
+        the p = 2 rule uses neither, so it is computed once.
         """
-        if self._c0_radial_cache is None:
+        key = (seed, n_mc) if self.p > 2 else None
+        if key not in self._c0_radial_cache:
             if self.p == 2:
                 total, err = _plane_integral_2d(self.gauge, self.profile, self.table)
                 value = self.radial_norm / total
                 stderr = 0.0
-                # Coarse sanity gate only: the per-slice error estimates
-                # near the origin cone are very pessimistic, and the
-                # twin-route comparison is the real accuracy check.
+                # Coarse sanity gate only: the twin-route comparison is the
+                # real accuracy check.
                 if err > 1e-4 * total:
                     raise QuadratureFailureError(
                         f"plane integral error {err:.2e} too large for {total:.6e}"
@@ -163,8 +167,8 @@ class StarDistribution:
                 )
                 value = self.radial_norm / total
                 stderr = self.radial_norm * se / total**2
-            self._c0_radial_cache = (float(value), float(stderr))
-        return self._c0_radial_cache
+            self._c0_radial_cache[key] = (float(value), float(stderr))
+        return self._c0_radial_cache[key]
 
     def c0_cross_check(self, seed: int = 0, n_mc: int = 1_000_000) -> dict:
         """Both routes to c0 plus their relative discrepancy."""
@@ -230,59 +234,41 @@ def planar_angles(X) -> np.ndarray:
 def _plane_integral_2d(
     gauge: Gauge, profile: RadialProfile, table: RadialTable
 ) -> tuple[float, float]:
-    """Adaptive Cartesian integral of profile(g(x)) over the plane.
+    """(value, error estimate) of the integral of profile(g(x)) over the plane.
 
-    Deliberately does not use the homogeneity factorization: the outer and
-    inner 1-D integrals run in x and y with inner break points where the
-    kink rays of the gauge cross the line x = const.
+    Deliberately does not use the homogeneity factorization: a Cartesian
+    Gauss-Legendre rule in x and y over the square [-R, R]^2.  Curvature
+    concentrates near the origin, on the scale of the distance to it, so
+    the x panels end at R 2^-k toward x = 0, and each line x = const is
+    split at 0, at +-|x|, at the +-R 2^-k beyond |x| and where the kink
+    rays of the gauge cross it.  Points reach ``gauge.values`` in chunks of
+    at most _PLANE_CHUNK.  The error estimate is the difference of the
+    values at two orders.
     """
-    g_min = gauge.sphere_bounds().g_min
-    R = 1.3 * table.meta["g_hi"] / g_min
-    kinks = gauge.kink_angles()
-    slopes = []
-    for ang in np.asarray(kinks, dtype=float):
-        c, s = np.cos(ang), np.sin(ang)
-        if abs(c) > 1e-12:
-            slopes.append(s / c)
-
-    def integrand(y, x):
-        if x == 0.0 and y == 0.0:
-            # null set; use the limiting profile value along any ray
-            return float(profile.shape(np.array(0.0), 2))
-        return float(profile.shape(gauge.values(np.array([[x, y]]))[0], 2))
-
-    worst_inner = 0.0
-
-    def inner(x):
-        # Break where kink rays cross the line x = const, and around the
-        # origin cone of the profile (y in {0, +-|x|}), where curvature
-        # concentrates even for smooth gauges.  QUADPACK flags roundoff on
-        # the near-cone slices while converging fine; the warning and the
-        # pessimistic slice errors are expected there.
-        nonlocal worst_inner
-        pts = {0.0, -abs(x), abs(x)}
-        pts.update(m * x for m in slopes)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            val, ierr = integrate.quad(
-                integrand,
-                -R,
-                R,
-                args=(x,),
-                points=sorted(p for p in pts if -R < p < R),
-                epsabs=1e-13,
-                epsrel=1e-10,
-                limit=200,
-            )
-        worst_inner = max(worst_inner, ierr)
-        return val
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, oerr = integrate.quad(
-            inner, -R, R, points=[0.0], epsabs=1e-13, epsrel=1e-10, limit=400
-        )
-    return float(val), float(oerr + worst_inner)
+    R = 1.3 * table.meta["g_hi"] / gauge.sphere_bounds().g_min
+    angles = np.asarray(gauge.kink_angles(), dtype=float)
+    slopes = np.tan(angles[np.abs(np.cos(angles)) > 1e-12])
+    edges = np.append(R / 2.0 ** np.arange(_PLANE_LEVELS + 1.0), 0.0)
+    totals = []
+    for order in _PLANE_ORDERS:
+        x, wx = (v.ravel() for v in gauss(order, edges[1:], edges[:-1]))
+        x, wx = np.concatenate([x, -x]), np.concatenate([wx, wx])
+        graded = np.maximum(edges[:-1], np.abs(x)[:, None])
+        kinks = np.clip(np.outer(x, slopes), -R, R)
+        cuts = np.sort(np.column_stack([graded, -graded, np.zeros(x.size), kinks]), axis=1)
+        keep = cuts[:, 1:] > cuts[:, :-1]
+        rows = np.nonzero(keep)[0]
+        lo, hi = cuts[:, :-1][keep], cuts[:, 1:][keep]
+        step = _PLANE_CHUNK // order
+        total = 0.0
+        for i in range(0, lo.size, step):
+            y, wy = gauss(order, lo[i : i + step], hi[i : i + step])
+            r = rows[i : i + step]
+            pts = np.column_stack([np.repeat(x[r], order), y.ravel()])
+            vals = profile.shape(gauge.values(pts), 2).reshape(y.shape)
+            total += float(wx[r] @ np.sum(wy * vals, axis=1))
+        totals.append(total)
+    return totals[0], abs(totals[0] - totals[1])
 
 
 def _plane_integral_mc(

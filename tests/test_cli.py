@@ -227,8 +227,11 @@ def test_monte_carlo_depends_on_seed_only(monkeypatch):
 def test_cli_import_does_not_load_scipy_stats():
     src = os.path.dirname(os.path.dirname(os.path.abspath(starshape.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, starshape.cli; print('scipy.stats' in sys.modules)"
+    code = (
+        "import sys, starshape.cli; "
+        "print('scipy.stats' in sys.modules, 'scipy.integrate' in sys.modules)"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import integrate, linalg, stats as sstats
+from scipy.special import gammaln, roots_jacobi
 
 from starshape import (
     gl_decompose_batch,
@@ -30,7 +31,7 @@ from starshape.errors import (
     NotTriangularError,
     OutOfRangeError,
 )
-from starshape.matrixmodels import _twisted_beta_normalizer_p2
+from starshape.matrixmodels import _beta_normalizer
 from conftest import stream
 
 
@@ -186,8 +187,7 @@ def test_beta_density_twisted_normalizer():
 
 def test_identity_s_handle_matches_untwisted_density():
     # An identity S(U) leaves the shape unchanged, so only the numeric
-    # normaliser separates the two values: cubature (~1e-4) at p = 2,
-    # adaptive quadrature at p = 1.
+    # normaliser separates the two values.
     a, b = 2.5, 3.5
     for U, rel in ((np.array([[0.4, 0.1], [0.1, 0.5]]), 1e-4), (np.array([[0.3]]), 1e-8)):
         twisted = matrix_beta_density(U, a, b, s_handle=lambda V: np.eye(len(V)))
@@ -201,9 +201,12 @@ def test_identity_p_handle_gives_scalar_beta():
 
 
 def test_twisted_normalizer_matches_per_node_loop():
-    # Reference: the same Gauss-Legendre node tensor summed one node at a
-    # time.  Only the summation order differs, so the two agree to rounding.
-    a, b, order = 2.5, 3.5, 10
+    # Reference: the same nodes summed one at a time.  Ordered roots come
+    # from three Gauss-Jacobi pieces (below l1 = 1/2 with l2 = l1 v, its
+    # mirror image above l2 = 1/2, the square in between) and U = R diag(l)
+    # R^t from the rectangle rule in theta.  Only the summation order and
+    # the way U is formed differ, so the two agree to rounding.
+    a, b, order = 2.5, 3.5, 6
     calls = {"loop": 0, "tensor": 0}
 
     def handle(key):
@@ -212,29 +215,59 @@ def test_twisted_normalizer_matches_per_node_loop():
             return np.linalg.cholesky(np.eye(2) + U)
         return s_map
 
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    def jacobi(lo, hi, alpha, beta):
+        # Weight (hi - x)^alpha (x - lo)^beta on [lo, hi].
+        t, w = roots_jacobi(order, alpha, beta)
+        half = 0.5 * (hi - lo)
+        return lo + half * (1.0 + t), w * half ** (alpha + beta + 1.0)
 
-    def seg(lo, hi):
-        return 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo), 0.5 * (hi - lo) * weights
+    roots = []
+    for mirror, (near, far) in enumerate(((a, b), (b, a))):
+        for m1, w1 in zip(*jacobi(0.0, 0.5, 0.0, 2.0 * near - 1.0)):
+            for v, wv in zip(*jacobi(0.0, 1.0, 1.0, near - 1.5)):
+                rest = ((1.0 - m1) * (1.0 - m1 * v)) ** (far - 1.5)
+                l1, l2 = (1.0 - m1 * v, 1.0 - m1) if mirror else (m1, m1 * v)
+                roots.append((l1, l2, w1 * wv * rest))
+    for l1, w1 in zip(*jacobi(0.5, 1.0, b - 1.5, 0.0)):
+        for l2, w2 in zip(*jacobi(0.0, 0.5, 0.0, a - 1.5)):
+            rest = l1 ** (a - 1.5) * (1.0 - l2) ** (b - 1.5) * (l1 - l2)
+            roots.append((l1, l2, w1 * w2 * rest))
 
     s_map = handle("loop")
     exps = 2.0 * (a + b) + 2 - 2.0 * np.arange(1, 3) + 1.0
     total = 0.0
-    for x, wx in zip(*seg(0.0, 1.0)):
-        for lo, hi in ((0.0, 1.0 - x), (1.0 - x, 1.0)):
-            for y, wy in zip(*seg(lo, hi)):
-                s = np.sqrt(min(x * y, (1.0 - x) * (1.0 - y)))
-                for t, wt in zip(*seg(-1.0, 1.0)):
-                    off = t * s
-                    if s <= 0.0 or x * y - off**2 <= 0.0 or (1 - x) * (1 - y) - off**2 <= 0.0:
-                        continue
-                    U = np.array([[x, off], [off, y]])
-                    dU, dI = np.linalg.det(U), np.linalg.det(np.eye(2) - U)
-                    s_factor = np.prod(np.diag(s_map(U)) ** exps)
-                    total += wx * wy * s * wt * dU ** (a - 1.5) * dI ** (b - 1.5) * s_factor
-    tensor = _twisted_beta_normalizer_p2(a, b, handle("tensor"), order=order)
+    for l1, l2, w in roots:
+        for k in range(order):
+            c, s = np.cos(np.pi * k / order), np.sin(np.pi * k / order)
+            R = np.array([[c, -s], [s, c]])
+            U = R @ np.diag([l1, l2]) @ R.T
+            total += w * np.pi / order * np.prod(np.diag(s_map(U)) ** exps)
+    tensor = _beta_normalizer(2, a, b, handle("tensor"), order=order)
     assert tensor == pytest.approx(total, rel=1e-13)
-    assert calls["tensor"] == calls["loop"] > 0
+    assert calls["tensor"] == calls["loop"] == 3 * order**3
+
+
+@pytest.mark.parametrize("a, b", [(1.2, 4.0), (4.0, 1.2)])
+def test_twisted_normalizers_match_closed_forms_near_the_boundary(a, b):
+    # Identity twists leave both shapes unchanged, so the numeric
+    # normalisers must equal the multivariate beta constant and the p = 2
+    # Selberg integral, also where a or b < 3/2 makes the shapes singular
+    # on the boundary of their domains.
+    U = np.array([[0.55, 0.1], [0.1, 0.35]])
+    twisted = matrix_beta_density(U, a, b, s_handle=lambda V: np.eye(2))
+    assert twisted == pytest.approx(matrix_beta_density(U, a, b), rel=1e-8)
+
+    # Ordered roots: half the Selberg integral S_2(a - 1/2, b - 1/2, 1/2).
+    x, y, g = a - 0.5, b - 0.5, 0.5
+    selberg = 0.5 * np.exp(sum(
+        gammaln(x + j * g) + gammaln(y + j * g) + gammaln(1 + (j + 1) * g)
+        - gammaln(x + y + (1 + j) * g) - gammaln(1 + g)
+        for j in range(2)
+    ))
+    l = np.array([0.7, 0.3])
+    raw = eigenvalue_density(l, a, b, normalized=False)
+    twisted = eigenvalue_density(l, a, b, p_handle=lambda r: np.eye(2))
+    assert twisted == pytest.approx(raw / selberg, rel=1e-8)
 
 
 def test_twisted_normalizer_rejects_a_bad_s_map_at_any_node():

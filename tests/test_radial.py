@@ -14,7 +14,7 @@ from starshape import (
     radial_density,
     two_sample_ks,
 )
-from starshape.errors import ConfigError, NonPositiveError
+from starshape.errors import ConfigError, DivergentError, NonPositiveError
 from conftest import stream
 
 
@@ -84,6 +84,30 @@ def test_table_monotone_and_normalized(profiles, key):
     table = RadialTable.build(profiles[key], 2)
     assert np.all(np.diff(table.cdf) > 0)
     assert table.cdf[-1] == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("profile", [ExponentialProfile(1e-200), GaussianProfile(1e110)])
+def test_overflowing_radial_constant_fails_loudly(profile):
+    # Gamma(3) / rate^3 and the Gaussian mass overflow at p = 3; a table
+    # built on them would give the distribution a zero scale.
+    with pytest.raises(DivergentError):
+        radial_constant(profile, 3)
+    with pytest.raises(DivergentError):
+        RadialTable.build(profile, 3)
+
+
+def test_table_head_of_a_steep_kotz_profile():
+    # k = (p + s)/t = 1/30: the head quantile r g^t is ~1e-360, below the
+    # double range, while g_lo itself is ~1e-6.  There exp(-g^60) is 1 to
+    # double precision, so the CDF is g^2 / (2 c).
+    table = RadialTable.build(KotzProfile(0.0, 1.0, 60.0), 2)
+    assert table.meta["g_lo"] == pytest.approx(9.908713294486452e-07, rel=1e-12)
+    assert np.all(np.diff(table.cdf) > 0)
+    np.testing.assert_allclose(
+        table.cdf[:100], table.grid[:100] ** 2 / (2.0 * table.constant), rtol=1e-12
+    )
+    assert table.cdf[0] == pytest.approx(1e-12, rel=1e-12)
+    assert table.cdf[-1] == pytest.approx(1.0 - 1e-10, abs=1e-15)
 
 
 def test_table_round_trip():

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from starshape import (
     EllipticalGauge,
     ExponentialProfile,
     GaussianProfile,
+    RadialTable,
     StarDistribution,
     SupNormGauge,
     chisq_gof,
@@ -18,19 +20,19 @@ from starshape import (
     within_orbit_map_many,
 )
 from starshape.errors import DimensionMismatchError, ZeroVectorError
+from starshape import starshaped
+from starshape.starshaped import _plane_integral_2d
 from conftest import polar_integral, stream
-
-BUILD = dict(n_panels=1 << 16)
 
 
 @pytest.fixture(scope="module")
 def gauss_i2():
-    return StarDistribution(EllipticalGauge(np.eye(2)), GaussianProfile(1.0), **BUILD)
+    return StarDistribution(EllipticalGauge(np.eye(2)), GaussianProfile(1.0))
 
 
 @pytest.fixture(scope="module")
 def sup_exp():
-    return StarDistribution(SupNormGauge(2), ExponentialProfile(1.0), **BUILD)
+    return StarDistribution(SupNormGauge(2), ExponentialProfile(1.0))
 
 
 def test_density_bivariate_normal(gauss_i2):
@@ -84,7 +86,7 @@ def test_direction_derived_sampling_matches_target():
         return (2.0 + U[:, 0]) / (4.0 * np.pi)
 
     gauge = gauge_from_direction_density(target, 2)
-    dist = StarDistribution(gauge, ExponentialProfile(1.0), **BUILD)
+    dist = StarDistribution(gauge, ExponentialProfile(1.0))
     X = dist.sample(stream(303), 100_000)
     edges = np.linspace(0.0, 2.0 * np.pi, 37)
     counts, _ = np.histogram(planar_angles(X), bins=edges)
@@ -228,7 +230,7 @@ def test_pushforward_matches_mapped_samples(gauss_i2):
 
 @pytest.mark.parametrize("key", [("ell-14", "gaussian"), ("sup", "exponential")])
 def test_density_integrates_to_one(key, analytic_gauges, profiles):
-    dist = StarDistribution(analytic_gauges[key[0]], profiles[key[1]], **BUILD)
+    dist = StarDistribution(analytic_gauges[key[0]], profiles[key[1]])
     # Disk radius covering all but ~1e-7 of mass.
     R = float(dist.table.quantile(1.0 - 1e-7)) / dist.bounds.g_min
     total = polar_integral(dist.densities, R, kinks=dist.gauge.kink_angles())
@@ -237,7 +239,7 @@ def test_density_integrates_to_one(key, analytic_gauges, profiles):
 
 def test_direction_law_profile_free(sup_exp):
     # Same gauge, different radial profiles: identical angle law.
-    other = StarDistribution(SupNormGauge(2), GaussianProfile(1.0), **BUILD)
+    other = StarDistribution(SupNormGauge(2), GaussianProfile(1.0))
     a = planar_angles(sup_exp.sample(stream(305), 50_000))
     b = planar_angles(other.sample(stream(306), 50_000))
     report = two_sample_ks(a, b, alpha=0.01)
@@ -256,6 +258,54 @@ def test_p3_build_and_independence():
     assert abs(chk["c0_radial"] - chk["c0_spherical"]) <= 3.0 * chk["combined_stderr"]
 
 
+def test_c0_radial_is_cached_per_seed_and_sample_size():
+    def build():
+        return StarDistribution(SupNormGauge(3), ExponentialProfile(1.0), n_mc=20_000)
+
+    dist = build()
+    first = dist.c0_radial(seed=1, n_mc=20_000)
+    second = dist.c0_radial(seed=2, n_mc=20_000)
+    assert second != first
+    assert second == build().c0_radial(seed=2, n_mc=20_000)
+    assert dist.c0_radial(seed=1, n_mc=10_000) == build().c0_radial(seed=1, n_mc=10_000)
+    assert dist.c0_radial(seed=1, n_mc=20_000) == first
+
+
+def test_c0_radial_at_p2_is_computed_once(monkeypatch):
+    # The plane rule depends on neither seed nor n_mc.
+    calls = []
+    rule = starshaped._plane_integral_2d
+    monkeypatch.setattr(starshaped, "_plane_integral_2d", lambda *a: calls.append(1) or rule(*a))
+    dist = StarDistribution(SupNormGauge(2), ExponentialProfile(1.0))
+    assert dist.c0_radial(seed=1) == dist.c0_radial(seed=2, n_mc=10)
+    assert len(calls) == 1
+
+
+def _unit_ball_area(label, gauge):
+    if label.startswith("ell"):
+        return np.pi * np.sqrt(np.linalg.det(gauge.sigma))
+    A = np.asarray(gauge.facets if label == "poly" else {
+        "sup": [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+        "l1": [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]],
+    }[label])
+    hs = HalfspaceIntersection(np.column_stack([A, -np.ones(len(A))]), np.zeros(2))
+    return ConvexHull(hs.intersections).volume
+
+
+@pytest.mark.parametrize("label", ["ell-i2", "ell-14", "sup", "l1", "poly"])
+def test_plane_rule_matches_closed_form_totals(label, analytic_gauges, profiles):
+    # The integral of profile(g(x)) over the plane is the radial constant
+    # times the area of {g <= 1} times 2, i.e. radial_constant / c0.  Heavy
+    # tails are left out: their mass beyond the rule's square is ~1e-11.
+    gauge = analytic_gauges[label]
+    c0 = 1.0 / (2.0 * _unit_ball_area(label, gauge))
+    for key in ("gaussian", "exponential", "kotz"):
+        table = RadialTable.build(profiles[key], 2)
+        total, err = _plane_integral_2d(gauge, profiles[key], table)
+        assert total == pytest.approx(table.constant / c0, rel=1e-12)
+        assert err <= 1e-10 * total
+
+
 def test_requires_dim_at_least_two():
     with pytest.raises(DimensionMismatchError):
-        StarDistribution(SupNormGauge(1), GaussianProfile(1.0), **BUILD)
+        StarDistribution(SupNormGauge(1), GaussianProfile(1.0))

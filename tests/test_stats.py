@@ -54,7 +54,7 @@ def test_chisq_exact_proportional_counts():
 
 def test_chisq_angular_gaussian_calibration_and_power():
     gauge = EllipticalGauge(np.diag([1.0, 4.0]))
-    c0 = direction_constant(gauge, n_panels=1 << 16).c0
+    c0 = direction_constant(gauge).c0
     draws = direction_sample(gauge, stream(503), 100_000)
     edges = np.linspace(0.0, 2.0 * np.pi, 37)
     counts, _ = np.histogram(planar_angles(draws.points), bins=edges)
@@ -62,7 +62,7 @@ def test_chisq_angular_gaussian_calibration_and_power():
     assert chisq_gof(counts, probs, alpha=0.001).passed
     # Deliberately wrong anisotropy: power check.
     wrong = EllipticalGauge(np.diag([1.0, 2.0]))
-    wrong_probs = angle_bin_probs(wrong, direction_constant(wrong, n_panels=1 << 16).c0, edges)
+    wrong_probs = angle_bin_probs(wrong, direction_constant(wrong).c0, edges)
     assert chisq_gof(counts, wrong_probs).p_value < 1e-6
 
 
