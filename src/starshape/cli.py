@@ -19,11 +19,13 @@ import numpy as np
 from . import rng as _rng
 from .direction import direction_constant, direction_densities
 from .errors import ConfigError, StarshapeError
-from .io import format_float, load_distribution
+from .io import load_distribution
 from .matrixmodels import gl_decompose_batch, lt_decompose_batch, wishart_sample
 from .starshaped import StarDistribution, planar_angles
 from .stats import independence_chisq
 from .verify import matrix_suite, vector_suite
+
+_CSV_BLOCK = 1 << 16  # rows per string-formatting call
 
 
 def _fail(message: str, code: int) -> None:
@@ -63,10 +65,13 @@ def _write_text(out: str, text: str) -> None:
 
 
 def _rows_to_csv(columns: list[str], rows: np.ndarray) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(format_float(v) for v in row))
-    return "\n".join(lines) + "\n"
+    """CSV text; "%.17g" (17 significant digits) round-trips every double."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    parts = [",".join(columns) + "\n"]
+    for i in range(0, len(rows), _CSV_BLOCK):
+        block = rows[i : i + _CSV_BLOCK]
+        parts.append(row * len(block) % tuple(block.ravel().tolist()))
+    return "".join(parts)
 
 
 def _rows_to_json(columns: list[str], rows: np.ndarray) -> str:

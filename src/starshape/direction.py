@@ -32,6 +32,10 @@ UNIT_ATOL = 1e-9
 # Simpson panels of the planar sphere integral: 2^16 and 2^20 panels agree
 # to <= 2.2e-16 relative on polytope, sup, elliptical and tabulated gauges.
 SPHERE_PANELS = 1 << 16
+_MAX_ROUNDS = 10_000
+# Rounding allowance of the lower-bound check on proposals: g(u) and a
+# closed-form g_min are each within a few ulps of their exact values.
+_BOUND_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -128,7 +132,6 @@ def direction_sample(
     n: int,
     strategy: str = "rejection",
     bounds: SphereBounds | None = None,
-    max_rounds: int = 10_000,
 ) -> DirectionDraws:
     """n i.i.d. directions with density c0 g^(-p), plus the acceptance rate.
 
@@ -137,7 +140,8 @@ def direction_sample(
     circumscribing the unit star body {g <= 1} and keeps the direction of
     proposals that land inside the body; the radial integral over a ray is
     proportional to g^(-p), so accepted directions have exactly the target
-    law.  Expected acceptance is g_min^p/(c0 omega_p) for both.
+    law.  Expected acceptance is g_min^p/(c0 omega_p) for both.  Both need
+    g >= g_min on the sphere: a proposal with g(u) < g_min raises.
     """
     p = gauge.dim
     if bounds is None:
@@ -151,21 +155,25 @@ def direction_sample(
     got = 0
     proposed = 0
     accepted = 0
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         if got >= n:
             break
         m = max(1024, int(1.5 * (n - got)))
         if strategy == "rejection":
             Z = uniform_sphere(gen, m, p)
-            accept_prob = (bounds.g_min / gauge.values(Z)) ** p
-            keep = gen.random(m) < accept_prob
+            g_dir = gauge.values(Z)
+            keep = gen.random(m) < (bounds.g_min / g_dir) ** p
             pts = Z[keep]
         else:
             radius = (1.0 / bounds.g_min) * gen.random(m) ** (1.0 / p)
             X = radius[:, None] * uniform_sphere(gen, m, p)
-            keep = gauge.values(X) <= 1.0
+            gx = gauge.values(X)
+            g_dir = gx / radius
+            keep = gx <= 1.0
             pts = X[keep]
             pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        if g_dir.min() < bounds.g_min * (1.0 - _BOUND_RTOL):
+            raise BoundsUnavailableError(f"g(u) = {g_dir.min():.9g} is below g_min")
         proposed += m
         accepted += len(pts)
         take = min(len(pts), n - got)

@@ -62,8 +62,3 @@ def load_schema(name: str) -> dict:
     """Load one of the shipped output schemas by file name."""
     text = resources.files("starshape.schemas").joinpath(name).read_text()
     return json.loads(text)
-
-
-def format_float(v: float) -> str:
-    """17 significant digits: round-trip exact for doubles."""
-    return format(float(v), ".17g")

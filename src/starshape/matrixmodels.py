@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import linalg
 from scipy.special import gammaln
 
 from .errors import (
@@ -99,10 +98,9 @@ def validate_pd_pair(W1, W2, gap_tol: float | None = None) -> tuple[np.ndarray, 
 
 def congruence_roots(W1: np.ndarray, W2: np.ndarray) -> np.ndarray:
     """Roots of det(W1 - l (W1+W2)) = 0 in decreasing order."""
-    T = cholesky_factor(W1 + W2)
-    Ti = linalg.solve_triangular(T, np.eye(T.shape[0]), lower=True)
-    M = Ti @ W1 @ Ti.T
-    return np.sort(np.linalg.eigvalsh(0.5 * (M + M.T)))[::-1]
+    cholesky_factor(W1 + W2)  # raises NotPositiveDefiniteError
+    _, U = lt_decompose_batch(*(np.asarray(W, dtype=float)[None] for W in (W1, W2)))
+    return np.linalg.eigvalsh(U[0])[::-1]
 
 
 def wishart_sample(
@@ -159,7 +157,7 @@ def lt_orbital_decompose(
         G = T
     else:
         S = _check_lower_triangular(np.asarray(s_handle(U), dtype=float))
-        G = T @ linalg.solve_triangular(S, np.eye(p), lower=True)
+        G = T @ np.linalg.inv(S)
     R1 = T @ U @ T.T
     R2 = T @ (np.eye(p) - U) @ T.T
     return LTDecomposition(

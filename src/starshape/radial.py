@@ -6,14 +6,13 @@ normalizer.  The length marginal in dimension p is f(g) g^(p-1) / c with
 c = integral of f(g) g^(p-1) over (0, inf).  Every family has a closed-form
 length law: g^s exp(-r g^t) (the Gaussian, exponential and Kotz families)
 makes r g^t Gamma((p + s)/t)-distributed, and the heavy tail makes
-g^2/(1 + g^2) Beta(p/2, nu/2)-distributed.  Sampling goes through an
-inverse-CDF table of that law on a geometric grid, so one code path serves
-light and heavy tails alike.
+g^2/(1 + g^2) Beta(p/2, nu/2)-distributed (Fang, Kotz & Ng 1990).  Lengths
+are drawn as exact transforms of Gamma variates, with no table in between.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import (
@@ -22,11 +21,10 @@ from scipy.special import (
     betaincinv,
     gammainc,
     gammainccinv,
-    gammaincinv,
     gammaln,
 )
 
-from .errors import ConfigError, DivergentError, NonPositiveError, QuadratureFailureError
+from .errors import ConfigError, DivergentError, NonPositiveError
 
 _LOG_TINY = float(np.log(np.finfo(float).tiny))
 
@@ -76,16 +74,20 @@ class RadialProfile:
         series = np.exp(k * log_x - gammaln(k + 1.0))
         return np.where(log_x < _LOG_TINY, series, gammainc(k, r * g**t))
 
-    def _quantiles(self, p: int, head: float, tail: float) -> tuple[float, float]:
-        """Lengths with CDF ``head`` and with upper-tail mass ``tail``."""
+    def _tail_quantile(self, p: int, tail: float) -> float:
+        """The length with upper-tail mass ``tail``."""
         s, r, t = self._kotz_form()
         k = (p + s) / t
-        g_hi = float((gammainccinv(k, tail) / r) ** (1.0 / t))
-        # Invert the series of :meth:`_cdf` where it applies (small k).
-        log_x_lo = (np.log(head) + gammaln(k + 1.0)) / k
-        if log_x_lo < _LOG_TINY:
-            return float(np.exp((log_x_lo - np.log(r)) / t)), g_hi
-        return float((gammaincinv(k, head) / r) ** (1.0 / t)), g_hi
+        return float((gammainccinv(k, tail) / r) ** (1.0 / t))
+
+    def _draw(self, gen: np.random.Generator, n: int, p: int) -> np.ndarray:
+        """n lengths g = (X/r)^(1/t) U^(1/(p + s)), X ~ Gamma(k + 1) drawn
+        before U uniform on (0, 1]: r g^t = X U^(1/k) is Gamma(k), written in
+        g so that it cannot underflow for small k = (p + s)/t."""
+        s, r, t = self._kotz_form()
+        x = gen.standard_gamma((p + s) / t + 1.0, n)
+        u = 1.0 - gen.random(n)
+        return (x / r) ** (1.0 / t) * u ** (1.0 / (p + s))
 
 
 class GaussianProfile(RadialProfile):
@@ -168,14 +170,17 @@ class HeavyTailProfile(RadialProfile):
         x = g**2 / (1.0 + g**2)
         return np.where(x < 0.5, betainc(a, b, x), 1.0 - betainc(b, a, 1.0 / (1.0 + g**2)))
 
-    def _quantiles(self, p: int, head: float, tail: float) -> tuple[float, float]:
-        # x = g^2/(1 + g^2) is Beta(p/2, nu/2) and 1 - x is Beta(nu/2, p/2);
-        # inverting each on its own small side keeps both ends accurate.  A
-        # subnormal 1 - x (nu near 0) has no accurate quantile: report none.
-        x = betaincinv(p / 2.0, self.nu / 2.0, head)
+    def _tail_quantile(self, p: int, tail: float) -> float:
+        # 1 - g^2/(1 + g^2) is Beta(nu/2, p/2); inverting it on its own small
+        # side keeps the tail accurate.  A subnormal quantile (nu near 0) is
+        # not accurate: report none.
         y = betaincinv(self.nu / 2.0, p / 2.0, tail)
-        g_hi = np.sqrt((1.0 - y) / y) if y >= np.finfo(float).tiny else np.inf
-        return float(np.sqrt(x / (1.0 - x))), float(g_hi)
+        return float(np.sqrt((1.0 - y) / y)) if y >= np.finfo(float).tiny else np.inf
+
+    def _draw(self, gen: np.random.Generator, n: int, p: int) -> np.ndarray:
+        """n lengths sqrt(X/Y), X ~ Gamma(p/2) drawn before Y ~ Gamma(nu/2)."""
+        x = gen.standard_gamma(p / 2.0, n)
+        return np.sqrt(x / gen.standard_gamma(self.nu / 2.0, n))
 
 
 _FAMILIES = {
@@ -241,53 +246,35 @@ def radial_density(profile: RadialProfile, p: int, c0: float, g) -> np.ndarray:
     return out if out.ndim else float(out)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RadialTable:
-    """Inverse-CDF table for the length marginal on a geometric grid.
+    """The length law of ``profile`` in dimension ``p``, in closed form.
 
-    ``grid`` holds n node positions from the ``head_mass`` quantile to the
-    ``1 - tail_mass`` quantile of the length law, and ``cdf`` the exact CDF
-    at each node.  Quantiles invert the piecewise-linear CDF; draws
-    below/above the covered range clamp to the grid ends.
+    ``constant`` is the radial integral c and ``g_hi`` the length with
+    upper-tail mass 1e-10, which sizes the plane rule's square.  Draws are
+    exact (see the profiles' ``_draw``) and :meth:`cdf_at` is the exact CDF.
     """
 
     profile: RadialProfile
     p: int
     constant: float
-    grid: np.ndarray
-    cdf: np.ndarray
-    meta: dict = field(default_factory=dict)
+    g_hi: float
 
     @classmethod
-    def build(
-        cls,
-        profile: RadialProfile,
-        p: int,
-        size: int = 4096,
-        tail_mass: float = 1e-10,
-        head_mass: float = 1e-12,
-    ) -> "RadialTable":
+    def build(cls, profile: RadialProfile, p: int) -> "RadialTable":
         total = radial_constant(profile, p)
-        g_lo, g_hi = profile._quantiles(p, head_mass, tail_mass)
+        g_hi = profile._tail_quantile(p, 1e-10)
         if not np.isfinite(g_hi):
             raise DivergentError("could not cover the radial tail")
-        grid = np.geomspace(g_lo, g_hi, size)
-        cdf = profile._cdf(grid, p)
-        if np.any(np.diff(cdf) <= 0):
-            raise QuadratureFailureError("radial CDF is not strictly increasing")
-        meta = {"g_lo": g_lo, "g_hi": g_hi, "coverage": float(cdf[-1])}
-        return cls(profile, p, total, grid, cdf, meta)
+        return cls(profile, p, total, g_hi)
 
     def cdf_at(self, g) -> np.ndarray:
-        """Piecewise-linear CDF value at g (clamped outside the grid)."""
-        return np.interp(np.asarray(g, dtype=float), self.grid, self.cdf,
-                         left=0.0, right=1.0)
-
-    def quantile(self, u) -> np.ndarray:
-        """Inverse of :meth:`cdf_at`; exact round trip within the grid."""
-        return np.interp(np.asarray(u, dtype=float), self.cdf, self.grid,
-                         left=self.grid[0], right=self.grid[-1])
+        """CDF of the length law at g > 0."""
+        return self.profile._cdf(np.asarray(g, dtype=float), self.p)
 
     def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
-        """n i.i.d. lengths by inverse-CDF transform."""
-        return self.quantile(gen.random(n))
+        """n i.i.d. lengths; a draw that is not finite and positive raises."""
+        g = self.profile._draw(gen, n, self.p)
+        if not np.all((g > 0.0) & (g < np.inf)):
+            raise DivergentError(f"length draw outside (0, inf) for {self.profile.family}")
+        return g

@@ -24,7 +24,7 @@ from .direction import (
     direction_sample,
     sphere_surface,
 )
-from .errors import DimensionMismatchError, QuadratureFailureError
+from .errors import ConfigError, DimensionMismatchError, QuadratureFailureError
 from .gauge import Gauge, _as_batch, _as_point
 from .quadrature import gauss, mean_stderr
 from .radial import (
@@ -54,10 +54,9 @@ class OrbitalRecord:
 class StarDistribution:
     """A star-shaped law built from a gauge and a radial profile.
 
-    Building computes the spherical normalizing constant, the radial
-    integral, the inverse-CDF table and the sphere bounds; afterwards the
-    object is immutable and safe to share across threads (samplers take an
-    explicit generator).
+    Building computes the spherical normalizing constant, the closed-form
+    length law and the sphere bounds; afterwards the object is immutable
+    and safe to share across threads (samplers take an explicit generator).
 
     Parameters
     ----------
@@ -72,7 +71,6 @@ class StarDistribution:
         self,
         gauge: Gauge,
         profile: RadialProfile,
-        table_size: int = 4096,
         n_mc: int = 1_000_000,
         seed: int = 0,
     ):
@@ -86,7 +84,7 @@ class StarDistribution:
         self.c0_stderr = est.stderr
         self.c0_provenance = "spherical-integral"
         self.sphere_integral = est.integral
-        self.table = RadialTable.build(profile, self.p, size=table_size)
+        self.table = RadialTable.build(profile, self.p)
         self.radial_norm = self.table.constant
         # density(x) = scale * profile(g(x)); scale folds the profile's
         # missing constants so that the density integrates to 1.
@@ -245,7 +243,7 @@ def _plane_integral_2d(
     at most _PLANE_CHUNK.  The error estimate is the difference of the
     values at two orders.
     """
-    R = 1.3 * table.meta["g_hi"] / gauge.sphere_bounds().g_min
+    R = 1.3 * table.g_hi / gauge.sphere_bounds().g_min
     angles = np.asarray(gauge.kink_angles(), dtype=float)
     slopes = np.tan(angles[np.abs(np.cos(angles)) > 1e-12])
     edges = np.append(R / 2.0 ** np.arange(_PLANE_LEVELS + 1.0), 0.0)
@@ -282,8 +280,8 @@ def _plane_integral_mc(
 
     Proposal: uniform direction times a Gamma(p, theta) radius with theta
     chosen per family so the proposal tail dominates the integrand tail.
-    Heavy-tail/sub-exponential profiles are rejected — the importance
-    weights would have infinite variance.
+    Heavy-tail/sub-exponential profiles are rejected with a ConfigError —
+    the importance weights would have infinite variance.
     """
     p = gauge.dim
     if isinstance(profile, ExponentialProfile):
@@ -293,8 +291,10 @@ def _plane_integral_mc(
     elif isinstance(profile, KotzProfile) and profile.t >= 1.0:
         theta = 1.5 / (profile.r ** (1.0 / profile.t) * bounds.g_min)
     else:
-        raise QuadratureFailureError(
-            "no finite-variance proposal for this profile family at p >= 3"
+        raise ConfigError(
+            "the radial route to c0 has no finite-variance proposal for a "
+            f"{profile.family} profile at p = {p} (gaussian, exponential and "
+            "kotz with t >= 1 have one)"
         )
     gen = _rng.stream(seed, 2000)
     radius = gen.gamma(shape=p, scale=theta, size=n_mc)

@@ -96,7 +96,7 @@ def vector_suite(
             independence_chisq(g, zp[:, 0], 4, 4, alpha=alpha, name="length-direction-independence")
         )
 
-    # Radial marginal against the table CDF.
+    # Radial marginal against the exact length-law CDF.
     reports.append(ks_test(g, dist.table.cdf_at, alpha=0.01, name="radial-marginal-ks"))
     return reports
 

@@ -11,7 +11,7 @@ from scipy import stats as sstats
 
 import starshape
 from starshape import direction_integral, ks_test, SupNormGauge
-from starshape.cli import main
+from starshape.cli import _rows_to_csv, main
 from starshape.io import load_schema
 
 
@@ -66,6 +66,19 @@ def test_sample_csv_round_trip_precision(runner, ellipse_path, tmp_path):
     np.testing.assert_array_equal(rows, rows2)
 
 
+def test_csv_rows_match_per_value_formatting():
+    # Special values, then random bit patterns across a block boundary.
+    special = [-0.0, 0.0, 5e-324, 1e-310, 2.2250738585072009e-308, 1e22,
+               np.inf, -np.inf, np.nan, 0.1, -1.0 / 3.0, 1.7976931348623157e308]
+    bits = np.random.default_rng(0).integers(0, 2**64, size=3 * 65_539, dtype=np.uint64)
+    rows = np.concatenate([np.array(special), bits.view(np.float64)]).reshape(-1, 3)
+    expected = "a,b,c\n" + "".join(
+        ",".join(format(float(v), ".17g") for v in row) + "\n" for row in rows
+    )
+    assert _rows_to_csv(["a", "b", "c"], rows) == expected
+    assert _rows_to_csv(["a", "b", "c"], rows[:0]) == "a,b,c\n"
+
+
 def test_sample_decompose_columns(runner, cube_path):
     res = runner.invoke(
         main,
@@ -98,6 +111,19 @@ def test_invalid_gauge_file_exits_2(runner, tmp_path):
     res = runner.invoke(main, ["sample", "--dist", str(bad)])
     assert res.exit_code == 2
     assert "weird" in res.output
+
+
+def test_constant_on_a_heavy_tail_at_p3_exits_2(runner, tmp_path):
+    # The p >= 3 radial route has no finite-variance proposal for heavy tails.
+    doc = {
+        "gauge": {"dim": 3, "variant": "sup", "params": {}},
+        "profile": {"family": "heavytail", "params": {"nu": 3.0}},
+    }
+    path = tmp_path / "heavy3.json"
+    path.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["constant", "--dist", str(path)])
+    assert res.exit_code == 2
+    assert "heavytail profile at p = 3" in res.output
 
 
 def test_constant_command_schema_and_values(runner, cube_path):
@@ -229,9 +255,9 @@ def test_cli_import_does_not_load_scipy_stats():
     env = dict(os.environ, PYTHONPATH=src)
     code = (
         "import sys, starshape.cli; "
-        "print('scipy.stats' in sys.modules, 'scipy.integrate' in sys.modules)"
+        "print([m in sys.modules for m in ('scipy.stats', 'scipy.integrate', 'scipy.linalg')])"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.strip() == "[False, False, False]"

@@ -5,6 +5,7 @@ from scipy import integrate
 from starshape import (
     EllipticalGauge,
     L1NormGauge,
+    SphereBounds,
     SupNormGauge,
     angle_bin_probs,
     chisq_gof,
@@ -20,6 +21,7 @@ from starshape import (
     unit_angles,
 )
 from starshape.errors import (
+    BoundsUnavailableError,
     DimensionMismatchError,
     NotOnCrossSectionError,
     NotUnitVectorError,
@@ -213,3 +215,11 @@ def test_surface_direction_consistency():
     assert probs.sum() == pytest.approx(1.0, abs=1e-6)
     report = chisq_gof(counts, probs, alpha=0.001)
     assert report.passed, report
+
+
+@pytest.mark.parametrize("strategy", ["rejection", "body"])
+def test_sampler_rejects_a_false_lower_bound(strategy):
+    # The true infimum of g on the circle is 0.5; 0.6 is not a lower bound.
+    gauge = EllipticalGauge(np.diag([1.0, 4.0]))
+    with pytest.raises(BoundsUnavailableError, match="is below g_min"):
+        direction_sample(gauge, stream(420), 1000, strategy, SphereBounds(0.6, 1.0))

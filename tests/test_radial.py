@@ -79,13 +79,6 @@ def test_radial_density_rejects_nonpositive():
         radial_density(GaussianProfile(1.0), 2, -1.0, 1.0)
 
 
-@pytest.mark.parametrize("key", ["gaussian", "exponential", "kotz", "heavytail"])
-def test_table_monotone_and_normalized(profiles, key):
-    table = RadialTable.build(profiles[key], 2)
-    assert np.all(np.diff(table.cdf) > 0)
-    assert table.cdf[-1] == pytest.approx(1.0, abs=1e-8)
-
-
 @pytest.mark.parametrize("profile", [ExponentialProfile(1e-200), GaussianProfile(1e110)])
 def test_overflowing_radial_constant_fails_loudly(profile):
     # Gamma(3) / rate^3 and the Gaussian mass overflow at p = 3; a table
@@ -97,23 +90,52 @@ def test_overflowing_radial_constant_fails_loudly(profile):
 
 
 def test_table_head_of_a_steep_kotz_profile():
-    # k = (p + s)/t = 1/30: the head quantile r g^t is ~1e-360, below the
-    # double range, while g_lo itself is ~1e-6.  There exp(-g^60) is 1 to
-    # double precision, so the CDF is g^2 / (2 c).
-    table = RadialTable.build(KotzProfile(0.0, 1.0, 60.0), 2)
-    assert table.meta["g_lo"] == pytest.approx(9.908713294486452e-07, rel=1e-12)
-    assert np.all(np.diff(table.cdf) > 0)
-    np.testing.assert_allclose(
-        table.cdf[:100], table.grid[:100] ** 2 / (2.0 * table.constant), rtol=1e-12
-    )
-    assert table.cdf[0] == pytest.approx(1e-12, rel=1e-12)
-    assert table.cdf[-1] == pytest.approx(1.0 - 1e-10, abs=1e-15)
+    # k = (p + s)/t = 1/30 and 2e-4.  r g^t ~ Gamma(k) falls below the
+    # normal double range in its 1e-12 head at k = 1/30 and for ~87% of
+    # draws at k = 2e-4, while g itself does not: lengths must be drawn in
+    # g, and the CDF taken from its log-space series head.
+    for t in (60.0, 1e4):
+        table = RadialTable.build(KotzProfile(0.0, 1.0, t), 2)
+        draws = table.sample(stream(106), 100_000)
+        assert np.all(np.isfinite(draws) & (draws > 0.0))
+        report = ks_test(draws, table.cdf_at, alpha=0.01)
+        assert report.passed, (t, report)
 
 
-def test_table_round_trip():
-    table = RadialTable.build(GaussianProfile(1.0), 2)
-    u = np.arange(0.01, 1.0, 0.01)
-    np.testing.assert_allclose(table.cdf_at(table.quantile(u)), u, atol=1e-6)
+@pytest.mark.parametrize("key", ["kotz", "heavytail"])
+def test_length_draws_are_gamma_transforms(profiles, key):
+    # The sampler is the documented transform of Gamma variates drawn from
+    # the generator in order, nothing approximate in between.
+    p, n = 3, 1000
+    profile = profiles[key]
+    draws = RadialTable.build(profile, p).sample(stream(107), n)
+    gen = stream(107)
+    if key == "kotz":
+        s, r, t = profile.s, profile.r, profile.t
+        x = gen.standard_gamma((p + s) / t + 1.0, n)
+        u = 1.0 - gen.random(n)
+        expected = (x / r) ** (1.0 / t) * u ** (1.0 / (p + s))
+    else:
+        x = gen.standard_gamma(p / 2.0, n)
+        expected = np.sqrt(x / gen.standard_gamma(profile.nu / 2.0, n))
+    np.testing.assert_array_equal(draws, expected)
+
+
+class _ZeroGammas:
+    """Generator stub whose Gamma variates are all 0."""
+
+    def standard_gamma(self, shape, size):
+        return np.zeros(size)
+
+    def random(self, size):
+        return np.full(size, 0.5)
+
+
+@pytest.mark.parametrize("key", ["gaussian", "heavytail"])
+def test_length_draw_outside_the_half_line_raises(profiles, key):
+    table = RadialTable.build(profiles[key], 2)
+    with np.errstate(invalid="ignore"), pytest.raises(DivergentError):
+        table.sample(_ZeroGammas(), 10)
 
 
 def test_rayleigh_median():
@@ -128,7 +150,7 @@ def test_unit_exponential_mean():
     assert draws.mean() == pytest.approx(1.0, abs=0.01)
 
 
-@pytest.mark.parametrize("key", ["gaussian", "exponential", "heavytail"])
+@pytest.mark.parametrize("key", ["gaussian", "exponential", "kotz", "heavytail"])
 def test_sampling_ks_against_table_cdf(profiles, key):
     table = RadialTable.build(profiles[key], 2)
     draws = table.sample(stream(103), 100_000)

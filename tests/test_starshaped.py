@@ -232,7 +232,7 @@ def test_pushforward_matches_mapped_samples(gauss_i2):
 def test_density_integrates_to_one(key, analytic_gauges, profiles):
     dist = StarDistribution(analytic_gauges[key[0]], profiles[key[1]])
     # Disk radius covering all but ~1e-7 of mass.
-    R = float(dist.table.quantile(1.0 - 1e-7)) / dist.bounds.g_min
+    R = dist.profile._tail_quantile(dist.p, 1e-7) / dist.bounds.g_min
     total = polar_integral(dist.densities, R, kinks=dist.gauge.kink_angles())
     assert total == pytest.approx(1.0, abs=2e-6)
 
