@@ -20,6 +20,7 @@ from .direction import (
     direction_density,
     direction_integral,
     direction_sample,
+    gauge_from_direction_density,
 )
 from .errors import StarshapeError
 from .gauge import (
@@ -32,7 +33,6 @@ from .gauge import (
     SupNormGauge,
     TabulatedRadialGauge,
     gauge_from_dict,
-    gauge_from_direction_density,
     sphere_surface,
     unit_angles,
 )

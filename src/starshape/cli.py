@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
+from typing import Iterable, Iterator
 
 import click
 import numpy as np
@@ -56,22 +57,23 @@ def _parse_point(raw: str, dim: int) -> np.ndarray:
     return vals
 
 
-def _write_text(out: str, text: str) -> None:
+def _write_text(out: str, chunks: Iterable[str]) -> None:
+    """Write the text chunks to ``out`` (- for stdout) one at a time."""
     if out == "-":
-        click.echo(text, nl=False)
+        for chunk in chunks:
+            click.echo(chunk, nl=False)
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
-def _rows_to_csv(columns: list[str], rows: np.ndarray) -> str:
-    """CSV text; "%.17g" (17 significant digits) round-trips every double."""
+def _rows_to_csv(columns: list[str], rows: np.ndarray) -> Iterator[str]:
+    """CSV header, then one chunk per block of rows; "%.17g" round-trips doubles."""
     row = ",".join(["%.17g"] * len(columns)) + "\n"
-    parts = [",".join(columns) + "\n"]
+    yield ",".join(columns) + "\n"
     for i in range(0, len(rows), _CSV_BLOCK):
         block = rows[i : i + _CSV_BLOCK]
-        parts.append(row * len(block) % tuple(block.ravel().tolist()))
-    return "".join(parts)
+        yield row * len(block) % tuple(block.ravel().tolist())
 
 
 def _rows_to_json(columns: list[str], rows: np.ndarray) -> str:
@@ -82,7 +84,7 @@ def _write_densities(out: str, fmt: str, prefix: str, X: np.ndarray, vals: np.nd
     """Write points and their density values as JSON records or CSV rows."""
     if fmt == "json":
         records = [{"x": x, "density": v} for x, v in zip(X.tolist(), vals.tolist())]
-        _write_text(out, json.dumps({"values": records}) + "\n")
+        _write_text(out, [json.dumps({"values": records}) + "\n"])
     else:
         columns = [f"{prefix}{i + 1}" for i in range(X.shape[1])] + ["density"]
         _write_text(out, _rows_to_csv(columns, np.column_stack([X, vals])))
@@ -117,8 +119,8 @@ def sample(dist_path, n, seed, out, fmt, strategy, decompose):
         columns += ["g", "theta"]
     else:
         rows = X
-    text = _rows_to_csv(columns, rows) if fmt == "csv" else _rows_to_json(columns, rows)
-    _write_text(out, text)
+    chunks = _rows_to_csv(columns, rows) if fmt == "csv" else [_rows_to_json(columns, rows)]
+    _write_text(out, chunks)
 
 
 @main.command()
@@ -161,7 +163,7 @@ def constant(dist_path, seed, out):
     gauge, profile, _ = load_distribution(dist_path)
     dist = StarDistribution(gauge, profile, seed=seed)
     chk = dist.c0_cross_check(seed=seed)
-    _write_text(out, json.dumps(chk) + "\n")
+    _write_text(out, [json.dumps(chk) + "\n"])
 
 
 @main.command("independence-test")
@@ -247,8 +249,8 @@ def matrix(group, pdim, n1, n2, n, seed, out, fmt):
         columns = [f"b{i + 1}{j + 1}" for i in range(pdim) for j in range(pdim)]
         columns += [f"l{i + 1}" for i in range(pdim)]
         rows = np.column_stack([B.reshape(len(B), -1), lam])
-    text = _rows_to_csv(columns, rows) if fmt == "csv" else _rows_to_json(columns, rows)
-    _write_text(out, text)
+    chunks = _rows_to_csv(columns, rows) if fmt == "csv" else [_rows_to_json(columns, rows)]
+    _write_text(out, chunks)
     click.echo(f"dropped {dropped} degenerate pair(s) of {n}", err=True)
 
 

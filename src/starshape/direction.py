@@ -4,15 +4,16 @@ Whatever the radial profile, the direction z' = x/|x| of a star-shaped
 sample has density c0 g(z')^(-p) on the unit sphere, where
 1/c0 = integral of g^(-p) over the sphere.  This module computes that
 constant (deterministic angular quadrature in the plane, Monte Carlo with a
-standard error in higher dimensions), evaluates the direction density and
-the induced surface measure on the unit cross section, and draws exact
-direction samples by rejection.
+standard error in higher dimensions), evaluates the direction density,
+its angular bin probabilities and the induced surface measure on the unit
+cross section, builds the gauge of a prescribed direction density, and
+draws exact direction samples by rejection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -20,11 +21,12 @@ from . import rng as _rng
 from .errors import (
     BoundsUnavailableError,
     DimensionMismatchError,
+    NotADensityError,
     NotOnCrossSectionError,
     NotUnitVectorError,
     QuadratureFailureError,
 )
-from .gauge import Gauge, SphereBounds, sphere_surface, unit_angles
+from .gauge import DirectionDerivedGauge, Gauge, SphereBounds, sphere_surface, unit_angles
 from .quadrature import arcs, mean_stderr, panels, simpson
 from .rng import uniform_sphere
 
@@ -36,6 +38,8 @@ _MAX_ROUNDS = 10_000
 # Rounding allowance of the lower-bound check on proposals: g(u) and a
 # closed-form g_min are each within a few ulps of their exact values.
 _BOUND_RTOL = 1e-12
+# How far from 1 a target direction density may integrate.
+_NORM_RTOL = 0.01
 
 
 @dataclass(frozen=True)
@@ -67,10 +71,8 @@ class DirectionDraws(NamedTuple):
 def direction_integral(gauge: Gauge, n_mc: int = 1_000_000, seed: int = 0) -> SphereIntegral:
     """Integral of g^(-p) over the unit sphere.
 
-    p = 2 uses composite Simpson with SPHERE_PANELS panels spread over the
-    smooth arcs between kink angles in proportion to length, so the
-    integrand is C^1 inside every Simpson cell and the rule keeps its full
-    order even for polytope gauges (deterministic, stderr 0).  p >= 3 uses
+    p = 2 sums the kink-aligned composite Simpson rule of
+    :func:`_arc_integrals` (deterministic, stderr 0).  p >= 3 uses
     ``n_mc`` uniform sphere points from Philox stream 1000 of ``seed``, so
     the result is a deterministic function of the seed.
     """
@@ -78,13 +80,7 @@ def direction_integral(gauge: Gauge, n_mc: int = 1_000_000, seed: int = 0) -> Sp
     if p < 2:
         raise DimensionMismatchError("direction integrals need dim >= 2")
     if p == 2:
-        smooth = arcs(gauge.kink_angles())
-        total_len = sum(b - a for a, b in smooth)
-        val = 0.0
-        for a, b in smooth:
-            k = panels(SPHERE_PANELS, b - a, total_len)
-            theta = np.linspace(a, b, k + 1)
-            val += simpson(gauge.values(unit_angles(theta)) ** (-2.0), (b - a) / k)
+        val = sum(_arc_integrals(gauge)[1])
         if not np.isfinite(val) or val <= 0:
             raise QuadratureFailureError(f"sphere integral evaluated to {val}")
         return SphereIntegral(float(val), 0.0, "angular-quadrature", SPHERE_PANELS + 1)
@@ -243,23 +239,46 @@ def cross_section_mass(gauge: Gauge, c0: float, n_panels: int = 1 << 14) -> floa
     return float(total)
 
 
-def angle_bin_probs(
-    gauge: Gauge, c0: float, edges: np.ndarray, panels_per_bin: int = 512
-) -> np.ndarray:
-    """Probability of each angular bin under the direction law (p = 2)."""
+def angle_bin_probs(gauge: Gauge, c0: float, edges: np.ndarray) -> np.ndarray:
+    """Probability of each angular bin under the direction law (p = 2);
+    ``edges`` increase over at most 2pi and cut the arcs of _arc_integrals."""
     if gauge.dim != 2:
         raise DimensionMismatchError("angle bins are planar only")
-    kinks = gauge.kink_angles()
-    k = panels(panels_per_bin)
-    probs = np.empty(len(edges) - 1)
-    for i in range(len(edges) - 1):
-        a, b = float(edges[i]), float(edges[i + 1])
-        inner = kinks[(kinks > a) & (kinks < b)] if kinks.size else np.empty(0)
-        cuts = np.concatenate([[a], np.sort(inner), [b]])
-        acc = 0.0
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            theta = np.linspace(lo, hi, k + 1)
-            vals = c0 * gauge.values(unit_angles(theta)) ** -2.0
-            acc += simpson(vals, (hi - lo) / k)
-        probs[i] = acc
-    return probs
+    smooth, vals = _arc_integrals(gauge, edges)
+    mid = edges[0] + np.mod(smooth.mean(axis=1) - edges[0], 2.0 * np.pi)
+    idx = np.searchsorted(edges, mid, side="right") - 1
+    inside = (idx >= 0) & (idx < len(edges) - 1)
+    return c0 * np.bincount(idx[inside], vals[inside], len(edges) - 1)
+
+
+def gauge_from_direction_density(
+    density: Callable[[np.ndarray], np.ndarray], dim: int
+) -> DirectionDerivedGauge:
+    """Build the gauge whose induced direction law equals ``density``.
+
+    ``density`` maps a batch of unit vectors, shape (n, p), to positive
+    values (n,) integrating to 1 over the sphere.  On the sphere the gauge
+    has g^(-p) = f, so :func:`direction_integral` checks the total.
+    """
+    gauge = DirectionDerivedGauge(density, dim)
+    total = direction_integral(gauge, 200_000).value
+    if abs(total - 1.0) > _NORM_RTOL:
+        raise NotADensityError(
+            f"direction density integrates to {total:.6g}, not 1 within {_NORM_RTOL:.0%}"
+        )
+    return gauge
+
+
+def _arc_integrals(gauge: Gauge, cuts=()) -> tuple[np.ndarray, np.ndarray]:
+    """The arcs (a, b) between the gauge's kinks and ``cuts``, and the
+    composite Simpson integral of g^(-2) over each (p = 2).  SPHERE_PANELS
+    are shared among the arcs in proportion to length, so every Simpson
+    cell sees a C^1 integrand, polytope gauges included."""
+    smooth = arcs(np.concatenate([gauge.kink_angles(), cuts]))
+    total_len = sum(b - a for a, b in smooth)
+    vals = []
+    for a, b in smooth:
+        k = panels(SPHERE_PANELS, b - a, total_len)
+        theta = np.linspace(a, b, k + 1)
+        vals.append(simpson(gauge.values(unit_angles(theta)) ** (-2.0), (b - a) / k))
+    return np.array(smooth), np.array(vals)

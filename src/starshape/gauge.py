@@ -12,7 +12,7 @@ come in six flavors:
 * ``PolytopeGauge``     g(x) = max_j <a_j, x>, general polytope contours
 * ``TabulatedRadialGauge``  p=2 only, boundary radius tabulated in angle
 * ``DirectionDerivedGauge`` built from a target direction density, see
-  :func:`gauge_from_direction_density`
+  :func:`starshape.direction.gauge_from_direction_density`
 
 Batches (shape ``(n, p)``) go through ``values`` / ``gradients``, each
 written once per variant; the single-point forms ``value`` / ``gradient``
@@ -36,7 +36,6 @@ from .errors import (
     NotADensityError,
     ZeroVectorError,
 )
-from .quadrature import simpson
 
 # Points with Euclidean norm below this are treated as the origin.  The
 # threshold is a denormal guard, not an exact-zero test.
@@ -53,8 +52,11 @@ FD_STEP = 1e-6
 class SphereBounds:
     """Bounds on a gauge over the unit sphere, g_min <= g(u) <= g_max.
 
-    ``g_min`` is conservative (never above the true infimum) because the
-    rejection sampler's correctness depends on it; ``g_max`` errs high.
+    Exact up to rounding for the sup, l1, elliptical and tabulated gauges
+    and for polytopes at p = 2.  Polytopes at p >= 3 and direction-derived
+    gauges get numeric bounds, padded so that ``g_min`` errs low and
+    ``g_max`` high; the direction samplers raise if a proposal falls below
+    ``g_min``, on which their exactness depends.
     """
 
     g_min: float
@@ -306,8 +308,8 @@ class PolytopeGauge(Gauge):
     """g(x) = max_j <a_j, x> for outward facet functionals a_j.
 
     The polytope {g <= 1} must contain the origin strictly inside, i.e.
-    max_j <a_j, u> > 0 for every direction u; this is checked numerically
-    at construction.
+    max_j <a_j, u> > 0 for every direction u.  The check and the sphere
+    bounds are exact at p = 2 (:func:`_hull_geometry`), numeric at p >= 3.
     """
 
     variant = "polytope"
@@ -318,8 +320,12 @@ class PolytopeGauge(Gauge):
             raise DimensionMismatchError("facets must be an (m, p) array, m >= 2")
         super().__init__(A.shape[1])
         self.facets = A
-        bounds = self._numeric_sphere_bounds()  # raises if g <= 0 somewhere
-        self._bounds = bounds
+        if self.dim == 2:
+            self._kinks, g_min = _hull_geometry(A)
+            self._bounds = SphereBounds(g_min, float(np.linalg.norm(A, axis=1).max()))
+        else:
+            self._kinks = np.empty(0)
+            self._bounds = self._numeric_sphere_bounds()  # raises if g <= 0 somewhere
 
     def values(self, X) -> np.ndarray:
         X = _as_batch(X, self.dim)
@@ -332,27 +338,40 @@ class PolytopeGauge(Gauge):
         return self._bounds
 
     def kink_angles(self) -> np.ndarray:
-        if self.dim != 2:
-            return np.empty(0)
-        # Scan for active-facet switches, then bisect each switch angle.
-        theta = np.linspace(0.0, 2.0 * np.pi, 16385)
-        active = np.argmax(unit_angles(theta) @ self.facets.T, axis=1)
-        switches = np.nonzero(np.diff(active) != 0)[0]
-        angles = []
-        for k in switches:
-            lo, hi = theta[k], theta[k + 1]
-            a_lo = active[k]
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if np.argmax(self.facets @ unit_angles(mid)[0]) == a_lo:
-                    lo = mid
-                else:
-                    hi = mid
-            angles.append(0.5 * (lo + hi))
-        return np.unique(np.mod(angles, 2.0 * np.pi))
+        return self._kinks
 
     def _params(self):
         return {"facets": self.facets.tolist()}
+
+
+def _hull_geometry(A: np.ndarray) -> tuple[np.ndarray, float]:
+    """Kink angles and g_min of the planar support function max_j <a_j, u>.
+
+    Andrew's monotone chain builds the hull of the a_j counterclockwise,
+    collinear points dropped.  g switches facets at the outward edge
+    normals, where it equals the edge lines' distances from the origin (its
+    local minima).  Raises :class:`NonPositiveError` unless every distance is
+    positive (two vertices give d and -d): the origin is inside the hull.
+    """
+    pts = A[np.lexsort((A[:, 1], A[:, 0]))].tolist()
+    hull: list[list[float]] = []
+    for chain in (pts, pts[::-1]):
+        start = len(hull)
+        for x, y in chain:
+            while len(hull) - start >= 2:
+                (ax, ay), (bx, by) = hull[-2:]
+                if (bx - ax) * (y - ay) - (by - ay) * (x - ax) > 0.0:
+                    break
+                hull.pop()
+            hull.append([x, y])
+        hull.pop()
+    V = np.array(hull)
+    E = np.roll(V, -1, axis=0) - V
+    cross = V[:, 0] * E[:, 1] - V[:, 1] * E[:, 0]
+    if cross.min() <= 0.0:
+        raise NonPositiveError("gauge is not positive on the unit sphere")
+    kinks = np.unique(np.mod(np.arctan2(-E[:, 0], E[:, 1]), 2.0 * np.pi))
+    return kinks, float(np.min(cross / np.linalg.norm(E, axis=1)))
 
 
 class TabulatedRadialGauge(Gauge):
@@ -408,7 +427,8 @@ class DirectionDerivedGauge(Gauge):
     For a density f on the unit sphere, g(x) = |x| f(x/|x|)^(-1/p) makes the
     direction of a star-shaped sample with this gauge distributed exactly as
     f, whatever the radial profile.  Build through
-    :func:`gauge_from_direction_density`, which checks f.
+    :func:`starshape.direction.gauge_from_direction_density`, which checks
+    that f integrates to 1; ``values`` checks that it is positive.
     """
 
     variant = "direction-derived"
@@ -421,45 +441,14 @@ class DirectionDerivedGauge(Gauge):
         X = _as_batch(X, self.dim)
         norms = np.linalg.norm(X, axis=1)
         f = np.asarray(self.density(X / norms[:, None]), dtype=float)
+        if not np.all(f > 0.0):
+            raise NonPositiveError("direction density must be positive")
         return norms * f ** (-1.0 / self.dim)
 
     def _params(self):
         raise NotADensityError(
             "direction-derived gauges hold a function handle and do not serialize"
         )
-
-
-def gauge_from_direction_density(
-    density: Callable[[np.ndarray], np.ndarray],
-    dim: int,
-    norm_rtol: float = 0.01,
-) -> DirectionDerivedGauge:
-    """Build the gauge whose induced direction law equals ``density``.
-
-    ``density`` maps a batch of unit vectors, shape (n, p), to values (n,)
-    and must be positive and integrate to 1 against the sphere volume
-    element.  Normalization is verified (p=2 by angular quadrature, p>=3 by
-    Monte Carlo) to ``norm_rtol``, not enforced.
-    """
-    if dim < 2:
-        raise DimensionMismatchError("direction densities need dim >= 2")
-    if dim == 2:
-        theta = np.linspace(0.0, 2.0 * np.pi, 16385)
-        vals = np.asarray(density(unit_angles(theta)), dtype=float)
-        if np.min(vals) <= 0.0:
-            raise NonPositiveError("direction density must be positive")
-        total = simpson(vals, theta[1] - theta[0])
-    else:
-        U = _rng.uniform_sphere(_rng.stream(0, 902), 200_000, dim)
-        vals = np.asarray(density(U), dtype=float)
-        if np.min(vals) <= 0.0:
-            raise NonPositiveError("direction density must be positive")
-        total = sphere_surface(dim) * float(np.mean(vals))
-    if abs(total - 1.0) > norm_rtol:
-        raise NotADensityError(
-            f"direction density integrates to {total:.6g}, not 1 within {norm_rtol:.0%}"
-        )
-    return DirectionDerivedGauge(density, dim)
 
 
 def sphere_surface(p: int) -> float:

@@ -36,9 +36,9 @@ from .radial import (
 )
 
 # Plane rule: Gauss-Legendre of the first order gives the value, the second
-# order the error estimate; panels are graded over this many halvings.
+# order the error estimate; x panels halve to 2^-25 of the median length.
 _PLANE_ORDERS = (12, 10)
-_PLANE_LEVELS = 30
+_PLANE_DEPTH = 25
 _PLANE_CHUNK = 1 << 17
 
 
@@ -237,16 +237,17 @@ def _plane_integral_2d(
     Deliberately does not use the homogeneity factorization: a Cartesian
     Gauss-Legendre rule in x and y over the square [-R, R]^2.  Curvature
     concentrates near the origin, on the scale of the distance to it, so
-    the x panels end at R 2^-k toward x = 0, and each line x = const is
-    split at 0, at +-|x|, at the +-R 2^-k beyond |x| and where the kink
-    rays of the gauge cross it.  Points reach ``gauge.values`` in chunks of
-    at most _PLANE_CHUNK.  The error estimate is the difference of the
-    values at two orders.
+    the x panels end at R 2^-k toward x = 0, down to 2^-25 times the
+    profile's median length; each line x = const is split at 0, at +-|x|,
+    at the +-R 2^-k beyond |x| and where the kink rays of the gauge cross
+    it.  Points reach ``gauge.values`` in chunks of at most _PLANE_CHUNK.
+    The error estimate is the difference of the values at two orders.
     """
     R = 1.3 * table.g_hi / gauge.sphere_bounds().g_min
     angles = np.asarray(gauge.kink_angles(), dtype=float)
     slopes = np.tan(angles[np.abs(np.cos(angles)) > 1e-12])
-    edges = np.append(R / 2.0 ** np.arange(_PLANE_LEVELS + 1.0), 0.0)
+    levels = int(np.ceil(np.log2(R / profile._tail_quantile(2, 0.5)))) + _PLANE_DEPTH
+    edges = np.append(R / 2.0 ** np.arange(levels + 1.0), 0.0)
     totals = []
     for order in _PLANE_ORDERS:
         x, wx = (v.ravel() for v in gauss(order, edges[1:], edges[:-1]))

@@ -1,7 +1,7 @@
 """Goodness-of-fit and independence tests for distributional claims.
 
 Small, deterministic, asymptotic-p-value implementations: one- and
-two-sample Kolmogorov-Smirnov with the Kolmogorov series, Pearson
+two-sample Kolmogorov-Smirnov with the Kolmogorov limit law, Pearson
 chi-square against given cell probabilities with greedy adjacent merging of
 thin bins, and a contingency chi-square with empirical-quantile margins.
 All tests return a :class:`TestReport` carrying the statistic, the p-value
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import gammaincc
+from scipy.special import gammaincc, kolmogorov
 
 from .errors import DegenerateBinsError, TooFewSamplesError
 
@@ -36,21 +36,9 @@ class TestReport:
         return asdict(self)
 
 
-def kolmogorov_sf(x: float, terms: int = 100, tol: float = 1e-10) -> float:
-    """Survival function of the Kolmogorov limit law, 2 sum (-1)^(k-1) e^(-2 k^2 x^2).
-
-    At least 20 terms are summed; the series stops early once a term drops
-    below ``tol``.
-    """
-    if x <= 0.0:
-        return 1.0
-    total = 0.0
-    for k in range(1, terms + 1):
-        term = 2.0 * (-1.0) ** (k - 1) * np.exp(-2.0 * k * k * x * x)
-        total += term
-        if k >= 20 and abs(term) < tol:
-            break
-    return float(min(1.0, max(0.0, total)))
+def kolmogorov_sf(x: float) -> float:
+    """Survival function of the Kolmogorov limit law, ``scipy.special.kolmogorov``."""
+    return float(kolmogorov(x))
 
 
 def ks_test(samples, cdf, alpha: float = 0.05, name: str = "ks") -> TestReport:

@@ -143,6 +143,20 @@ def test_direction_sample_matches_density(analytic_gauges, label):
     assert report.passed, report
 
 
+@pytest.mark.parametrize("label", ["ell-i2", "ell-14", "sup", "l1", "poly"])
+def test_angle_bin_probs_sum_to_one(analytic_gauges, label):
+    g = analytic_gauges[label]
+    c0 = direction_constant(g).c0
+    for edges in (np.linspace(0.0, 2.0 * np.pi, 37), np.linspace(0.0, 2.0 * np.pi, 5)):
+        probs = angle_bin_probs(g, c0, edges)
+        assert probs.shape == (len(edges) - 1,) and probs.min() > 0.0
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+    # Edges need not start at 0: bins over [-pi, pi] are the same bins.
+    probs = angle_bin_probs(g, c0, np.linspace(0.0, 2.0 * np.pi, 37))
+    shifted = angle_bin_probs(g, c0, np.linspace(-np.pi, np.pi, 37))
+    np.testing.assert_allclose(shifted, np.roll(probs, 18), rtol=1e-12)
+
+
 def test_cross_section_density_elliptical_closed_form():
     sigma = np.diag([1.0, 4.0])
     ell = EllipticalGauge(sigma)

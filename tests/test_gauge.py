@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from starshape import (
     EllipticalGauge,
@@ -313,3 +314,78 @@ def test_json_params_errors_carry_one_prefix():
         with pytest.raises(ConfigError) as info:
             gauge_from_dict({"dim": 2, **obj})
         assert str(info.value) == text
+
+
+# -- planar polytope geometry from the facet hull ----------------------------
+
+_PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+def _facets(weights, offset, radii, shrink):
+    """Facets at angles with gaps 2pi w_i / sum(w) (all below pi when every
+    w_i is in [0.6, 1] and there are at least three), plus points pulled
+    toward the origin from the first few: the origin is strictly inside."""
+    angles = offset + 2.0 * np.pi * np.cumsum(weights) / np.sum(weights)
+    A = unit_angles(angles) * np.asarray(radii)[:, None]
+    return np.vstack([A, A[: len(shrink)] * np.asarray(shrink)[:, None]])
+
+
+_valid_polygons = st.integers(3, 9).flatmap(
+    lambda m: st.builds(
+        _facets,
+        st.lists(st.floats(0.6, 1.0), min_size=m, max_size=m),
+        st.floats(0.0, 2.0 * np.pi),
+        st.lists(st.floats(0.2, 3.0), min_size=m, max_size=m),
+        st.lists(st.floats(0.0, 0.99), max_size=3),
+    )
+)
+
+
+@_PROPERTY
+@given(_valid_polygons)
+def test_polytope_kinks_are_exact_facet_switches(A):
+    g = PolytopeGauge(A)
+    kinks = g.kink_angles()
+    assert np.all(np.diff(kinks) > 0) and kinks[0] >= 0 and kinks[-1] < 2 * np.pi
+    # One facet is active on each arc between consecutive kinks ...
+    ends = np.append(kinks, kinks[0] + 2.0 * np.pi)
+    for a, b in zip(ends[:-1], ends[1:]):
+        inner = a + (b - a) * np.linspace(0.01, 0.99, 33)
+        assert np.unique(np.argmax(unit_angles(inner) @ A.T, axis=1)).size == 1
+    # ... and the two facets of neighbouring arcs tie at the kink.
+    top2 = np.sort(unit_angles(kinks) @ A.T, axis=1)[:, -2:]
+    assert np.all(top2[:, 1] - top2[:, 0] <= 1e-12)
+
+
+@_PROPERTY
+@given(_valid_polygons)
+def test_polytope_sphere_bounds_are_exact(A):
+    g = PolytopeGauge(A)
+    b = g.sphere_bounds()
+    dense = g.values(unit_angles(np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)))
+    assert dense.min() >= b.g_min * (1.0 - 1e-12)
+    assert g.values(unit_angles(g.kink_angles())).min() == pytest.approx(b.g_min, rel=1e-12)
+    norms = np.linalg.norm(A, axis=1, keepdims=True)
+    toward_facets = g.values((A / norms)[norms[:, 0] > 0])
+    assert toward_facets.max() == pytest.approx(b.g_max, rel=1e-12)
+    assert dense.max() <= b.g_max * (1.0 + 1e-12)
+
+
+@_PROPERTY
+@given(
+    st.floats(0.0, 2.0 * np.pi),
+    st.lists(st.floats(1e-4, np.pi - 1e-4), min_size=2, max_size=8),
+    st.floats(0.2, 3.0),
+)
+def test_polytope_facets_in_a_half_plane_raise(offset, angles, radius):
+    with pytest.raises(NonPositiveError):
+        PolytopeGauge(radius * unit_angles(offset + np.asarray(angles)))
+
+
+def test_polytope_on_a_thin_arc_raises():
+    # g < 0 only on an arc of width ~2e-4 rad, around the direction -e_2.
+    c, s = np.cos(2e-4), np.sin(2e-4)
+    pair = np.array([[1.0, 1e-4], [-1.0, 1e-4]]) @ np.array([[c, s], [-s, c]])
+    for A in (pair, np.vstack([pair, [0.0, 1.0]])):
+        with pytest.raises(NonPositiveError):
+            PolytopeGauge(A)

@@ -6,6 +6,7 @@ from starshape import (
     EllipticalGauge,
     ExponentialProfile,
     GaussianProfile,
+    HeavyTailProfile,
     RadialTable,
     StarDistribution,
     SupNormGauge,
@@ -304,6 +305,14 @@ def test_plane_rule_matches_closed_form_totals(label, analytic_gauges, profiles)
         total, err = _plane_integral_2d(gauge, profiles[key], table)
         assert total == pytest.approx(table.constant / c0, rel=1e-12)
         assert err <= 1e-10 * total
+
+
+@pytest.mark.parametrize("nu", [1.0, 0.5])
+def test_twin_route_on_heavy_tails_with_nu_at_most_one(nu):
+    # g_hi is 1e10 (nu = 1) and 1e20 (nu = 0.5), so the plane rule needs 59
+    # and 91 halvings of its square to reach the profile's median length.
+    chk = StarDistribution(SupNormGauge(2), HeavyTailProfile(nu)).c0_cross_check()
+    assert chk["rel_discrepancy"] <= 1e-6
 
 
 def test_requires_dim_at_least_two():

@@ -20,7 +20,7 @@ from conftest import stream
 
 
 def test_kolmogorov_series_against_scipy():
-    for x in (0.3, 0.5, 0.8, 1.2, 2.0):
+    for x in (1e-4, 0.01, 0.3, 0.5, 0.8, 1.2, 2.0):
         assert kolmogorov_sf(x) == pytest.approx(sstats.kstwobign.sf(x), abs=1e-9)
 
 
