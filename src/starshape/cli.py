@@ -4,7 +4,8 @@ Commands: sample | density | constant | direction-density | verify |
 independence-test | matrix.  All randomness is keyed by --seed through
 counter-based streams, so a command line is reproducible byte for byte
 (including Monte Carlo standard errors) from its seed alone.
-Exit codes: 0 success, 1 failed verification, 2 configuration/input error.
+Exit codes: 0 success, 1 failed verification or numerical failure, 2 bad
+input (an option out of range, or a StarshapeError that is a ValueError).
 """
 
 from __future__ import annotations
@@ -26,12 +27,10 @@ from .starshaped import StarDistribution, planar_angles
 from .stats import independence_chisq
 from .verify import matrix_suite, vector_suite
 
-_CSV_BLOCK = 1 << 16  # rows per string-formatting call
-
-
-def _fail(message: str, code: int) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+_BLOCK = 1 << 16  # rows per string-formatting call
+_COUNT = click.IntRange(min=1)
+_SEED = click.IntRange(0, 2**64 - 1)
+_ALPHA = click.FloatRange(0.0, 1.0, min_open=True, max_open=True)
 
 
 def _guard(func):
@@ -39,10 +38,9 @@ def _guard(func):
     def wrapper(*args, **kwargs):
         try:
             return func(*args, **kwargs)
-        except ConfigError as exc:
-            _fail(str(exc), 2)
         except StarshapeError as exc:
-            _fail(str(exc), 1)
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2 if isinstance(exc, ValueError) else 1)
 
     return wrapper
 
@@ -67,17 +65,23 @@ def _write_text(out: str, chunks: Iterable[str]) -> None:
             fh.writelines(chunks)
 
 
-def _rows_to_csv(columns: list[str], rows: np.ndarray) -> Iterator[str]:
-    """CSV header, then one chunk per block of rows; "%.17g" round-trips doubles."""
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    yield ",".join(columns) + "\n"
-    for i in range(0, len(rows), _CSV_BLOCK):
-        block = rows[i : i + _CSV_BLOCK]
-        yield row * len(block) % tuple(block.ravel().tolist())
+def _table_chunks(fmt: str, columns: list[str], rows: np.ndarray) -> Iterator[str]:
+    """A table as a head, one chunk per block of rows, and a tail.
 
-
-def _rows_to_json(columns: list[str], rows: np.ndarray) -> str:
-    return json.dumps({"columns": columns, "rows": rows.tolist()}) + "\n"
+    CSV "%.17g" round-trips doubles; the JSON chunks join to the text of
+    ``json.dumps({"columns": columns, "rows": rows.tolist()})`` and a newline.
+    """
+    blocks = (rows[i : i + _BLOCK] for i in range(0, len(rows), _BLOCK))
+    if fmt == "csv":
+        row = ",".join(["%.17g"] * len(columns)) + "\n"
+        yield ",".join(columns) + "\n"
+        for block in blocks:
+            yield row * len(block) % tuple(block.ravel().tolist())
+        return
+    yield json.dumps({"columns": columns, "rows": []})[:-2]
+    for i, block in enumerate(blocks):
+        yield (", " if i else "") + json.dumps(block.tolist())[1:-1]
+    yield "]}\n"
 
 
 def _write_densities(out: str, fmt: str, prefix: str, X: np.ndarray, vals: np.ndarray) -> None:
@@ -87,7 +91,7 @@ def _write_densities(out: str, fmt: str, prefix: str, X: np.ndarray, vals: np.nd
         _write_text(out, [json.dumps({"values": records}) + "\n"])
     else:
         columns = [f"{prefix}{i + 1}" for i in range(X.shape[1])] + ["density"]
-        _write_text(out, _rows_to_csv(columns, np.column_stack([X, vals])))
+        _write_text(out, _table_chunks("csv", columns, np.column_stack([X, vals])))
 
 
 @click.group()
@@ -98,8 +102,8 @@ def main() -> None:
 
 @main.command()
 @click.option("--dist", "dist_path", required=True, type=click.Path(), help="distribution JSON file")
-@click.option("--n", default=1000, show_default=True, help="number of draws")
-@click.option("--seed", default=0, show_default=True, help="random seed (uint64)")
+@click.option("--n", default=1000, type=_COUNT, show_default=True, help="number of draws")
+@click.option("--seed", default=0, type=_SEED, show_default=True, help="random seed (uint64)")
 @click.option("--out", default="-", show_default=True, help="output file, - for stdout")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 @click.option("--strategy", type=click.Choice(["rejection", "body"]), default="rejection", show_default=True)
@@ -119,8 +123,7 @@ def sample(dist_path, n, seed, out, fmt, strategy, decompose):
         columns += ["g", "theta"]
     else:
         rows = X
-    chunks = _rows_to_csv(columns, rows) if fmt == "csv" else [_rows_to_json(columns, rows)]
-    _write_text(out, chunks)
+    _write_text(out, _table_chunks(fmt, columns, rows))
 
 
 @main.command()
@@ -128,7 +131,7 @@ def sample(dist_path, n, seed, out, fmt, strategy, decompose):
 @click.option("--at", "points", multiple=True, required=True, help="point 'x1,x2,...' (repeatable)")
 @click.option("--out", default="-", show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="json", show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, type=_SEED, show_default=True)
 @_guard
 def density(dist_path, points, out, fmt, seed):
     """Evaluate the density at given points."""
@@ -143,7 +146,7 @@ def density(dist_path, points, out, fmt, seed):
 @click.option("--at", "points", multiple=True, required=True, help="unit vector 'z1,z2,...' (repeatable)")
 @click.option("--out", default="-", show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="json", show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, type=_SEED, show_default=True)
 @_guard
 def direction_density_cmd(dist_path, points, out, fmt, seed):
     """Evaluate the direction density at unit vectors."""
@@ -155,7 +158,7 @@ def direction_density_cmd(dist_path, points, out, fmt, seed):
 
 @main.command()
 @click.option("--dist", "dist_path", required=True, type=click.Path())
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, type=_SEED, show_default=True)
 @click.option("--out", default="-", show_default=True)
 @_guard
 def constant(dist_path, seed, out):
@@ -168,9 +171,9 @@ def constant(dist_path, seed, out):
 
 @main.command("independence-test")
 @click.option("--dist", "dist_path", required=True, type=click.Path())
-@click.option("--n", default=40_000, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--alpha", default=0.001, show_default=True)
+@click.option("--n", default=40_000, type=_COUNT, show_default=True)
+@click.option("--seed", default=0, type=_SEED, show_default=True)
+@click.option("--alpha", default=0.001, type=_ALPHA, show_default=True)
 @click.option("--report", "report_path", default=None, type=click.Path())
 @_guard
 def independence_test(dist_path, n, seed, alpha, report_path):
@@ -183,20 +186,19 @@ def independence_test(dist_path, n, seed, alpha, report_path):
     report = independence_chisq(g, other, 8, 8, alpha=alpha, name="length-direction-independence")
     click.echo(json.dumps(report.to_dict()))
     if report_path:
-        with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(report.to_dict()) + "\n")
+        _write_text(report_path, [json.dumps(report.to_dict()) + "\n"])
     sys.exit(0 if report.passed else 1)
 
 
 @main.command()
 @click.option("--dist", "dist_path", default=None, type=click.Path(), help="vector-mode fixture")
 @click.option("--matrix", "matrix_mode", is_flag=True, help="matrix-pair mode")
-@click.option("--p", "pdim", default=2, show_default=True)
+@click.option("--p", "pdim", default=2, type=_COUNT, show_default=True)
 @click.option("--n1", default=5.0, show_default=True)
 @click.option("--n2", default=7.0, show_default=True)
-@click.option("--n", default=30_000, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--alpha", default=0.001, show_default=True)
+@click.option("--n", default=30_000, type=_COUNT, show_default=True)
+@click.option("--seed", default=0, type=_SEED, show_default=True)
+@click.option("--alpha", default=0.001, type=_ALPHA, show_default=True)
 @click.option("--report", "report_path", default=None, type=click.Path())
 @_guard
 def verify(dist_path, matrix_mode, pdim, n1, n2, n, seed, alpha, report_path):
@@ -212,19 +214,17 @@ def verify(dist_path, matrix_mode, pdim, n1, n2, n, seed, alpha, report_path):
         status = "PASS" if rep.passed else "FAIL"
         click.echo(f"{status} {rep.name} (statistic={rep.statistic:.6g}, p={rep.p_value:.4g})")
     if report_path:
-        with open(report_path, "w", encoding="utf-8") as fh:
-            for rep in reports:
-                fh.write(json.dumps(rep.to_dict()) + "\n")
+        _write_text(report_path, (json.dumps(rep.to_dict()) + "\n" for rep in reports))
     sys.exit(0 if all(r.passed for r in reports) else 1)
 
 
 @main.command()
 @click.option("--group", type=click.Choice(["lt", "gl"]), required=True)
-@click.option("--p", "pdim", default=2, show_default=True)
+@click.option("--p", "pdim", default=2, type=_COUNT, show_default=True)
 @click.option("--n1", default=5.0, show_default=True)
 @click.option("--n2", default=7.0, show_default=True)
-@click.option("--n", default=1000, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--n", default=1000, type=_COUNT, show_default=True)
+@click.option("--seed", default=0, type=_SEED, show_default=True)
 @click.option("--out", default="-", show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 @_guard
@@ -249,8 +249,7 @@ def matrix(group, pdim, n1, n2, n, seed, out, fmt):
         columns = [f"b{i + 1}{j + 1}" for i in range(pdim) for j in range(pdim)]
         columns += [f"l{i + 1}" for i in range(pdim)]
         rows = np.column_stack([B.reshape(len(B), -1), lam])
-    chunks = _rows_to_csv(columns, rows) if fmt == "csv" else [_rows_to_json(columns, rows)]
-    _write_text(out, chunks)
+    _write_text(out, _table_chunks(fmt, columns, rows))
     click.echo(f"dropped {dropped} degenerate pair(s) of {n}", err=True)
 
 

@@ -146,7 +146,6 @@ def lt_orbital_decompose(
 ) -> LTDecomposition:
     """Decompose a positive-definite pair under the triangular action."""
     W1, W2 = validate_pd_pair(W1, W2)
-    p = W1.shape[0]
     T, U = (x[0] for x in lt_decompose_batch(W1[None], W2[None]))
     eig = np.linalg.eigvalsh(U)
     if eig[0] <= 0.0 or eig[-1] >= 1.0:
@@ -158,15 +157,15 @@ def lt_orbital_decompose(
     else:
         S = _check_lower_triangular(np.asarray(s_handle(U), dtype=float))
         G = T @ np.linalg.inv(S)
-    R1 = T @ U @ T.T
-    R2 = T @ (np.eye(p) - U) @ T.T
-    return LTDecomposition(
-        T,
-        U,
-        G,
-        float(np.linalg.norm(R1 - W1) / np.linalg.norm(W1)),
-        float(np.linalg.norm(R2 - W2) / np.linalg.norm(W2)),
-    )
+    return LTDecomposition(T, U, G, *_residuals(T, U, W1, W2))
+
+
+def _residuals(F: np.ndarray, M: np.ndarray, W1: np.ndarray, W2: np.ndarray) -> list[float]:
+    """Relative Frobenius errors of W1 = F M F^t and W2 = F (I - M) F^t."""
+    return [
+        float(np.linalg.norm(F @ X @ F.T - W) / np.linalg.norm(W))
+        for X, W in ((M, W1), (np.eye(len(M)) - M, W2))
+    ]
 
 
 def _check_lower_triangular(G: np.ndarray) -> np.ndarray:
@@ -181,15 +180,23 @@ def _check_lower_triangular(G: np.ndarray) -> np.ndarray:
     return G
 
 
+def _log_gamma_p(p: int, x: float) -> float:
+    """log Gamma_p(x) = p(p-1)/4 log(pi) + sum_{i<p} log Gamma(x - i/2)."""
+    return p * (p - 1) / 4.0 * np.log(np.pi) + sum(gammaln(x - 0.5 * i) for i in range(p))
+
+
 def multivariate_beta(p: int, a: float, b: float) -> float:
     """B_p(a, b) = Gamma_p(a) Gamma_p(b) / Gamma_p(a + b)."""
+    return float(np.exp(_log_gamma_p(p, a) + _log_gamma_p(p, b) - _log_gamma_p(p, a + b)))
 
-    def log_gamma_p(x: float) -> float:
-        return p * (p - 1) / 4.0 * np.log(np.pi) + sum(
-            gammaln(x - 0.5 * i) for i in range(p)
-        )
 
-    return float(np.exp(log_gamma_p(a) + log_gamma_p(b) - log_gamma_p(a + b)))
+def _root_constant(p: int, a: float, b: float) -> float:
+    """Integral of the untwisted root shape: B_p(a, b) Gamma_p(p/2) / pi^(p^2/2).
+
+    Muirhead, Aspects of Multivariate Statistical Theory (1982), Thm 3.3.4.
+    """
+    log_c = _log_gamma_p(p, p / 2.0) - 0.5 * p * p * np.log(np.pi)
+    return multivariate_beta(p, a, b) * float(np.exp(log_c))
 
 
 def _beta_shape(U: np.ndarray, a: float, b: float, s_handle) -> np.ndarray:
@@ -217,16 +224,16 @@ def matrix_beta_density(
     a: float,
     b: float,
     s_handle: Callable[[np.ndarray], np.ndarray] | None = None,
-    normalized: bool | None = None,
+    normalized: bool = True,
 ) -> float:
     """Density of the triangular-action invariant part U at a matrix point.
 
     The shape is
     prod_i s_ii(U)^(2(a+b)+p-2i+1) (det U)^(a-(p+1)/2) (det(I-U))^(b-(p+1)/2);
-    for the plain cross section (no ``s_handle``) and p <= 2 the normalizer
-    is the multivariate beta constant, for a twisted section (p <= 2) it is
-    a Gauss-Jacobi rule over {0 < U < I}; at p >= 3 only the unnormalized
-    shape is available (pass ``normalized=False``).
+    for the plain cross section (no ``s_handle``) the normalizer is the
+    multivariate beta constant at every p, for a twisted section it is a
+    Gauss-Jacobi rule over {0 < U < I}, available at p <= 2 only (at
+    p >= 3 pass ``normalized=False`` for the twisted shape).
     """
     U = _check_symmetric(_as_square(U, "U"), "U")
     p = U.shape[0]
@@ -235,20 +242,16 @@ def matrix_beta_density(
     eig = np.linalg.eigvalsh(U)
     if eig[0] <= 0.0 or eig[-1] >= 1.0:
         raise OutOfRangeError(f"U must satisfy 0 < U < I, eigenvalues {eig}")
-    if normalized is None:
-        normalized = p <= 2
     value = float(_beta_shape(U, a, b, s_handle))
     if not normalized:
         return value
-    if p > 2:
-        raise OutOfRangeError("normalized values are available for p <= 2 only")
     if s_handle is None:
         return value / multivariate_beta(p, a, b)
     return value / _beta_normalizer(p, a, b, s_handle)
 
 
 @functools.lru_cache(maxsize=64)
-def _beta_normalizer(p: int, a: float, b: float, s_handle, order: int = _NORMALISER_ORDER) -> float:
+def _beta_normalizer(p: int, a: float, b: float, s_handle) -> float:
     """Integral of the twisted shape over 0 < U < I (p <= 2), cached per handle.
 
     In spectral coordinates U = R(theta) diag(l) R(theta)^t, dU is
@@ -261,6 +264,7 @@ def _beta_normalizer(p: int, a: float, b: float, s_handle, order: int = _NORMALI
     the multivariate beta constant to <= 5e-14 relative for a, b in
     [0.51, 12].
     """
+    order = _NORMALISER_ORDER
     l, w = _eigen_rule(p, a, b, order)
     U = l[..., None]
     if p == 2:
@@ -380,7 +384,6 @@ def gl_orbital_decompose(
     ``gap_tol``.
     """
     W1, W2 = validate_pd_pair(W1, W2)
-    p = W1.shape[0]
     B, lam, ok = (x[0] for x in gl_decompose_batch(W1[None], W2[None], gap_tol))
     if lam[0] >= 1.0 or lam[-1] <= 0.0:
         raise NotPositiveDefiniteError(f"congruence roots {lam} outside (0, 1)")
@@ -393,16 +396,7 @@ def gl_orbital_decompose(
     else:
         P = _check_monomial(np.asarray(p_handle(lam), dtype=float))
         G = _sign_normalize((B @ np.linalg.inv(P))[None])[0]
-    L = np.diag(lam)
-    R1 = B @ L @ B.T
-    R2 = B @ (np.eye(p) - L) @ B.T
-    return GLDecomposition(
-        B,
-        lam,
-        G,
-        float(np.linalg.norm(R1 - W1) / np.linalg.norm(W1)),
-        float(np.linalg.norm(R2 - W2) / np.linalg.norm(W2)),
-    )
+    return GLDecomposition(B, lam, G, *_residuals(B, np.diag(lam), W1, W2))
 
 
 def _check_monomial(P: np.ndarray) -> np.ndarray:
@@ -421,14 +415,15 @@ def eigenvalue_density(
     a: float,
     b: float,
     p_handle: Callable[[np.ndarray], np.ndarray] | None = None,
-    normalized: bool | None = None,
+    normalized: bool = True,
 ) -> float:
     """Density of the ordered congruence roots (l_1 > ... > l_p) at a point.
 
     The shape is (det P(L))^(2(a+b)) prod_i l_i^(a-(p+1)/2)
-    prod_i (1-l_i)^(b-(p+1)/2) prod_{i<j} (l_i - l_j).  p = 1 normalizes to
-    the scalar beta; p = 2 and twisted p = 1 normalize by a Gauss-Jacobi
-    rule over the ordered roots; p >= 3 is shape-only.
+    prod_i (1-l_i)^(b-(p+1)/2) prod_{i<j} (l_i - l_j).  Without a twist it
+    normalizes by the closed-form root constant at every p; a twist
+    normalizes by a Gauss-Jacobi rule over the ordered roots, available at
+    p <= 2 only (at p >= 3 pass ``normalized=False`` for the twisted shape).
     """
     l = np.asarray(l, dtype=float)
     if l.ndim != 1:
@@ -440,15 +435,11 @@ def eigenvalue_density(
         raise OutOfRangeError(f"roots {l} must lie strictly inside (0, 1)")
     if p > 1 and np.any(np.diff(l) >= 0.0):
         raise NotOrderedError(f"roots {l} must be strictly decreasing")
-    if normalized is None:
-        normalized = p <= 2
     value = float(_eigen_shape(l, a, b, p_handle))
     if not normalized:
         return value
-    if p > 2:
-        raise OutOfRangeError("normalized values are available for p <= 2 only")
-    if p == 1 and p_handle is None:
-        return value * np.exp(gammaln(a + b) - gammaln(a) - gammaln(b))
+    if p_handle is None:
+        return value / _root_constant(p, a, b)
     return value / _eigen_normalizer(p, a, b, p_handle)
 
 
@@ -459,8 +450,8 @@ def _eigen_normalizer(p: int, a: float, b: float, p_handle) -> float:
     A Gauss-Jacobi product rule whose weights carry the untwisted shape, so
     only the P-twist is left to the nodes; the handle is called once per
     node of :func:`_eigen_rule`: order times at p = 1, 3 order^2 times at
-    p = 2.  At order 20 the untwisted p = 2 value matches the Selberg
-    integral to <= 5e-14 relative for a, b in [0.51, 12].
+    p = 2.  At order 20 the untwisted p = 2 value matches the closed-form
+    root constant to <= 5e-14 relative for a, b in [0.51, 12].
     """
     l, w = _eigen_rule(p, a, b, _NORMALISER_ORDER)
     return float(np.sum(w * _p_factor(l, a, b, p_handle)))
@@ -477,6 +468,8 @@ def _eigen_rule(p: int, a: float, b: float, order: int) -> tuple[np.ndarray, np.
     the square in between carries l2^(a-3/2) (1-l1)^(b-3/2).  The weights
     take these factors and the rest of the shape goes into w.
     """
+    if p > 2:
+        raise OutOfRangeError("twisted normalizers are available for p <= 2 only")
     if p == 1:
         l, w = gauss(order, 0.0, 1.0, b - 1.0, a - 1.0)
         return l[:, None], w

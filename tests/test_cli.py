@@ -11,7 +11,7 @@ from scipy import stats as sstats
 
 import starshape
 from starshape import direction_integral, ks_test, SupNormGauge
-from starshape.cli import _rows_to_csv, main
+from starshape.cli import _table_chunks, main
 from starshape.io import load_schema
 
 
@@ -75,8 +75,15 @@ def test_csv_rows_match_per_value_formatting():
     expected = "a,b,c\n" + "".join(
         ",".join(format(float(v), ".17g") for v in row) + "\n" for row in rows
     )
-    assert "".join(_rows_to_csv(["a", "b", "c"], rows)) == expected
-    assert "".join(_rows_to_csv(["a", "b", "c"], rows[:0])) == "a,b,c\n"
+    assert "".join(_table_chunks("csv", ["a", "b", "c"], rows)) == expected
+    assert "".join(_table_chunks("csv", ["a", "b", "c"], rows[:0])) == "a,b,c\n"
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 2**16 + 1])
+def test_json_table_chunks_join_to_one_dump(n_rows):
+    rows = np.random.default_rng(1).normal(size=(n_rows, 3))
+    expected = json.dumps({"columns": ["a", "b", "c"], "rows": rows.tolist()}) + "\n"
+    assert "".join(_table_chunks("json", ["a", "b", "c"], rows)) == expected
 
 
 def test_sample_decompose_columns(runner, cube_path):
@@ -111,6 +118,28 @@ def test_invalid_gauge_file_exits_2(runner, tmp_path):
     res = runner.invoke(main, ["sample", "--dist", str(bad)])
     assert res.exit_code == 2
     assert "weird" in res.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sample", "--dist", "DIST", "--n", "0"],
+        ["sample", "--dist", "DIST", "--n", "-3"],
+        ["sample", "--dist", "DIST", "--seed", "-1"],
+        ["sample", "--dist", "DIST", "--seed", str(2**64)],
+        ["matrix", "--group", "lt", "--p", "0"],
+        ["matrix", "--group", "lt", "--n", "0"],
+        ["verify", "--dist", "DIST", "--n", "100"],
+        ["verify", "--matrix", "--n1", "0.5"],
+        ["verify", "--matrix", "--alpha", "2"],
+        ["density", "--dist", "DIST", "--at", "0,0"],
+        ["direction-density", "--dist", "DIST", "--at", "1,1"],
+    ],
+)
+def test_bad_input_exits_2_with_a_message(runner, cube_path, args):
+    res = runner.invoke(main, [cube_path if a == "DIST" else a for a in args])
+    assert res.exit_code == 2, res.output
+    assert "rror" in res.output and "Traceback" not in res.output
 
 
 def test_constant_on_a_heavy_tail_at_p3_exits_2(runner, tmp_path):

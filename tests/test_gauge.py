@@ -365,8 +365,8 @@ def test_polytope_sphere_bounds_are_exact(A):
     dense = g.values(unit_angles(np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)))
     assert dense.min() >= b.g_min * (1.0 - 1e-12)
     assert g.values(unit_angles(g.kink_angles())).min() == pytest.approx(b.g_min, rel=1e-12)
-    norms = np.linalg.norm(A, axis=1, keepdims=True)
-    toward_facets = g.values((A / norms)[norms[:, 0] > 0])
+    A = A[np.linalg.norm(A, axis=1) > 0]
+    toward_facets = g.values(A / np.linalg.norm(A, axis=1, keepdims=True))
     assert toward_facets.max() == pytest.approx(b.g_max, rel=1e-12)
     assert dense.max() <= b.g_max * (1.0 + 1e-12)
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, linalg, stats as sstats
 from scipy.special import gammaln, roots_jacobi
 
@@ -31,7 +32,8 @@ from starshape.errors import (
     NotTriangularError,
     OutOfRangeError,
 )
-from starshape.matrixmodels import _beta_normalizer
+from starshape import matrixmodels
+from starshape.matrixmodels import _beta_normalizer, _eigen_normalizer, _root_constant
 from conftest import stream
 
 
@@ -200,7 +202,7 @@ def test_identity_p_handle_gives_scalar_beta():
     assert val == pytest.approx(sstats.beta.pdf(0.3, a, b), rel=1e-8)
 
 
-def test_twisted_normalizer_matches_per_node_loop():
+def test_twisted_normalizer_matches_per_node_loop(monkeypatch):
     # Reference: the same nodes summed one at a time.  Ordered roots come
     # from three Gauss-Jacobi pieces (below l1 = 1/2 with l2 = l1 v, its
     # mirror image above l2 = 1/2, the square in between) and U = R diag(l)
@@ -242,7 +244,8 @@ def test_twisted_normalizer_matches_per_node_loop():
             R = np.array([[c, -s], [s, c]])
             U = R @ np.diag([l1, l2]) @ R.T
             total += w * np.pi / order * np.prod(np.diag(s_map(U)) ** exps)
-    tensor = _beta_normalizer(2, a, b, handle("tensor"), order=order)
+    monkeypatch.setattr(matrixmodels, "_NORMALISER_ORDER", order)
+    tensor = _beta_normalizer(2, a, b, handle("tensor"))
     assert tensor == pytest.approx(total, rel=1e-13)
     assert calls["tensor"] == calls["loop"] == 3 * order**3
 
@@ -320,10 +323,66 @@ def test_beta_density_range_errors():
         matrix_beta_density(np.array([[1.2]]), 2.0, 3.0)
     with pytest.raises(OutOfRangeError):
         matrix_beta_density(np.array([[0.5, 0.0], [0.0, 0.5]]), 0.4, 3.0)
-    with pytest.raises(OutOfRangeError):
-        matrix_beta_density(
-            np.array([[0.5, 0.0, 0], [0, 0.5, 0], [0, 0, 0.5]]), 3.0, 3.0, normalized=True
-        )
+    with pytest.raises(OutOfRangeError, match="p <= 2"):
+        matrix_beta_density(0.5 * np.eye(3), 3.0, 3.0, s_handle=lambda V: np.eye(3))
+
+
+def test_root_constant_matches_the_untwisted_rule_at_p2():
+    # Spectral coordinates give the root constant as B_2(a, b) / pi; the
+    # Gauss-Jacobi rule reaches it independently, also near a, b = 1/2.
+    grid = (0.51, 0.6, 1.0, 1.5, 2.5, 5.0, 11.0, 12.0)
+    for a in grid:
+        for b in grid:
+            rule = _eigen_normalizer(2, a, b, None)
+            assert _root_constant(2, a, b) == pytest.approx(rule, rel=1e-13, abs=0)
+
+
+def _mc_mass(shape, draw, volume, n=4_000_000, chunks=20):
+    """Monte Carlo integral of ``shape`` over a box of ``volume``: mean, stderr."""
+    gen = np.random.default_rng(0)
+    vals = np.concatenate([shape(draw(gen, n // chunks)) for _ in range(chunks)])
+    return volume * vals.mean(), volume * vals.std() / np.sqrt(n)
+
+
+def test_normalised_densities_integrate_to_one_at_p3():
+    # Shapes restated here; uniform draws on a box containing each domain.
+    # The density / shape ratio at one probe point scales the shape's mass,
+    # so neither the closed forms nor the Wishart sampler enter the check.
+    a, b = 2.5, 3.5
+
+    def minors(U):
+        # Leading principal minors; all positive iff U is positive definite.
+        return U[:, 0, 0], U[:, 0, 0] * U[:, 1, 1] - U[:, 0, 1] ** 2, np.linalg.det(U)
+
+    def beta_shape(U):
+        mU, mI = minors(U), minors(np.eye(3) - U)
+        inside = np.all([m > 0 for m in mU + mI], axis=0)
+        return np.where(inside, np.abs(mU[2]) ** (a - 2) * np.abs(mI[2]) ** (b - 2), 0.0)
+
+    def draw_u(gen, m):
+        # Diagonal uniform on [0, 1]^3, off-diagonal on [-1/2, 1/2]^3.
+        U = np.zeros((m, 3, 3))
+        U[:, [0, 1, 2], [0, 1, 2]] = gen.random((m, 3))
+        off = gen.random((m, 3)) - 0.5
+        U[:, [1, 2, 2], [0, 0, 1]] = U[:, [0, 0, 1], [1, 2, 2]] = off
+        return U
+
+    def root_shape(l):
+        gaps = (l[:, 0] - l[:, 1]) * (l[:, 0] - l[:, 2]) * (l[:, 1] - l[:, 2])
+        return np.prod(l ** (a - 2) * (1 - l) ** (b - 2), axis=1) * gaps
+
+    def draw_l(gen, m):
+        return -np.sort(-gen.random((m, 3)), axis=1)
+
+    U0 = np.array([[0.4, 0.1, 0.0], [0.1, 0.5, -0.1], [0.0, -0.1, 0.3]])
+    l0 = np.array([0.8, 0.5, 0.2])
+    for density, shape, draw, volume, probe in (
+        (matrix_beta_density, beta_shape, draw_u, 1.0, U0),
+        (eigenvalue_density, root_shape, draw_l, 1.0 / 6.0, l0),
+    ):
+        mass, err = _mc_mass(shape, draw, volume)
+        scale = density(probe, a, b) / shape(probe[None])[0]
+        assert scale * mass == pytest.approx(1.0, abs=4.0 * scale * err)
 
 
 def test_wishart_u_marginal_moments_match_density():
@@ -386,6 +445,47 @@ def test_t_u_independence():
     T, U = lt_decompose_batch(W1, W2)
     report = independence_chisq(T[:, 0, 0], U[:, 0, 0], 4, 4, alpha=0.001)
     assert report.passed, report
+
+
+# -- both decompositions on arbitrary positive-definite pairs ----------------
+
+_PAIRS = settings(derandomize=True, max_examples=200, deadline=None)
+
+
+@st.composite
+def _pd_pairs(draw):
+    """Pairs Q diag(10^-e) Q^t with e in [0, 4] (condition number <= 1e4),
+    W1 scaled so that ||W1|| / ||W2|| = 10^t with t in [-3, 3]."""
+    p = draw(st.integers(1, 4))
+
+    def pd(top):
+        q = draw(st.lists(st.floats(-1.0, 1.0), min_size=p * p, max_size=p * p))
+        e = draw(st.lists(st.floats(0.0, 4.0), min_size=p - 1, max_size=p - 1))
+        Q = np.linalg.qr(np.reshape(q, (p, p)))[0]
+        W = (Q * 10.0 ** (top - np.array([0.0, *e]))) @ Q.T
+        return 0.5 * (W + W.T)
+
+    return pd(draw(st.floats(-3.0, 3.0))), pd(0.0)
+
+
+@_PAIRS
+@given(_pd_pairs())
+def test_lt_decomposition_reconstructs_every_pd_pair(pair):
+    dec = lt_orbital_decompose(*pair)
+    assert dec.resid_w1 < 1e-10 and dec.resid_w2 < 1e-10
+    eig = np.linalg.eigvalsh(dec.U)
+    assert eig[0] > 0.0 and eig[-1] < 1.0
+
+
+@_PAIRS
+@given(_pd_pairs())
+def test_gl_decomposition_reconstructs_every_separated_pair(pair):
+    try:
+        dec = gl_orbital_decompose(*pair)
+    except DegenerateRootsError:
+        return
+    assert dec.resid_w1 < 1e-10 and dec.resid_w2 < 1e-10
+    assert dec.l[-1] > 0.0 and dec.l[0] < 1.0
 
 
 # -- general linear action -----------------------------------------------------
@@ -515,6 +615,8 @@ def test_eigenvalue_density_validation():
         eigenvalue_density(np.array([1.2, 0.3]), 2.5, 3.5)
     with pytest.raises(OutOfRangeError):
         eigenvalue_density(np.array([0.7, 0.3]), 0.2, 3.5)
+    with pytest.raises(OutOfRangeError, match="p <= 2"):
+        eigenvalue_density(np.array([0.8, 0.5, 0.2]), 2.5, 3.5, p_handle=lambda r: np.eye(3))
 
 
 def test_b_l_independence():
