@@ -106,16 +106,17 @@ def main() -> None:
 @click.option("--seed", default=0, type=_SEED, show_default=True, help="random seed (uint64)")
 @click.option("--out", default="-", show_default=True, help="output file, - for stdout")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
-@click.option("--strategy", type=click.Choice(["rejection", "body"]), default="rejection", show_default=True)
+# --strategy is deprecated and ignored (one sampler); it stays while the benchmark passes it.
+@click.option("--strategy", type=click.Choice(["rejection", "body"]), hidden=True, expose_value=False)
 @click.option("--decompose", is_flag=True, help="append length/angle columns g,theta (p=2)")
 @_guard
-def sample(dist_path, n, seed, out, fmt, strategy, decompose):
+def sample(dist_path, n, seed, out, fmt, decompose):
     """Draw n points from a star-shaped distribution."""
     gauge, profile, _ = load_distribution(dist_path)
     if decompose and gauge.dim != 2:
         raise ConfigError("--decompose emits g,theta and needs a planar distribution")
     dist = StarDistribution(gauge, profile, seed=seed)
-    X = dist.sample(_rng.stream(seed, 0), n, strategy)
+    X = dist.sample(_rng.stream(seed, 0), n)
     columns = [f"x{i + 1}" for i in range(gauge.dim)]
     if decompose:
         g = gauge.values(X)

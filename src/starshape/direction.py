@@ -7,7 +7,8 @@ constant (deterministic angular quadrature in the plane, Monte Carlo with a
 standard error in higher dimensions), evaluates the direction density,
 its angular bin probabilities and the induced surface measure on the unit
 cross section, builds the gauge of a prescribed direction density, and
-draws exact direction samples by rejection.
+draws exact direction samples by rejection against the sphere bound g_min,
+returning the gauge values of the draws with them.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ class DirectionDraws(NamedTuple):
     points: np.ndarray
     acceptance_rate: float
     n_proposed: int
+    g: np.ndarray  # gauge values at ``points``
 
 
 def direction_integral(gauge: Gauge, n_mc: int = 1_000_000, seed: int = 0) -> SphereIntegral:
@@ -126,28 +128,19 @@ def direction_sample(
     gauge: Gauge,
     gen: np.random.Generator,
     n: int,
-    strategy: str = "rejection",
     bounds: SphereBounds | None = None,
 ) -> DirectionDraws:
-    """n i.i.d. directions with density c0 g^(-p), plus the acceptance rate.
+    """n i.i.d. directions with density c0 g^(-p), their gauge values and
+    the acceptance rate.
 
-    ``rejection`` proposes uniformly on the sphere and accepts with
-    probability (g_min/g(z'))^p.  ``body`` proposes uniformly in the ball
-    circumscribing the unit star body {g <= 1} and keeps the direction of
-    proposals that land inside the body; the radial integral over a ray is
-    proportional to g^(-p), so accepted directions have exactly the target
-    law.  Expected acceptance is g_min^p/(c0 omega_p) for both.  Both need
-    g >= g_min on the sphere: a proposal with g(u) < g_min raises.
+    Proposes uniformly on the sphere and accepts with probability
+    (g_min/g(z'))^p; expected acceptance is g_min^p/(c0 omega_p).  Exactness
+    needs g >= g_min on the sphere: a proposal with g(u) < g_min raises.
     """
     p = gauge.dim
-    if bounds is None:
-        bounds = gauge.sphere_bounds()
-    if not np.isfinite(bounds.g_min) or bounds.g_min <= 0.0:
-        raise BoundsUnavailableError("sampler needs a positive lower sphere bound")
-    if strategy not in ("rejection", "body"):
-        raise ValueError(f"unknown strategy '{strategy}'")
-
+    bounds = gauge.sphere_bounds() if bounds is None else bounds
     out = np.empty((n, p))
+    g_out = np.empty(n)
     got = 0
     proposed = 0
     accepted = 0
@@ -155,31 +148,23 @@ def direction_sample(
         if got >= n:
             break
         m = max(1024, int(1.5 * (n - got)))
-        if strategy == "rejection":
-            Z = uniform_sphere(gen, m, p)
-            g_dir = gauge.values(Z)
-            keep = gen.random(m) < (bounds.g_min / g_dir) ** p
-            pts = Z[keep]
-        else:
-            radius = (1.0 / bounds.g_min) * gen.random(m) ** (1.0 / p)
-            X = radius[:, None] * uniform_sphere(gen, m, p)
-            gx = gauge.values(X)
-            g_dir = gx / radius
-            keep = gx <= 1.0
-            pts = X[keep]
-            pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        Z = uniform_sphere(gen, m, p)
+        g_dir = gauge.values(Z)
         if g_dir.min() < bounds.g_min * (1.0 - _BOUND_RTOL):
             raise BoundsUnavailableError(f"g(u) = {g_dir.min():.9g} is below g_min")
+        keep = gen.random(m) < (bounds.g_min / g_dir) ** p
+        pts, g_pts = Z[keep], g_dir[keep]
         proposed += m
         accepted += len(pts)
         take = min(len(pts), n - got)
         out[got : got + take] = pts[:take]
+        g_out[got : got + take] = g_pts[:take]
         got += take
     if got < n:
         raise BoundsUnavailableError(
             f"acceptance rate too low: {got}/{n} after {proposed} proposals"
         )
-    return DirectionDraws(out, accepted / proposed, proposed)
+    return DirectionDraws(out, accepted / proposed, proposed, g_out)
 
 
 def cross_section_measure_density(gauge: Gauge, c0: float, z) -> float:

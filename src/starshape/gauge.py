@@ -52,11 +52,10 @@ FD_STEP = 1e-6
 class SphereBounds:
     """Bounds on a gauge over the unit sphere, g_min <= g(u) <= g_max.
 
-    Exact up to rounding for the sup, l1, elliptical and tabulated gauges
-    and for polytopes at p = 2.  Polytopes at p >= 3 and direction-derived
-    gauges get numeric bounds, padded so that ``g_min`` errs low and
-    ``g_max`` high; the direction samplers raise if a proposal falls below
-    ``g_min``, on which their exactness depends.
+    Exact up to rounding for every gauge but the direction-derived one,
+    which gets numeric bounds, padded so that ``g_min`` errs low and
+    ``g_max`` high.  The direction sampler raises if a proposal falls below
+    ``g_min``, on which its exactness depends.
     """
 
     g_min: float
@@ -169,9 +168,9 @@ class Gauge(ABC):
         x = _as_point(x, self.dim)
         return x / float(self.values(x[None, :])[0])
 
+    @abstractmethod
     def sphere_bounds(self) -> SphereBounds:
-        """Conservative bounds on g over the unit sphere."""
-        return self._numeric_sphere_bounds()
+        """Bounds on g over the unit sphere."""
 
     def kink_angles(self) -> np.ndarray:
         """Angles (p=2 only) where g restricted to the circle is not C^1.
@@ -180,27 +179,6 @@ class Gauge(ABC):
         Smooth gauges return an empty array.
         """
         return np.empty(0)
-
-    # -- helpers ----------------------------------------------------------
-
-    def _numeric_sphere_bounds(self) -> SphereBounds:
-        if self.dim == 2:
-            theta = np.linspace(0.0, 2.0 * np.pi, 8193)
-            vals = self.values(unit_angles(theta))
-            lo, hi = float(vals.min()), float(vals.max())
-            slack = float(np.max(np.abs(np.diff(vals))))
-            g_min = max(lo - 10.0 * slack, 0.5 * lo)
-            g_max = hi + 10.0 * slack
-        else:
-            U = _rng.uniform_sphere(_rng.stream(0, 901), 200_000, self.dim)
-            vals = self.values(U)
-            lo, hi = float(vals.min()), float(vals.max())
-            pad = 0.1 * (hi - lo)
-            g_min = max(lo - pad, 0.5 * lo)
-            g_max = hi + pad
-        if lo <= 0.0:
-            raise NonPositiveError("gauge is not positive on the unit sphere")
-        return SphereBounds(g_min, g_max)
 
     # -- serialization ----------------------------------------------------
 
@@ -309,7 +287,9 @@ class PolytopeGauge(Gauge):
 
     The polytope {g <= 1} must contain the origin strictly inside, i.e.
     max_j <a_j, u> > 0 for every direction u.  The check and the sphere
-    bounds are exact at p = 2 (:func:`_hull_geometry`), numeric at p >= 3.
+    bounds are exact at every p: g_max = max_j |a_j| and g_min is the
+    distance from the origin to the nearest facet of conv{a_j}, from the
+    monotone chain at p = 2 (:func:`_hull_geometry`), from Qhull above.
     """
 
     variant = "polytope"
@@ -320,12 +300,22 @@ class PolytopeGauge(Gauge):
             raise DimensionMismatchError("facets must be an (m, p) array, m >= 2")
         super().__init__(A.shape[1])
         self.facets = A
-        if self.dim == 2:
+        self._kinks = np.empty(0)
+        if self.dim == 1:
+            g_min = float(min(A.max(), -A.min()))
+        elif self.dim == 2:
             self._kinks, g_min = _hull_geometry(A)
-            self._bounds = SphereBounds(g_min, float(np.linalg.norm(A, axis=1).max()))
         else:
-            self._kinks = np.empty(0)
-            self._bounds = self._numeric_sphere_bounds()  # raises if g <= 0 somewhere
+            # Qhull costs 0.1 s of import, so planar gauges keep the chain.
+            from scipy.spatial import ConvexHull, QhullError
+
+            try:
+                g_min = float(np.min(-ConvexHull(A).equations[:, -1]))
+            except QhullError:  # the facet points lie in a hyperplane
+                g_min = 0.0
+        if g_min <= 0.0:
+            raise NonPositiveError("gauge is not positive on the unit sphere")
+        self._bounds = SphereBounds(g_min, float(np.linalg.norm(A, axis=1).max()))
 
     def values(self, X) -> np.ndarray:
         X = _as_batch(X, self.dim)
@@ -444,6 +434,24 @@ class DirectionDerivedGauge(Gauge):
         if not np.all(f > 0.0):
             raise NonPositiveError("direction density must be positive")
         return norms * f ** (-1.0 / self.dim)
+
+    def sphere_bounds(self) -> SphereBounds:
+        """Numeric bounds, padded so that g_min errs low and g_max high."""
+        if self.dim == 2:
+            theta = np.linspace(0.0, 2.0 * np.pi, 8193)
+            vals = self.values(unit_angles(theta))
+            lo, hi = float(vals.min()), float(vals.max())
+            slack = float(np.max(np.abs(np.diff(vals))))
+            g_min = max(lo - 10.0 * slack, 0.5 * lo)
+            g_max = hi + 10.0 * slack
+        else:
+            U = _rng.uniform_sphere(_rng.stream(0, 901), 200_000, self.dim)
+            vals = self.values(U)
+            lo, hi = float(vals.min()), float(vals.max())
+            pad = 0.1 * (hi - lo)
+            g_min = max(lo - pad, 0.5 * lo)
+            g_max = hi + pad
+        return SphereBounds(g_min, g_max)
 
     def _params(self):
         raise NotADensityError(

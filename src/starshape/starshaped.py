@@ -110,14 +110,11 @@ class StarDistribution:
 
     # -- sampling -----------------------------------------------------------
 
-    def sample(
-        self, gen: np.random.Generator, n: int, strategy: str = "rejection"
-    ) -> np.ndarray:
+    def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
         """n i.i.d. draws, composed as x = g * z'/g(z')."""
         g = self.table.sample(gen, n)
-        draws = direction_sample(self.gauge, gen, n, strategy, self.bounds)
-        Z = draws.points / self.gauge.values(draws.points)[:, None]
-        return g[:, None] * Z
+        draws = direction_sample(self.gauge, gen, n, self.bounds)
+        return g[:, None] * (draws.points / draws.g[:, None])
 
     # -- orbital decomposition ----------------------------------------------
 

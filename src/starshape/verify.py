@@ -143,26 +143,32 @@ def matrix_suite(
         )
     )
 
-    if p == 2:
+    if p >= 2:
         B, lam, ok = gl_decompose_batch(W1, W2)
         B, lam = B[ok], lam[ok]
-        reports.append(_eigen_histogram_report(lam, a, b, alpha))
+        if p == 2:
+            reports.append(_eigen_histogram_report(lam, a, b, alpha))
+        else:  # det U = prod l_i ~ prod Beta(a - i/2, b), i < p (Muirhead 1982, Thm 3.3.3)
+            ref_gen = _rng.stream(seed, 21)
+            ref = np.prod([ref_gen.beta(a - i / 2.0, b, len(lam)) for i in range(p)], axis=0)
+            reports.append(two_sample_ks(lam.prod(axis=1), ref, alpha=0.01, name="root-product-ks"))
         reports.append(
             independence_chisq(
                 B[:, 0, 0], lam[:, 0], 4, 4, alpha=alpha, name="b-l-independence"
             )
         )
         # det P(L) twist is an exact multiplicative factor.
-        p_handle = lambda l: np.diag([1.0 + l[0], 1.0])
-        probe = np.array([0.7, 0.3])
+        p_handle = lambda l: np.diag(np.r_[1.0 + l[0], np.ones(p - 1)])
+        probe = np.linspace(0.7, 0.3, p)
         ratio = eigenvalue_density(probe, a, b, p_handle=p_handle, normalized=False)
         ratio /= eigenvalue_density(probe, a, b, normalized=False)
         err = abs(ratio / (1.0 + probe[0]) ** (2 * (a + b)) - 1.0)
         reports.append(_tolerance_report("detP-twist-ratio", err, 1e-12))
 
         # Degenerate pairs must be rejected.
+        eye = np.eye(p)
         try:
-            gl_orbital_decompose(np.eye(2), np.eye(2))
+            gl_orbital_decompose(eye, eye)
             fired = False
         except DegenerateRootsError:
             fired = True
@@ -173,13 +179,13 @@ def matrix_suite(
 
         # Isotropy audits of standard, normalizer-twisted, and rotated
         # cross sections.
-        L = np.diag([0.7, 0.3])
-        eye = np.eye(2)
+        L = np.diag(probe)
         std_clean = verify_global_cross_section([(L, eye - L)], "gl").clean
-        P = np.diag([1.7, 1.0])
+        P = np.diag(np.r_[1.7, np.ones(p - 1)])
         tw_clean = verify_global_cross_section([(P @ L @ P.T, P @ (eye - L) @ P.T)], "gl").clean
         th = np.pi / 6.0
-        R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+        R = eye.copy()
+        R[:2, :2] = [[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]]
         rot_flagged = not verify_global_cross_section(
             [(R @ L @ R.T, R @ (eye - L) @ R.T)], "gl"
         ).clean

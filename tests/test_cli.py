@@ -52,6 +52,22 @@ def test_sample_is_reproducible(runner, ellipse_path):
     assert other.output != out1.output
 
 
+def test_sample_strategy_option_is_ignored(runner, tmp_path):
+    doc = {
+        "gauge": {"dim": 2, "variant": "polytope",
+                  "params": {"facets": [[1.0, 0.2], [-0.8, 0.6], [0.1, -1.1], [0.9, 0.9]]}},
+        "profile": {"family": "gaussian", "params": {"scale": 1.0}},
+    }
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(doc))
+    args = ["sample", "--dist", str(path), "--n", "500", "--seed", "11", "--format", "json"]
+    plain = runner.invoke(main, args)
+    assert plain.exit_code == 0
+    for strategy in ("body", "rejection"):
+        assert runner.invoke(main, args + ["--strategy", strategy]).output == plain.output
+    assert "--strategy" not in runner.invoke(main, ["sample", "--help"]).output
+
+
 def test_sample_csv_round_trip_precision(runner, ellipse_path, tmp_path):
     out = tmp_path / "draws.csv"
     res = runner.invoke(
@@ -224,6 +240,15 @@ def test_verify_matrix_mode(runner):
     assert "PASS eigenvalue-law-histogram" in res.output
 
 
+def test_verify_matrix_mode_p3_checks_the_roots(runner):
+    res = runner.invoke(main, ["verify", "--matrix", "--p", "3", "--n", "20000"])
+    assert res.exit_code == 0, res.output
+    for name in ("root-product-ks", "b-l-independence", "detP-twist-ratio",
+                 "degenerate-pair-rejection", "cross-section-isotropy"):
+        assert f"PASS {name}" in res.output
+    assert "eigenvalue-law-histogram" not in res.output
+
+
 def test_matrix_command_lt_bounds_and_scalar_beta(runner):
     res = runner.invoke(
         main,
@@ -279,14 +304,25 @@ def test_monte_carlo_depends_on_seed_only(monkeypatch):
     assert direction_integral(g, n_mc=40_000, seed=10) != a
 
 
-def test_cli_import_does_not_load_scipy_stats():
+def _loaded_modules(code: str, modules: tuple[str, ...]) -> list[bool]:
+    """Run ``code`` in a fresh interpreter; report which ``modules`` it loaded."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(starshape.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    code = (
-        "import sys, starshape.cli; "
-        "print([m in sys.modules for m in ('scipy.stats', 'scipy.integrate', 'scipy.linalg')])"
-    )
+    code += f"; import json, sys; print(json.dumps([m in sys.modules for m in {modules!r}]))"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[False, False, False]"
+    return json.loads(out.stdout)
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    modules = ("scipy.stats", "scipy.integrate", "scipy.linalg", "scipy.spatial")
+    assert _loaded_modules("import starshape.cli", modules) == [False] * 4
+
+
+def test_planar_polytope_distribution_does_not_load_qhull():
+    code = (
+        "import starshape; starshape.StarDistribution(starshape.PolytopeGauge("
+        "[[1.0, 0.2], [-0.8, 0.6], [0.1, -1.1], [0.9, 0.9]]), starshape.GaussianProfile(1.0))"
+    )
+    assert _loaded_modules(code, ("scipy.spatial",)) == [False]

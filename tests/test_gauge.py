@@ -153,9 +153,36 @@ def test_sphere_bounds_sandwich_p3():
     assert vals.max() <= bounds.g_max
 
 
+def _sign_vectors(p):
+    return 1.0 - 2.0 * ((np.arange(2**p)[:, None] >> np.arange(p)) & 1)
+
+
+@pytest.mark.parametrize("p", [3, 6])
+def test_polytope_sphere_bounds_are_exact_above_the_plane(p):
+    # The cube {|x_i| <= 1} and the cross-polytope {sum |x_i| <= 1}.
+    cube = PolytopeGauge(np.vstack([np.eye(p), -np.eye(p)])).sphere_bounds()
+    assert cube.g_min == pytest.approx(p**-0.5, rel=1e-12, abs=0.0)
+    assert cube.g_max == pytest.approx(1.0, rel=1e-12, abs=0.0)
+    cross = PolytopeGauge(_sign_vectors(p)).sphere_bounds()
+    assert cross.g_min == pytest.approx(1.0, rel=1e-12, abs=0.0)
+    assert cross.g_max == pytest.approx(p**0.5, rel=1e-12, abs=0.0)
+
+
+def test_hexacube_lower_bound_is_an_uncut_corner():
+    # +-e_i of R^6 plus six corner cuts 0.3 s; the other corners keep 1/sqrt(6).
+    facets = np.vstack([np.eye(6), -np.eye(6), 0.3 * _sign_vectors(6)[[0, 9, 22, 37, 50, 63]]])
+    b = PolytopeGauge(facets).sphere_bounds()
+    assert b.g_min == pytest.approx(6**-0.5, rel=1e-12, abs=0.0)
+    assert b.g_max == pytest.approx(1.0, rel=1e-12, abs=0.0)
+
+
 def test_polytope_requires_origin_inside():
     with pytest.raises(NonPositiveError):
         PolytopeGauge([[1.0, 0.0], [0.0, 1.0]])  # open in the third quadrant
+    with pytest.raises(NonPositiveError):  # the origin lies outside the hull
+        PolytopeGauge(np.vstack([np.eye(3), [[1.0, 1.0, 1.0]]]))
+    with pytest.raises(NonPositiveError):  # two facets at p = 3: a flat set
+        PolytopeGauge([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
 
 
 def test_zero_vector_and_dimension_errors():
