@@ -4,8 +4,10 @@ from scipy import integrate
 
 from starshape import (
     EllipticalGauge,
+    GaussianProfile,
     L1NormGauge,
     SphereBounds,
+    StarDistribution,
     SupNormGauge,
     angle_bin_probs,
     chisq_gof,
@@ -230,8 +232,17 @@ def test_surface_direction_consistency():
     assert report.passed, report
 
 
-def test_sampler_rejects_a_false_lower_bound():
+@pytest.mark.parametrize("route", ["rejection", "body"])
+def test_sampler_rejects_a_false_lower_bound(route):
     # The true infimum of g on the circle is 0.5; 0.6 is not a lower bound.
+    # "rejection" calls the direction sampler; "body" draws whole points,
+    # whose directions come from the same sampler under the stored bounds.
     gauge = EllipticalGauge(np.diag([1.0, 4.0]))
+    false_bounds = SphereBounds(0.6, 1.0)
     with pytest.raises(BoundsUnavailableError, match="is below g_min"):
-        direction_sample(gauge, stream(420), 1000, SphereBounds(0.6, 1.0))
+        if route == "rejection":
+            direction_sample(gauge, stream(420), 1000, false_bounds)
+        else:
+            dist = StarDistribution(gauge, GaussianProfile(1.0), n_mc=20_000)
+            dist.bounds = false_bounds
+            dist.sample(stream(420), 1000)
