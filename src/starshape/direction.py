@@ -7,8 +7,16 @@ constant (deterministic angular quadrature in the plane, Monte Carlo with a
 standard error in higher dimensions), evaluates the direction density,
 its angular bin probabilities and the induced surface measure on the unit
 cross section, builds the gauge of a prescribed direction density, and
-draws exact direction samples by rejection against the sphere bound g_min,
-returning the gauge values of the draws with them.
+draws exact direction samples, returning the gauge values of the draws
+with them.
+
+Since the direction law is the same for every radial profile, the
+direction of a uniform point of the star body K = {g <= 1} is an exact
+draw: :func:`direction_sample` normalises ``Gauge.body_sample`` points,
+without rejection, when the gauge has them (sup, l1, elliptical, and
+polytopes at p >= 3 whose boundary triangulation is affordable), and
+otherwise falls back to :func:`rejection_sample` against the sphere bound
+g_min.  Both paths raise if a draw shows g_min false.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ UNIT_ATOL = 1e-9
 # to <= 2.2e-16 relative on polytope, sup, elliptical and tabulated gauges.
 SPHERE_PANELS = 1 << 16
 _MAX_ROUNDS = 10_000
-# Rounding allowance of the lower-bound check on proposals: g(u) and a
+# Rounding allowance of the lower-bound check on directions: g(u) and a
 # closed-form g_min are each within a few ulps of their exact values.
 _BOUND_RTOL = 1e-12
 # How far from 1 a target direction density may integrate.
@@ -133,6 +141,29 @@ def direction_sample(
     """n i.i.d. directions with density c0 g^(-p), their gauge values and
     the acceptance rate.
 
+    Normalises n uniform points of K = {g <= 1} when ``gauge.body_sample``
+    draws them (acceptance rate 1), and otherwise runs
+    :func:`rejection_sample`.  A direction with g(z') < g_min raises on
+    both paths.
+    """
+    bounds = gauge.sphere_bounds() if bounds is None else bounds
+    X = gauge.body_sample(gen, n)
+    if X is None:
+        return rejection_sample(gauge, gen, n, bounds)
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    g_dir = gauge.values(X)
+    _check_lower_bound(g_dir, bounds)
+    return DirectionDraws(X, 1.0, n, g_dir)
+
+
+def rejection_sample(
+    gauge: Gauge,
+    gen: np.random.Generator,
+    n: int,
+    bounds: SphereBounds | None = None,
+) -> DirectionDraws:
+    """:func:`direction_sample` by rejection, for every gauge.
+
     Proposes uniformly on the sphere and accepts with probability
     (g_min/g(z'))^p; expected acceptance is g_min^p/(c0 omega_p).  Exactness
     needs g >= g_min on the sphere: a proposal with g(u) < g_min raises.
@@ -150,8 +181,7 @@ def direction_sample(
         m = max(1024, int(1.5 * (n - got)))
         Z = uniform_sphere(gen, m, p)
         g_dir = gauge.values(Z)
-        if g_dir.min() < bounds.g_min * (1.0 - _BOUND_RTOL):
-            raise BoundsUnavailableError(f"g(u) = {g_dir.min():.9g} is below g_min")
+        _check_lower_bound(g_dir, bounds)
         keep = gen.random(m) < (bounds.g_min / g_dir) ** p
         pts, g_pts = Z[keep], g_dir[keep]
         proposed += m
@@ -165,6 +195,13 @@ def direction_sample(
             f"acceptance rate too low: {got}/{n} after {proposed} proposals"
         )
     return DirectionDraws(out, accepted / proposed, proposed, g_out)
+
+
+def _check_lower_bound(g_dir: np.ndarray, bounds: SphereBounds) -> None:
+    """Raise if a direction's gauge value shows ``bounds.g_min`` false."""
+    low = np.min(g_dir, initial=np.inf)
+    if low < bounds.g_min * (1.0 - _BOUND_RTOL):
+        raise BoundsUnavailableError(f"g(u) = {low:.9g} is below g_min")
 
 
 def cross_section_measure_density(gauge: Gauge, c0: float, z) -> float:

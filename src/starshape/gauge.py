@@ -17,12 +17,16 @@ come in six flavors:
 Batches (shape ``(n, p)``) go through ``values`` / ``gradients``, each
 written once per variant; the single-point forms ``value`` / ``gradient``
 (shape ``(p,)``) validate their point and index the batch result.
+``body_sample`` draws uniform points of the star body K = {g <= 1} for the
+sup, l1 and elliptical gauges and for polytopes at p >= 3.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
+from math import comb
 from typing import Callable
 
 import numpy as np
@@ -47,6 +51,22 @@ RIDGE_TIE_RTOL = 1e-9
 # Step factor for central finite differences on tabulated/derived gauges.
 FD_STEP = 1e-6
 
+# Largest number of boundary simplices of K (McMullen's upper bound, from
+# its vertex count) for which a polytope gauge triangulates K to draw from
+# it; above it the polytope keeps rejection.  The benchmark's p = 6
+# hexacube (151 vertices) has a bound of 5.4e5 and 6,254 simplices; Qhull
+# took 4.1 s and 194 MB for 2.1e5 simplices at p = 7, and over a minute
+# for a random 30-facet polytope at p = 8.
+MAX_BODY_SIMPLICES = 10**7
+
+# Row blocks of the polytope score matrix and of the simplex gathers, so
+# that neither holds a (10^6, m) or (n, p, p) array at once.
+_VALUES_BLOCK = 1 << 16
+_SIMPLEX_BLOCK = 1 << 15
+
+# Tolerance of the check that a boundary simplex of K lies on a facet.
+_FACET_ATOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SphereBounds:
@@ -54,8 +74,8 @@ class SphereBounds:
 
     Exact up to rounding for every gauge but the direction-derived one,
     which gets numeric bounds, padded so that ``g_min`` errs low and
-    ``g_max`` high.  The direction sampler raises if a proposal falls below
-    ``g_min``, on which its exactness depends.
+    ``g_max`` high.  The direction sampler raises if a direction falls
+    below ``g_min``, on which the exactness of rejection depends.
     """
 
     g_min: float
@@ -127,6 +147,14 @@ class Gauge(ABC):
     @abstractmethod
     def values(self, X) -> np.ndarray:
         """Gauge values for a batch of points, shape (n, p) -> (n,)."""
+
+    def body_sample(self, gen: np.random.Generator, n: int) -> np.ndarray | None:
+        """n uniform points of the star body K = {g <= 1}, shape (n, p).
+
+        Returns None for gauges without a direct draw; their directions
+        come from rejection.
+        """
+        return None
 
     def value(self, x) -> float:
         """Gauge value at a single point."""
@@ -217,6 +245,11 @@ class EllipticalGauge(Gauge):
     def _gradients(self, X, strict):
         return (X @ self.sigma_inv.T) / self.values(X)[:, None]
 
+    def body_sample(self, gen, n):
+        # A uniform ball point times the Cholesky factor L: x' Sigma^-1 x = |y|^2.
+        Y = _rng.uniform_sphere(gen, n, self.dim) * gen.random((n, 1)) ** (1.0 / self.dim)
+        return Y @ np.linalg.cholesky(self.sigma).T
+
     def sphere_bounds(self) -> SphereBounds:
         return SphereBounds(
             float(self._eigvals[-1] ** -0.5), float(self._eigvals[0] ** -0.5)
@@ -241,6 +274,9 @@ class SupNormGauge(Gauge):
         grad = np.zeros_like(X)
         grad[rows, j] = np.where(X[rows, j] >= 0, 1.0, -1.0)
         return grad
+
+    def body_sample(self, gen, n):
+        return gen.uniform(-1.0, 1.0, (n, self.dim))
 
     def sphere_bounds(self) -> SphereBounds:
         return SphereBounds(self.dim ** -0.5, 1.0)
@@ -270,6 +306,12 @@ class L1NormGauge(Gauge):
                 raise NonSmoothPointError("point lies on a crosspolytope ridge")
         return np.where(X >= 0, 1.0, -1.0)
 
+    def body_sample(self, gen, n):
+        # Random signs on Dirichlet(1, ..., 1) weights (Devroye 1986).
+        E = gen.standard_exponential((n, self.dim + 1))
+        W = E[:, 1:] / E.sum(axis=1, keepdims=True)
+        return np.where(gen.integers(0, 2, (n, self.dim), dtype=bool), -W, W)
+
     def sphere_bounds(self) -> SphereBounds:
         return SphereBounds(1.0, self.dim ** 0.5)
 
@@ -290,6 +332,8 @@ class PolytopeGauge(Gauge):
     bounds are exact at every p: g_max = max_j |a_j| and g_min is the
     distance from the origin to the nearest facet of conv{a_j}, from the
     monotone chain at p = 2 (:func:`_hull_geometry`), from Qhull above.
+    At p >= 3 the facets of that polar hull give the vertices of K, whose
+    triangulated boundary ``body_sample`` draws from.
     """
 
     variant = "polytope"
@@ -301,6 +345,7 @@ class PolytopeGauge(Gauge):
         super().__init__(A.shape[1])
         self.facets = A
         self._kinks = np.empty(0)
+        self._polar = None
         if self.dim == 1:
             g_min = float(min(A.max(), -A.min()))
         elif self.dim == 2:
@@ -310,7 +355,8 @@ class PolytopeGauge(Gauge):
             from scipy.spatial import ConvexHull, QhullError
 
             try:
-                g_min = float(np.min(-ConvexHull(A).equations[:, -1]))
+                self._polar = ConvexHull(A).equations
+                g_min = float(np.min(-self._polar[:, -1]))
             except QhullError:  # the facet points lie in a hyperplane
                 g_min = 0.0
         if g_min <= 0.0:
@@ -319,10 +365,62 @@ class PolytopeGauge(Gauge):
 
     def values(self, X) -> np.ndarray:
         X = _as_batch(X, self.dim)
-        return np.max(X @ self.facets.T, axis=1)
+        out = np.empty(len(X))
+        for i in range(0, len(X), _VALUES_BLOCK):
+            out[i : i + _VALUES_BLOCK] = np.max(X[i : i + _VALUES_BLOCK] @ self.facets.T, axis=1)
+        return out
 
     def _gradients(self, X, strict):
         return self.facets[_active_facets(X @ self.facets.T, strict, 1.0, "polytope")]
+
+    def body_sample(self, gen, n):
+        # K is the union of the cones conv{0, S} over its boundary simplices
+        # S: pick one with probability proportional to its volume |det S|,
+        # then a uniform point sum_i E_i v_i / sum_0..p E_j (Devroye 1986).
+        if self._cones is None:
+            return None
+        V, simplices, cum = self._cones
+        pick = np.searchsorted(cum, gen.random(n) * cum[-1], side="right")
+        pick = np.minimum(pick, len(cum) - 1)  # u * cum[-1] may round up to cum[-1]
+        E = gen.standard_exponential((n, self.dim + 1))
+        X = np.empty((n, self.dim))
+        for i in range(0, n, _SIMPLEX_BLOCK):
+            b = slice(i, i + _SIMPLEX_BLOCK)
+            X[b] = np.einsum("ni,nij->nj", E[b, 1:], V[simplices[pick[b]]])
+        X /= E.sum(axis=1, keepdims=True)
+        return X
+
+    @cached_property
+    def _cones(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """(V, simplices, cumulative |det|) of K's triangulated boundary.
+
+        Built by Qhull on the first draw, None at p <= 2, above
+        MAX_BODY_SIMPLICES, or when the triangulation fails its checks.
+        """
+        if self._polar is None:
+            return None
+        # Each facet n.y = -b of conv{a_j} is the vertex n/b of K.
+        V = np.unique(self._polar[:, :-1] / -self._polar[:, -1:], axis=0)
+        if _max_boundary_simplices(len(V), self.dim) > MAX_BODY_SIMPLICES:
+            return None
+        from scipy.spatial import ConvexHull, QhullError
+
+        try:
+            simplices = ConvexHull(V).simplices
+        except QhullError:
+            return None
+        # Each simplex must lie on one facet of K: all its vertices at
+        # <a_j, v> >= 1 - 1e-9 for one j.
+        scores = V @ self.facets.T
+        dets = []
+        for i in range(0, len(simplices), _SIMPLEX_BLOCK):
+            block = simplices[i : i + _SIMPLEX_BLOCK]
+            if np.any(scores[block].min(axis=1).max(axis=1) < 1.0 - _FACET_ATOL):
+                return None
+            dets.append(np.abs(np.linalg.det(V[block])))
+        if not _ridges_pair_up(simplices):
+            return None
+        return V, simplices, np.cumsum(np.concatenate(dets))
 
     def sphere_bounds(self) -> SphereBounds:
         return self._bounds
@@ -332,6 +430,24 @@ class PolytopeGauge(Gauge):
 
     def _params(self):
         return {"facets": self.facets.tolist()}
+
+
+def _max_boundary_simplices(v: int, p: int) -> int:
+    """McMullen's bound on the facets of a simplicial p-polytope with v
+    vertices (Mathematika 1970), met by the cyclic polytope."""
+    k = p // 2
+    if p % 2:
+        return 2 * comb(v - k - 1, k)
+    return comb(v - k, k) + comb(v - k - 1, k - 1)
+
+
+def _ridges_pair_up(simplices: np.ndarray) -> bool:
+    """Whether every ridge of the (k, p) simplices is shared by exactly two,
+    as in a triangulated closed surface."""
+    s = np.sort(simplices, axis=1)
+    ridges = np.concatenate([np.delete(s, i, axis=1) for i in range(s.shape[1])])
+    _, counts = np.unique(ridges, axis=0, return_counts=True)
+    return bool(np.all(counts == 2))
 
 
 def _hull_geometry(A: np.ndarray) -> tuple[np.ndarray, float]:

@@ -19,6 +19,11 @@ def stream(seed, sid=0):
     return srng.stream(seed, sid)
 
 
+def sign_vectors(p):
+    """The 2^p vectors of +-1 entries, rows of shape (p,)."""
+    return 1.0 - 2.0 * ((np.arange(2**p)[:, None] >> np.arange(p)) & 1)
+
+
 def random_unit(gen, n, p):
     U = gen.normal(size=(n, p))
     return U / np.linalg.norm(U, axis=1, keepdims=True)

@@ -324,5 +324,6 @@ def test_planar_polytope_distribution_does_not_load_qhull():
     code = (
         "import starshape; starshape.StarDistribution(starshape.PolytopeGauge("
         "[[1.0, 0.2], [-0.8, 0.6], [0.1, -1.1], [0.9, 0.9]]), starshape.GaussianProfile(1.0))"
+        ".sample(starshape.rng.stream(0), 1000)"
     )
     assert _loaded_modules(code, ("scipy.spatial",)) == [False]

@@ -4,8 +4,10 @@ from scipy import integrate
 
 from starshape import (
     EllipticalGauge,
+    ExponentialProfile,
     GaussianProfile,
     L1NormGauge,
+    PolytopeGauge,
     SphereBounds,
     StarDistribution,
     SupNormGauge,
@@ -18,16 +20,20 @@ from starshape import (
     direction_density,
     direction_sample,
     planar_angles,
+    ks_test,
+    rejection_sample,
     sphere_surface,
+    two_sample_ks,
     unit_angles,
 )
+from starshape import gauge as gauge_module
 from starshape.errors import (
     BoundsUnavailableError,
     DimensionMismatchError,
     NotOnCrossSectionError,
     NotUnitVectorError,
 )
-from conftest import stream
+from conftest import sign_vectors, stream
 
 
 def quad_circle_oracle(gauge, power):
@@ -113,20 +119,27 @@ def test_direction_density_requires_unit_vector():
 
 
 def test_rejection_acceptance_rate_spherical_target():
-    draws = direction_sample(EllipticalGauge(np.eye(2)), stream(201), 20_000)
+    draws = rejection_sample(EllipticalGauge(np.eye(2)), stream(201), 20_000)
     assert draws.acceptance_rate == 1.0
 
 
 def test_rejection_acceptance_rate_hypercube():
     # Mean of (g_min/g)^2 over the circle: g_min^2 / (c0 omega_2) = 2/pi.
-    draws = direction_sample(SupNormGauge(2), stream(202), 100_000)
+    draws = rejection_sample(SupNormGauge(2), stream(202), 100_000)
     assert draws.acceptance_rate == pytest.approx(2.0 / np.pi, abs=0.005)
 
 
-@pytest.mark.parametrize("label", ["ell-i2", "ell-14", "sup", "l1", "poly"])
-def test_draws_carry_the_gauge_values_of_their_points(analytic_gauges, label):
+@pytest.mark.parametrize(
+    "label, sampler",
+    [
+        pytest.param(label, sampler, id=label + suffix)
+        for suffix, sampler in (("", direction_sample), ("-rejection", rejection_sample))
+        for label in ["ell-i2", "ell-14", "sup", "l1", "poly"]
+    ],
+)
+def test_draws_carry_the_gauge_values_of_their_points(analytic_gauges, label, sampler):
     g = analytic_gauges[label]
-    draws = direction_sample(g, stream(203), 50_000)
+    draws = sampler(g, stream(203), 50_000)
     assert draws.g.shape == (50_000,)
     np.testing.assert_array_equal(draws.g, g.values(draws.points))
 
@@ -246,3 +259,104 @@ def test_sampler_rejects_a_false_lower_bound(route):
             dist = StarDistribution(gauge, GaussianProfile(1.0), n_mc=20_000)
             dist.bounds = false_bounds
             dist.sample(stream(420), 1000)
+
+
+# -- cone draws: directions of uniform points of K = {g <= 1} ----------------
+
+
+def _twin_gauge(kind, p):
+    if kind == "sup":
+        return SupNormGauge(p)
+    if kind == "l1":
+        return L1NormGauge(p)
+    if kind == "elliptical":
+        q, _ = np.linalg.qr(np.eye(p) + 0.3 * np.random.default_rng(p).standard_normal((p, p)))
+        return EllipticalGauge(q @ np.diag(np.linspace(1.0, 4.0, p)) @ q.T)
+    box = np.vstack([np.eye(p), -np.eye(p)])
+    if kind == "cube":
+        return PolytopeGauge(box)
+    if kind == "cross":
+        return PolytopeGauge(sign_vectors(p))
+    # A cube with corner cuts, as the benchmark's hexacube at p = 6.
+    corners = {3: [0, 3, 5], 6: [0, 9, 22, 37, 50, 63]}[p]
+    return PolytopeGauge(np.vstack([box, 1.8 / p * sign_vectors(p)[corners]]))
+
+
+_TWIN_CASES = [
+    (kind, p) for kind in ("sup", "l1", "elliptical") for p in (2, 3, 6)
+] + [(kind, p) for kind in ("cube", "cross", "cut-cube") for p in (3, 6)]
+
+
+@pytest.mark.parametrize("kind, p", _TWIN_CASES, ids=[f"{k}-{p}" for k, p in _TWIN_CASES])
+def test_cone_draws_match_rejection_draws(kind, p):
+    gauge = _twin_gauge(kind, p)
+    n = 20_000
+    cone = direction_sample(gauge, stream(430, p), n)
+    assert cone.acceptance_rate == 1.0 and cone.n_proposed == n
+    ref = rejection_sample(gauge, stream(431, p), n)
+    for a, b in ((cone.g, ref.g), (cone.points[:, 0], ref.points[:, 0])):
+        report = two_sample_ks(a, b, alpha=0.01)
+        assert report.passed, report
+
+
+@pytest.mark.parametrize("kind, p", _TWIN_CASES, ids=[f"{k}-{p}" for k, p in _TWIN_CASES])
+def test_body_points_have_uniform_lengths(kind, p):
+    # For x uniform in K, P(g(x) <= t) = Vol(t K) / Vol(K) = t^p.
+    gauge = _twin_gauge(kind, p)
+    g = gauge.values(gauge.body_sample(stream(435, p), 20_000))
+    report = ks_test(g, lambda t: t**p, alpha=0.01)
+    assert report.passed, report
+
+
+def _broken_hull(hull_class, breaks):
+    """scipy's ConvexHull with its simplices passed through ``breaks``."""
+
+    def hull(points):
+        h = hull_class(points)
+        h.simplices = breaks(h.simplices, len(points))
+        return h
+
+    return hull
+
+
+_BREAKS = {
+    # one simplex missing: its ridges are each shared by one simplex only
+    "dropped-simplex": lambda s, v: s[1:],
+    # vertices relabelled: still a closed surface, but off the facets of K
+    "relabelled-vertices": lambda s, v: np.roll(np.arange(v), 1)[s],
+}
+
+
+@pytest.mark.parametrize("breakage", sorted(_BREAKS))
+def test_a_broken_triangulation_falls_back_to_rejection(monkeypatch, breakage):
+    import scipy.spatial
+
+    gauge = _twin_gauge("cut-cube", 3)
+    broken = _broken_hull(scipy.spatial.ConvexHull, _BREAKS[breakage])
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", broken)
+    draws = direction_sample(gauge, stream(432), 5_000)
+    assert gauge._cones is None
+    assert draws.acceptance_rate < 1.0
+
+
+def test_above_the_simplex_cap_qhull_is_not_run_on_k(monkeypatch):
+    import scipy.spatial
+
+    gauge = _twin_gauge("cut-cube", 3)
+
+    def no_qhull(points):
+        raise AssertionError("K was triangulated above the cap")
+
+    monkeypatch.setattr(gauge_module, "MAX_BODY_SIMPLICES", 10)
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", no_qhull)
+    draws = direction_sample(gauge, stream(433), 5_000)
+    assert draws.acceptance_rate < 1.0
+
+
+def test_building_and_cross_checking_do_not_triangulate_k():
+    gauge = _twin_gauge("cut-cube", 6)
+    dist = StarDistribution(gauge, ExponentialProfile(1.0), n_mc=20_000)
+    dist.c0_cross_check(n_mc=20_000)
+    assert "_cones" not in vars(gauge)
+    dist.sample(stream(434), 10)
+    assert "_cones" in vars(gauge)

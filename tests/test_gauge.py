@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from starshape import (
     EllipticalGauge,
@@ -22,7 +24,8 @@ from starshape.errors import (
     NotADensityError,
     ZeroVectorError,
 )
-from conftest import random_unit, stream
+from starshape.gauge import _max_boundary_simplices
+from conftest import random_unit, sign_vectors, stream
 
 
 def test_elliptical_euclidean_case():
@@ -153,24 +156,33 @@ def test_sphere_bounds_sandwich_p3():
     assert vals.max() <= bounds.g_max
 
 
-def _sign_vectors(p):
-    return 1.0 - 2.0 * ((np.arange(2**p)[:, None] >> np.arange(p)) & 1)
-
-
 @pytest.mark.parametrize("p", [3, 6])
 def test_polytope_sphere_bounds_are_exact_above_the_plane(p):
     # The cube {|x_i| <= 1} and the cross-polytope {sum |x_i| <= 1}.
     cube = PolytopeGauge(np.vstack([np.eye(p), -np.eye(p)])).sphere_bounds()
     assert cube.g_min == pytest.approx(p**-0.5, rel=1e-12, abs=0.0)
     assert cube.g_max == pytest.approx(1.0, rel=1e-12, abs=0.0)
-    cross = PolytopeGauge(_sign_vectors(p)).sphere_bounds()
+    cross = PolytopeGauge(sign_vectors(p)).sphere_bounds()
     assert cross.g_min == pytest.approx(1.0, rel=1e-12, abs=0.0)
     assert cross.g_max == pytest.approx(p**0.5, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("p", [3, 6])
+def test_boundary_simplices_fill_the_cube_and_the_cross_polytope(p):
+    # Sum |det| / p! over the cones of K is Vol K: 2^p and 2^p / p!.
+    fact = math.factorial(p)
+    for facets, volume in ((np.vstack([np.eye(p), -np.eye(p)]), 2.0**p),
+                           (sign_vectors(p), 2.0**p / fact)):
+        V, simplices, cum = PolytopeGauge(facets)._cones
+        assert cum[-1] / fact == pytest.approx(volume, rel=1e-12, abs=0.0)
+        assert len(simplices) <= _max_boundary_simplices(len(V), p)
+    # The triangulated 3-cube has 12 triangles, McMullen's bound for 8 vertices.
+    assert _max_boundary_simplices(8, 3) == 12
+
+
 def test_hexacube_lower_bound_is_an_uncut_corner():
     # +-e_i of R^6 plus six corner cuts 0.3 s; the other corners keep 1/sqrt(6).
-    facets = np.vstack([np.eye(6), -np.eye(6), 0.3 * _sign_vectors(6)[[0, 9, 22, 37, 50, 63]]])
+    facets = np.vstack([np.eye(6), -np.eye(6), 0.3 * sign_vectors(6)[[0, 9, 22, 37, 50, 63]]])
     b = PolytopeGauge(facets).sphere_bounds()
     assert b.g_min == pytest.approx(6**-0.5, rel=1e-12, abs=0.0)
     assert b.g_max == pytest.approx(1.0, rel=1e-12, abs=0.0)
@@ -416,3 +428,55 @@ def test_polytope_on_a_thin_arc_raises():
     for A in (pair, np.vstack([pair, [0.0, 1.0]])):
         with pytest.raises(NonPositiveError):
             PolytopeGauge(A)
+
+
+# -- uniform points of the star body K = {g <= 1} ------------------------------
+
+
+def _box_and_cuts(p, rows):
+    # +-0.3 e_i keep K inside the box |x_i| <= 10/3, so the origin is inside.
+    cuts = np.array(rows, dtype=float).reshape(-1, p)
+    return PolytopeGauge(np.vstack([0.3 * np.eye(p), -0.3 * np.eye(p), cuts]))
+
+
+_random_polytopes = st.integers(3, 5).flatmap(
+    lambda p: st.builds(
+        _box_and_cuts,
+        st.just(p),
+        st.lists(st.lists(st.floats(-1.0, 1.0), min_size=p, max_size=p), min_size=1, max_size=12),
+    )
+)
+
+
+@_PROPERTY
+@given(_random_polytopes, st.integers(0, 2**32 - 1))
+def test_polytope_body_points_lie_in_k(gauge, seed):
+    X = gauge.body_sample(stream(seed), 2_000)
+    # Degenerate facet sets can fail the triangulation checks; such a
+    # polytope draws its directions by rejection instead.
+    assume(X is not None)
+    assert gauge.values(X).max() <= 1.0 + 1e-12
+
+
+def _spd(p, entries):
+    B = np.array(entries).reshape(p, p)
+    return B @ B.T + 0.1 * np.eye(p)
+
+
+_structured_gauges = st.integers(2, 6).flatmap(
+    lambda p: st.one_of(
+        st.just(SupNormGauge(p)),
+        st.just(L1NormGauge(p)),
+        st.builds(
+            lambda e: EllipticalGauge(_spd(p, e)),
+            st.lists(st.floats(-2.0, 2.0), min_size=p * p, max_size=p * p),
+        ),
+    )
+)
+
+
+@_PROPERTY
+@given(_structured_gauges, st.integers(0, 2**32 - 1))
+def test_structured_body_points_lie_in_k(gauge, seed):
+    X = gauge.body_sample(stream(seed), 2_000)
+    assert gauge.values(X).max() <= 1.0 + 1e-12
