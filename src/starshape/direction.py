@@ -194,7 +194,7 @@ def rejection_sample(
         raise BoundsUnavailableError(
             f"acceptance rate too low: {got}/{n} after {proposed} proposals"
         )
-    return DirectionDraws(out, accepted / proposed, proposed, g_out)
+    return DirectionDraws(out, accepted / proposed if proposed else 1.0, proposed, g_out)
 
 
 def _check_lower_bound(g_dir: np.ndarray, bounds: SphereBounds) -> None:

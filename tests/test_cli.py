@@ -11,6 +11,7 @@ from scipy import stats as sstats
 
 import starshape
 from starshape import direction_integral, ks_test, SupNormGauge
+from starshape import cli
 from starshape.cli import _table_chunks, main
 from starshape.io import load_schema
 
@@ -100,6 +101,71 @@ def test_json_table_chunks_join_to_one_dump(n_rows):
     rows = np.random.default_rng(1).normal(size=(n_rows, 3))
     expected = json.dumps({"columns": ["a", "b", "c"], "rows": rows.tolist()}) + "\n"
     assert "".join(_table_chunks("json", ["a", "b", "c"], rows)) == expected
+
+
+def _cpus(monkeypatch, cpus):
+    """Make ``cpus`` the available CPUs; return the list the workers' pids go to."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    pids, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n_rows", [0, 1, 2**16, 2**16 + 1, 3 * 2**16 + 5])
+def test_table_text_does_not_depend_on_the_cpu_count(monkeypatch, fmt, n_rows):
+    rows = np.random.default_rng(2).normal(size=(n_rows, 3))
+    texts, forks = [], []
+    for cpus in ({0}, {0, 1}):
+        with monkeypatch.context() as patch:
+            workers = _cpus(patch, cpus)
+            texts.append("".join(_table_chunks(fmt, ["a", "b", "c"], rows)))
+        forks.append(len(workers))
+    assert texts[0] == texts[1]
+    assert forks == [0, int(n_rows > 2**16)]
+
+
+def test_sample_writes_the_same_bytes_to_stdout_and_to_a_file(monkeypatch, runner, cube_path, tmp_path):
+    workers = _cpus(monkeypatch, {0, 1})
+    args = ["sample", "--dist", cube_path, "--n", str(2**16 + 1), "--seed", "4"]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0
+    out = tmp_path / "draws.csv"
+    assert runner.invoke(main, args + ["--out", str(out)]).exit_code == 0
+    assert out.read_bytes() == res.stdout_bytes
+    assert len(workers) == 2
+
+
+def test_a_failed_worker_fails_the_command_with_one_line(monkeypatch, runner, cube_path):
+    parent, block_text = os.getpid(), cli._block_text
+
+    def fails_in_a_worker(fmt, block):
+        if os.getpid() != parent:
+            raise MemoryError("no room for the text")
+        return block_text(fmt, block)
+
+    monkeypatch.setattr(cli, "_block_text", fails_in_a_worker)
+    _cpus(monkeypatch, {0, 1})
+    res = runner.invoke(main, ["sample", "--dist", cube_path, "--n", str(2**16 + 1)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert res.stderr == "error: a table-formatting worker failed: MemoryError: no room for the text\n"
+
+
+def test_closing_the_table_early_leaves_no_worker(monkeypatch):
+    workers = _cpus(monkeypatch, {0, 1})
+    chunks = _table_chunks("csv", ["a", "b", "c"], np.zeros((3 * 2**16 + 5, 3)))
+    assert next(chunks) == "a,b,c\n"
+    assert len(workers) == 1
+    chunks.close()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_sample_decompose_columns(runner, cube_path):

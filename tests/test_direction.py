@@ -11,6 +11,7 @@ from starshape import (
     SphereBounds,
     StarDistribution,
     SupNormGauge,
+    TabulatedRadialGauge,
     angle_bin_probs,
     chisq_gof,
     cross_section_mass,
@@ -19,6 +20,7 @@ from starshape import (
     direction_densities,
     direction_density,
     direction_sample,
+    gauge_from_direction_density,
     planar_angles,
     ks_test,
     rejection_sample,
@@ -142,6 +144,22 @@ def test_draws_carry_the_gauge_values_of_their_points(analytic_gauges, label, sa
     draws = sampler(g, stream(203), 50_000)
     assert draws.g.shape == (50_000,)
     np.testing.assert_array_equal(draws.g, g.values(draws.points))
+
+
+def test_zero_draws_are_an_empty_draw_on_both_samplers(analytic_gauges):
+    # The cone path (sup) and rejection (the rest) report the same empty draw.
+    nodes = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    gauges = {
+        "sup": analytic_gauges["sup"],
+        "poly": analytic_gauges["poly"],
+        "tabulated": TabulatedRadialGauge(nodes, 1.0 + 0.3 * np.cos(2 * nodes)),
+        "derived": gauge_from_direction_density(lambda U: (2.0 + U[:, 0]) / (4.0 * np.pi), 2),
+    }
+    for label, g in gauges.items():
+        draws = direction_sample(g, stream(204), 0)
+        assert draws.points.shape == (0, 2), label
+        assert draws.g.shape == (0,), label
+        assert (draws.acceptance_rate, draws.n_proposed) == (1.0, 0), label
 
 
 @pytest.mark.parametrize("label", ["ell-14", "sup", "poly"])
