@@ -14,6 +14,7 @@ import functools
 import json
 import os
 import signal
+import stat
 import sys
 import tempfile
 from typing import IO, Iterable, Iterator
@@ -60,13 +61,38 @@ def _parse_point(raw: str, dim: int) -> np.ndarray:
 
 
 def _write_text(out: str, chunks: Iterable[str]) -> None:
-    """Write the text chunks to ``out`` (- for stdout) one at a time."""
+    """Write the text chunks to ``out`` (- for stdout) one at a time.
+
+    A regular file is written under a temporary name beside it, with the
+    mode ``open(out, "w")`` would leave it, and renamed over it only once
+    every chunk is in, so a failed command leaves ``out`` as it was.
+    Other targets (/dev/null, a FIFO) are written in place.
+    """
     if out == "-":
         for chunk in chunks:
             click.echo(chunk, nl=False)
-    else:
+        return
+    target = os.path.realpath(out)
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        umask = os.umask(0o22)
+        os.umask(umask)
+        mode = stat.S_IFREG | (0o666 & ~umask)
+    if not stat.S_ISREG(mode):
         with open(out, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
+        return
+    head, tail = os.path.split(target)
+    fd, tmp = tempfile.mkstemp(prefix=f".{tail}.", suffix=".part", dir=head)
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fd, stat.S_IMODE(mode))
+            fh.writelines(chunks)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _table_chunks(fmt: str, columns: list[str], rows: np.ndarray) -> Iterator[str]:
@@ -134,9 +160,11 @@ def _fork_part(fmt: str, sep: str, rows: np.ndarray) -> tuple[int, IO[str]]:
 
     The worker leaves by ``os._exit``, so it never flushes this process's
     buffers or runs its exit hooks: 0 on success, 1 after writing the error
-    in place of the text, 2 otherwise.  It only slices and formats rows, so
-    no lock held by another thread of this process can block it.
+    in place of the text, 2 otherwise, also when it finds before a block
+    that this process is gone.  It only slices and formats rows, so no
+    lock held by another thread of this process can block it.
     """
+    parent = os.getpid()
     fh = tempfile.TemporaryFile("w+", encoding="utf-8")
     try:
         pid = os.fork()
@@ -148,6 +176,8 @@ def _fork_part(fmt: str, sep: str, rows: np.ndarray) -> tuple[int, IO[str]]:
     code = 2
     try:
         for i in range(0, len(rows), _BLOCK):
+            if os.getppid() != parent:
+                os._exit(2)
             fh.write(sep + _block_text(fmt, rows[i : i + _BLOCK]))
         fh.flush()
         code = 0

@@ -34,6 +34,7 @@ from .errors import (
     NotOnCrossSectionError,
     NotUnitVectorError,
     QuadratureFailureError,
+    StarshapeError,
 )
 from .gauge import DirectionDerivedGauge, Gauge, SphereBounds, sphere_surface, unit_angles
 from .quadrature import arcs, mean_stderr, panels, simpson
@@ -98,6 +99,24 @@ def direction_integral(gauge: Gauge, n_mc: int = 1_000_000, seed: int = 0) -> Sp
     mean, stderr = mean_stderr(gauge.values(U) ** (-float(p)))
     omega = sphere_surface(p)
     return SphereIntegral(omega * mean, omega * stderr, "monte-carlo", n_mc)
+
+
+def _planar_integral_is_finite(gauge: Gauge) -> bool:
+    """True when the sphere bounds show that :func:`direction_integral` at
+    p = 2 is finite and positive; False when they cannot tell.
+
+    The Simpson sum of g^(-2) lies between 2 pi g_max^(-2) and
+    2 pi g_min^(-2), and none of its partial sums exceeds 2^18 times the
+    largest value, so neither end can leave the normal double range.
+    Bounds that fail or warn here are left for the caller to meet again.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            bounds = gauge.sphere_bounds()
+    except StarshapeError:
+        return False
+    g_min, g_max = float(bounds.g_min), float(bounds.g_max)
+    return 2.0 * np.pi / g_min / g_min < 1e300 and 2.0 * np.pi / g_max / g_max > 1e-300
 
 
 def direction_constant(gauge: Gauge, n_mc: int = 1_000_000, seed: int = 0) -> C0Estimate:

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (
     BadDegreesOfFreedomError,
@@ -182,6 +181,8 @@ def _check_lower_triangular(G: np.ndarray) -> np.ndarray:
 
 def _log_gamma_p(p: int, x: float) -> float:
     """log Gamma_p(x) = p(p-1)/4 log(pi) + sum_{i<p} log Gamma(x - i/2)."""
+    from scipy.special import gammaln
+
     return p * (p - 1) / 4.0 * np.log(np.pi) + sum(gammaln(x - 0.5 * i) for i in range(p))
 
 

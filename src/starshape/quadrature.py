@@ -12,7 +12,6 @@ Callers choose their own nodes and pass the samples in.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 
 def arcs(kinks) -> list[tuple[float, float]]:
@@ -69,6 +68,8 @@ def gauss(order: int, lo, hi, alpha: float = 0.0, beta: float = 0.0):
     Welsch 1969); alpha = beta = 0 gives Gauss-Legendre.  ``lo`` and ``hi``
     broadcast against each other and the node axis is appended last.
     """
+    from scipy.special import roots_jacobi
+
     t, w = roots_jacobi(order, alpha, beta)
     lo = np.asarray(lo, dtype=float)[..., None]
     half = 0.5 * (np.asarray(hi, dtype=float)[..., None] - lo)

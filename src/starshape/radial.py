@@ -12,17 +12,11 @@ are drawn as exact transforms of Gamma variates, with no table in between.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.special import (
-    beta,
-    betainc,
-    betaincinv,
-    gammainc,
-    gammainccinv,
-    gammaln,
-)
 
 from .errors import ConfigError, DivergentError, NonPositiveError
 
@@ -56,6 +50,8 @@ class RadialProfile:
 
     def _mass(self, p: int) -> float:
         """Integral of f(g) g^(p-1): Gamma(k) / (t r^k), k = (p + s)/t."""
+        from scipy.special import gammaln
+
         s, r, t = self._kotz_form()
         k = (p + s) / t
         with np.errstate(over="ignore"):  # inf is rejected by radial_constant
@@ -68,6 +64,8 @@ class RadialProfile:
         P(k, x) is its leading series term x^k / Gamma(k + 1) to double
         precision, and that is taken in logs.
         """
+        from scipy.special import gammainc, gammaln
+
         s, r, t = self._kotz_form()
         k = (p + s) / t
         log_x = np.minimum(np.log(r) + t * np.log(g), _LOG_TINY)
@@ -76,9 +74,39 @@ class RadialProfile:
 
     def _tail_quantile(self, p: int, tail: float) -> float:
         """The length with upper-tail mass ``tail``."""
+        from scipy.special import gammainccinv
+
         s, r, t = self._kotz_form()
         k = (p + s) / t
         return float((gammainccinv(k, tail) / r) ** (1.0 / t))
+
+    def _law_is_finite(self, p: int) -> bool:
+        """True when ``math`` alone shows that :func:`radial_constant` and
+        the 1e-10 tail length are finite (the constant positive); False
+        when it cannot tell.
+
+        The constant is exp(gammaln(k) - k log r) / t, finite and normal
+        while both exponents stay within 700.  The Chernoff bound puts the
+        Gamma(k) 1e-10 upper quantile below 2k + 100 for every k, so the
+        tail length is at most exp(log((2k + 100)/r) / t).  Terms below
+        2^40 keep the few-ulp gap between ``math.lgamma`` and scipy's
+        ``gammaln`` far inside the margin.
+        """
+        s, r, t = self._kotz_form()
+        k = (p + s) / t
+        try:
+            k_log_r = k * math.log(r)
+            log_mass = math.lgamma(k) - k_log_r
+            log_tail = math.log((2.0 * k + 100.0) / r) / t
+        except (OverflowError, ValueError):
+            return False
+        return (
+            p >= 1
+            and abs(k_log_r) < 2.0**40
+            and abs(log_mass) < 700.0
+            and abs(log_mass - math.log(t)) < 700.0
+            and log_tail < 700.0
+        )
 
     def _draw(self, gen: np.random.Generator, n: int, p: int) -> np.ndarray:
         """n lengths g = (X/r)^(1/t) U^(1/(p + s)), X ~ Gamma(k + 1) drawn
@@ -161,11 +189,15 @@ class HeavyTailProfile(RadialProfile):
         return {"nu": self.nu}
 
     def _mass(self, p: int) -> float:
+        from scipy.special import beta
+
         return float(0.5 * beta(p / 2.0, self.nu / 2.0))
 
     def _cdf(self, g: np.ndarray, p: int) -> np.ndarray:
         # Past g = 1 take the upper tail from 1 - x = 1/(1 + g^2), which
         # stays exact where x itself rounds to 1.
+        from scipy.special import betainc
+
         a, b = p / 2.0, self.nu / 2.0
         x = g**2 / (1.0 + g**2)
         return np.where(x < 0.5, betainc(a, b, x), 1.0 - betainc(b, a, 1.0 / (1.0 + g**2)))
@@ -174,8 +206,14 @@ class HeavyTailProfile(RadialProfile):
         # 1 - g^2/(1 + g^2) is Beta(nu/2, p/2); inverting it on its own small
         # side keeps the tail accurate.  A subnormal quantile (nu near 0) is
         # not accurate: report none.
+        from scipy.special import betaincinv
+
         y = betaincinv(self.nu / 2.0, p / 2.0, tail)
         return float(np.sqrt((1.0 - y) / y)) if y >= np.finfo(float).tiny else np.inf
+
+    def _law_is_finite(self, p: int) -> bool:
+        # Beta functions have no screen here: heavy tails are checked in full.
+        return False
 
     def _draw(self, gen: np.random.Generator, n: int, p: int) -> np.ndarray:
         """n lengths sqrt(X/Y), X ~ Gamma(p/2) drawn before Y ~ Gamma(nu/2)."""
@@ -251,22 +289,34 @@ class RadialTable:
     """The length law of ``profile`` in dimension ``p``, in closed form.
 
     ``constant`` is the radial integral c and ``g_hi`` the length with
-    upper-tail mass 1e-10, which sizes the plane rule's square.  Draws are
-    exact (see the profiles' ``_draw``) and :meth:`cdf_at` is the exact CDF.
+    upper-tail mass 1e-10, which sizes the plane rule's square; both are
+    computed on first use, and draws need neither.  Draws are exact (see
+    the profiles' ``_draw``) and :meth:`cdf_at` is the exact CDF.
     """
 
     profile: RadialProfile
     p: int
-    constant: float
-    g_hi: float
 
     @classmethod
     def build(cls, profile: RadialProfile, p: int) -> "RadialTable":
-        total = radial_constant(profile, p)
-        g_hi = profile._tail_quantile(p, 1e-10)
+        """The table; raises DivergentError if ``constant`` or ``g_hi`` is
+        not finite, computing them here only when the profile's ``math``
+        screen cannot vouch for them."""
+        table = cls(profile, p)
+        if not profile._law_is_finite(p):
+            table.constant, table.g_hi
+        return table
+
+    @cached_property
+    def constant(self) -> float:
+        return radial_constant(self.profile, self.p)
+
+    @cached_property
+    def g_hi(self) -> float:
+        g_hi = self.profile._tail_quantile(self.p, 1e-10)
         if not np.isfinite(g_hi):
             raise DivergentError("could not cover the radial tail")
-        return cls(profile, p, total, g_hi)
+        return g_hi
 
     def cdf_at(self, g) -> np.ndarray:
         """CDF of the length law at g > 0."""

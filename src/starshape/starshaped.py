@@ -4,8 +4,8 @@ The density is f_G(g(x)) with f_G the normalized profile; length g(x) and
 direction x/|x| are independent, the length has the radial marginal and the
 direction has density c0 g^(-p).  The sampler composes the two exact
 component samplers, so the factorization itself is load-bearing.  The
-normalizing constant is computed two ways — from the sphere (the build-time
-route) and from the radial integral divided by an independent
+normalizing constant is computed two ways — from the sphere (the spherical
+route, on first use) and from the radial integral divided by an independent
 full-dimension integral — and the two are compared, which turns the
 factorization into a numerical cross-check.
 """
@@ -13,13 +13,15 @@ factorization into a numerical cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from . import rng as _rng
 from .direction import (
     C0Estimate,
+    SphereIntegral,
+    _planar_integral_is_finite,
     direction_constant,
     direction_sample,
     sphere_surface,
@@ -54,9 +56,15 @@ class OrbitalRecord:
 class StarDistribution:
     """A star-shaped law built from a gauge and a radial profile.
 
-    Building computes the spherical normalizing constant, the closed-form
-    length law and the sphere bounds; afterwards the object is immutable
-    and safe to share across threads (samplers take an explicit generator).
+    Building computes only the sphere bounds, and checks that the sphere
+    integral and the length law are finite, in ``math`` where that can
+    decide; it rejects exactly the laws a full build would reject.  The
+    spherical constant ``c0`` (with ``c0_stderr`` and ``sphere_integral``,
+    from ``n_mc`` and ``seed``), the radial table's constant
+    ``radial_norm`` and the density ``scale`` are computed on first use,
+    so sampling never computes c0.  Two threads racing on a first use
+    compute the same deterministic value, so the object stays safe to
+    share across threads (samplers take an explicit generator).
 
     Parameters
     ----------
@@ -79,18 +87,42 @@ class StarDistribution:
         self.gauge = gauge
         self.profile = profile
         self.p = gauge.dim
-        est: C0Estimate = direction_constant(gauge, n_mc, seed)
-        self.c0 = est.c0
-        self.c0_stderr = est.stderr
+        self.n_mc = n_mc
+        self.seed = seed
         self.c0_provenance = "spherical-integral"
-        self.sphere_integral = est.integral
+        # A full build's checks, in its order, so that a law failing several
+        # reports the same one; math screens skip the work they vouch for.
+        if self.p == 2 and not _planar_integral_is_finite(gauge):
+            self._c0_estimate  # raises if the sphere integral is not finite
         self.table = RadialTable.build(profile, self.p)
-        self.radial_norm = self.table.constant
-        # density(x) = scale * profile(g(x)); scale folds the profile's
-        # missing constants so that the density integrates to 1.
-        self.scale = self.c0 / self.radial_norm
         self.bounds = gauge.sphere_bounds()
         self._c0_radial_cache: dict[tuple[int, int] | None, tuple[float, float]] = {}
+
+    @cached_property
+    def _c0_estimate(self) -> C0Estimate:
+        return direction_constant(self.gauge, self.n_mc, self.seed)
+
+    @cached_property
+    def c0(self) -> float:
+        return self._c0_estimate.c0
+
+    @cached_property
+    def c0_stderr(self) -> float:
+        return self._c0_estimate.stderr
+
+    @cached_property
+    def sphere_integral(self) -> SphereIntegral:
+        return self._c0_estimate.integral
+
+    @cached_property
+    def radial_norm(self) -> float:
+        return self.table.constant
+
+    @cached_property
+    def scale(self) -> float:
+        """density(x) = scale * profile(g(x)): the profile's missing
+        constants folded in so that the density integrates to 1."""
+        return self.c0 / self.radial_norm
 
     # -- densities ----------------------------------------------------------
 
@@ -281,6 +313,8 @@ def _plane_integral_mc(
     Heavy-tail/sub-exponential profiles are rejected with a ConfigError —
     the importance weights would have infinite variance.
     """
+    from scipy.special import gammaln, xlogy
+
     p = gauge.dim
     if isinstance(profile, ExponentialProfile):
         theta = 1.5 / (profile.rate * bounds.g_min)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import gammaincc, kolmogorov
 
 from .errors import DegenerateBinsError, TooFewSamplesError
 
@@ -38,6 +37,8 @@ class TestReport:
 
 def kolmogorov_sf(x: float) -> float:
     """Survival function of the Kolmogorov limit law, ``scipy.special.kolmogorov``."""
+    from scipy.special import kolmogorov
+
     return float(kolmogorov(x))
 
 
@@ -87,6 +88,8 @@ def _merge_thin_bins(counts: np.ndarray, expected: np.ndarray):
 
 def chi_square_sf(stat: float, dof: int) -> float:
     """Upper tail of chi-square via the regularized incomplete gamma."""
+    from scipy.special import gammaincc
+
     return float(gammaincc(dof / 2.0, stat / 2.0))
 
 

@@ -10,7 +10,6 @@ suite exercises the same claims at full scale.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import betainc, gammainc
 
 from . import rng as _rng
 from .direction import angle_bin_probs, cross_section_mass
@@ -110,6 +109,8 @@ def matrix_suite(
     alpha: float = 0.001,
 ) -> list[TestReport]:
     """Criteria for the Wishart-pair fixture under both group actions."""
+    from scipy.special import betainc, gammainc
+
     a, b = n1 / 2.0, n2 / 2.0
     gen = _rng.stream(seed, 20)
     W1 = wishart_sample(p, n1, gen, n)

@@ -1,7 +1,10 @@
 import json
 import os
+import signal
+import stat
 import subprocess
 import sys
+import time
 
 import jsonschema
 import numpy as np
@@ -11,7 +14,7 @@ from scipy import stats as sstats
 
 import starshape
 from starshape import direction_integral, ks_test, SupNormGauge
-from starshape import cli
+from starshape import cli, direction, starshaped
 from starshape.cli import _table_chunks, main
 from starshape.io import load_schema
 
@@ -92,15 +95,25 @@ def test_csv_rows_match_per_value_formatting():
     expected = "a,b,c\n" + "".join(
         ",".join(format(float(v), ".17g") for v in row) + "\n" for row in rows
     )
-    assert "".join(_table_chunks("csv", ["a", "b", "c"], rows)) == expected
+    _assert_same_text("".join(_table_chunks("csv", ["a", "b", "c"], rows)), expected)
     assert "".join(_table_chunks("csv", ["a", "b", "c"], rows[:0])) == "a,b,c\n"
+
+
+def _assert_same_text(text: str, expected: str) -> None:
+    """text == expected, reported as a length and the first differing
+    offset: a diff of two multi-megabyte strings takes pytest minutes."""
+    assert len(text) == len(expected)
+    if text != expected:
+        first = next(i for i, (a, b) in enumerate(zip(text, expected)) if a != b)
+        pytest.fail(f"texts differ from offset {first}: "
+                    f"{text[first : first + 80]!r} != {expected[first : first + 80]!r}")
 
 
 @pytest.mark.parametrize("n_rows", [0, 1, 2**16 + 1])
 def test_json_table_chunks_join_to_one_dump(n_rows):
     rows = np.random.default_rng(1).normal(size=(n_rows, 3))
     expected = json.dumps({"columns": ["a", "b", "c"], "rows": rows.tolist()}) + "\n"
-    assert "".join(_table_chunks("json", ["a", "b", "c"], rows)) == expected
+    _assert_same_text("".join(_table_chunks("json", ["a", "b", "c"], rows)), expected)
 
 
 def _cpus(monkeypatch, cpus):
@@ -128,7 +141,7 @@ def test_table_text_does_not_depend_on_the_cpu_count(monkeypatch, fmt, n_rows):
             workers = _cpus(patch, cpus)
             texts.append("".join(_table_chunks(fmt, ["a", "b", "c"], rows)))
         forks.append(len(workers))
-    assert texts[0] == texts[1]
+    _assert_same_text(texts[0], texts[1])
     assert forks == [0, int(n_rows > 2**16)]
 
 
@@ -166,6 +179,104 @@ def test_closing_the_table_early_leaves_no_worker(monkeypatch):
     chunks.close()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` runs; an exited process that nobody reaped does not."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+def test_a_worker_leaves_when_its_parent_is_killed():
+    # The parent streams the head of a table in 400 one-row blocks, reports
+    # its worker and sleeps; the worker's 200 blocks, at 0.1 s each, would
+    # keep it alive for another 20 s.
+    code = (
+        "import os, time, numpy as np\n"
+        "from starshape import cli\n"
+        "cli._BLOCK = 1\n"
+        "text = cli._block_text\n"
+        "cli._block_text = lambda fmt, block: time.sleep(0.1) or text(fmt, block)\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "fork, pids = os.fork, []\n"
+        "os.fork = lambda: pids.append(fork()) or pids[-1]\n"
+        "chunks = cli._table_chunks('csv', ['a'], np.zeros((400, 1)))\n"
+        "next(chunks)\n"
+        "print(*pids, flush=True)\n"
+        "time.sleep(60)\n"
+    )
+    parent = subprocess.Popen([sys.executable, "-c", code], env=_env(), stdout=subprocess.PIPE, text=True)
+    worker = None
+    try:
+        (worker,) = map(int, parent.stdout.readline().split())
+        parent.kill()
+        parent.wait(timeout=10)
+        deadline = time.monotonic() + 3.0
+        while _alive(worker) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _alive(worker)
+    finally:
+        parent.kill()
+        parent.wait(timeout=10)
+        parent.stdout.close()
+        if worker is not None and _alive(worker):
+            os.kill(worker, signal.SIGKILL)
+
+
+def test_a_failed_table_leaves_the_out_file_as_it_was(monkeypatch, runner, cube_path, tmp_path):
+    parent, block_text = os.getpid(), cli._block_text
+
+    def fails_in_a_worker(fmt, block):
+        if os.getpid() != parent:
+            raise MemoryError("no room for the text")
+        return block_text(fmt, block)
+
+    monkeypatch.setattr(cli, "_block_text", fails_in_a_worker)
+    _cpus(monkeypatch, {0, 1})
+    old = tmp_path / "old.csv"
+    old.write_text("earlier draws\n")
+    for out in (old, tmp_path / "new.csv"):
+        res = runner.invoke(main, ["sample", "--dist", cube_path, "--n", str(2**16 + 1),
+                                   "--out", str(out)])
+        assert res.exit_code == 1 and "worker failed" in res.stderr
+    assert sorted(os.listdir(tmp_path)) == ["cube.json", "old.csv"]
+    assert old.read_text() == "earlier draws\n"
+
+
+def test_out_files_get_the_mode_of_a_plain_open(runner, cube_path, tmp_path):
+    old = tmp_path / "old.csv"
+    old.write_text("")
+    old.chmod(0o604)
+    umask = os.umask(0o027)
+    try:
+        for name in ("old.csv", "new.csv"):
+            res = runner.invoke(main, ["sample", "--dist", cube_path, "--out", str(tmp_path / name)])
+            assert res.exit_code == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(old.stat().st_mode) == 0o604
+    assert stat.S_IMODE((tmp_path / "new.csv").stat().st_mode) == 0o640
+    assert sorted(os.listdir(tmp_path)) == ["cube.json", "new.csv", "old.csv"]
+
+
+def test_a_fifo_out_is_written_in_place(runner, cube_path, tmp_path):
+    fifo = tmp_path / "draws.fifo"
+    os.mkfifo(fifo)
+    reader = subprocess.Popen(["cat", str(fifo)], stdout=subprocess.PIPE)
+    try:
+        res = runner.invoke(main, ["sample", "--dist", cube_path, "--n", "5", "--out", str(fifo)])
+        text = reader.communicate(timeout=30)[0].decode()
+    finally:
+        reader.kill()
+        reader.wait()
+        reader.stdout.close()
+    assert res.exit_code == 0
+    assert text == runner.invoke(main, ["sample", "--dist", cube_path, "--n", "5"]).output
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
 
 
 def test_sample_decompose_columns(runner, cube_path):
@@ -370,20 +481,92 @@ def test_monte_carlo_depends_on_seed_only(monkeypatch):
     assert direction_integral(g, n_mc=40_000, seed=10) != a
 
 
+def _env() -> dict:
+    """The environment of a fresh interpreter that imports this starshape."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(starshape.__file__)))
+    return dict(os.environ, PYTHONPATH=src)
+
+
 def _loaded_modules(code: str, modules: tuple[str, ...]) -> list[bool]:
     """Run ``code`` in a fresh interpreter; report which ``modules`` it loaded."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(starshape.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
     code += f"; import json, sys; print(json.dumps([m in sys.modules for m in {modules!r}]))"
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=_env(), capture_output=True, text=True, check=True
     )
     return json.loads(out.stdout)
 
 
-def test_cli_import_does_not_load_scipy_stats():
-    modules = ("scipy.stats", "scipy.integrate", "scipy.linalg", "scipy.spatial")
-    assert _loaded_modules("import starshape.cli", modules) == [False] * 4
+def test_cli_import_does_not_load_scipy_stats(cube_path, tmp_path):
+    modules = ("scipy.stats", "scipy.integrate", "scipy.linalg", "scipy.spatial", "scipy.special")
+    assert _loaded_modules("import starshape.cli", modules) == [False] * 5
+    # Nor do planar sampling and the matrix decompositions need scipy.special.
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps({
+        "gauge": {"dim": 2, "variant": "polytope",
+                  "params": {"facets": [[1.0, 0.2], [-0.8, 0.6], [0.1, -1.1], [0.9, 0.9]]}},
+        "profile": {"family": "gaussian", "params": {"scale": 1.0}},
+    }))
+    out = str(tmp_path / "out.txt")
+    for args in (["sample", "--dist", cube_path, "--n", "1000", "--out", out],
+                 ["sample", "--dist", str(poly), "--n", "1000", "--out", out],
+                 ["matrix", "--group", "lt", "--p", "3", "--out", out],
+                 ["matrix", "--group", "gl", "--p", "2", "--out", out]):
+        code = f"from starshape.cli import main; main({args!r}, standalone_mode=False)"
+        assert _loaded_modules(code, ("scipy.special",)) == [False], args
+
+
+def test_sampling_a_polytope_at_p3_never_computes_c0(monkeypatch, runner, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sample computed c0")
+
+    monkeypatch.setattr(direction, "direction_constant", refuse)
+    monkeypatch.setattr(starshaped, "direction_constant", refuse)
+    facets = np.vstack([np.eye(3), -np.eye(3), [[0.6, 0.6, 0.6]]])
+    path = tmp_path / "poly3.json"
+    path.write_text(json.dumps({
+        "gauge": {"dim": 3, "variant": "polytope", "params": {"facets": facets.tolist()}},
+        "profile": {"family": "exponential", "params": {"rate": 1.0}},
+    }))
+    res = runner.invoke(main, ["sample", "--dist", str(path), "--n", "1000", "--seed", "6"])
+    assert res.exit_code == 0, res.output
+    assert len(res.output.splitlines()) == 1001
+
+
+_SUP = {"dim": 2, "variant": "sup", "params": {}}
+
+# Laws that a full build rejected; a lazy one must reject them alike.
+_REJECTED = {
+    "exponential-rate-1e-300": (
+        {"gauge": _SUP, "profile": {"family": "exponential", "params": {"rate": 1e-300}}},
+        "radial integral evaluated to inf"),
+    "kotz-s500-r1e-3-t0.5": (
+        {"gauge": _SUP, "profile": {"family": "kotz", "params": {"s": 500.0, "r": 1e-3, "t": 0.5}}},
+        "radial integral evaluated to inf"),
+    "heavytail-nu-1e-300": (
+        {"gauge": _SUP, "profile": {"family": "heavytail", "params": {"nu": 1e-300}}},
+        "could not cover the radial tail"),
+    "heavytail-nu-1e-3": (
+        {"gauge": _SUP, "profile": {"family": "heavytail", "params": {"nu": 1e-3}}},
+        "could not cover the radial tail"),
+    "ellipse-sigma-1e-310": (
+        {"gauge": {"dim": 2, "variant": "elliptical",
+                   "params": {"sigma": [[1e-310, 0.0], [0.0, 1.0]]}},
+         "profile": {"family": "exponential", "params": {"rate": 1.0}}},
+        "sphere integral evaluated to nan"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_REJECTED))
+def test_sample_rejects_every_law_a_full_build_rejects(tmp_path, label):
+    doc, message = _REJECTED[label]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    res = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "starshape.cli",
+         "sample", "--dist", str(path), "--n", "10"],
+        env=_env(), capture_output=True, text=True,
+    )
+    assert (res.returncode, res.stdout, res.stderr) == (1, "", f"error: {message}\n")
 
 
 def test_planar_polytope_distribution_does_not_load_qhull():

@@ -89,6 +89,24 @@ def test_overflowing_radial_constant_fails_loudly(profile):
         RadialTable.build(profile, 3)
 
 
+def test_the_math_screen_vouches_only_for_finite_length_laws(profiles):
+    # Where the screen lets a table skip its scipy checks at build, the
+    # checks pass; the usual profiles need no scipy at build.
+    vouched = 0
+    for s in (0.0, 1.0, 500.0, 1e6):
+        for r in (1e-300, 1e-30, 1e-3, 1.0, 1e3, 1e300):
+            for t in (1e-3, 0.5, 2.0, 60.0, 1e4):
+                for p in (1, 2, 6, 1000):
+                    profile = KotzProfile(s, r, t)
+                    if profile._law_is_finite(p):
+                        vouched += 1
+                        table = RadialTable(profile, p)
+                        assert table.constant > 0.0 and np.isfinite(table.g_hi)
+    assert vouched >= 150  # of 480
+    for key, profile in profiles.items():
+        assert profile._law_is_finite(2) == (key != "heavytail")
+
+
 def test_table_head_of_a_steep_kotz_profile():
     # k = (p + s)/t = 1/30 and 2e-4.  r g^t ~ Gamma(k) falls below the
     # normal double range in its 1e-12 head at k = 1/30 and for ~87% of
