@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import shutil
 import signal
 import stat
 import sys
@@ -63,36 +64,76 @@ def _parse_point(raw: str, dim: int) -> np.ndarray:
 def _write_text(out: str, chunks: Iterable[str]) -> None:
     """Write the text chunks to ``out`` (- for stdout) one at a time.
 
-    A regular file is written under a temporary name beside it, with the
-    mode ``open(out, "w")`` would leave it, and renamed over it only once
-    every chunk is in, so a failed command leaves ``out`` as it was.
-    Other targets (/dev/null, a FIFO) are written in place.
+    A regular file that this user owns and that has no other hard link (or
+    a new path) is written under a temporary name in its directory, with
+    the mode ``open(out, "w")`` would leave it, and renamed over it only
+    once every chunk is in, so a failed command leaves ``out`` as it was.
+    Other targets (/dev/null, a FIFO, /dev/stdout, a file shared by link
+    or owner) are written in place, as is a file whose directory refuses
+    the temporary file or the rename.
     """
     if out == "-":
         for chunk in chunks:
             click.echo(chunk, nl=False)
         return
-    target = os.path.realpath(out)
     try:
-        mode = os.stat(target).st_mode
+        st = os.stat(out)
     except FileNotFoundError:
+        st = None
+    target = os.path.realpath(out)
+    if st is None:
         umask = os.umask(0o22)
         os.umask(umask)
-        mode = stat.S_IFREG | (0o666 & ~umask)
-    if not stat.S_ISREG(mode):
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+        mode = 0o666 & ~umask
+    elif _replaceable(st, target):
+        mode = stat.S_IMODE(st.st_mode)
+    else:
+        _write_in_place(out, chunks)
         return
     head, tail = os.path.split(target)
-    fd, tmp = tempfile.mkstemp(prefix=f".{tail}.", suffix=".part", dir=head)
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=f".{tail}.", suffix=".part", dir=head)
+    except OSError:
+        _write_in_place(out, chunks)
+        return
+    renamed = False
     try:
         with open(fd, "w", encoding="utf-8") as fh:
-            os.fchmod(fd, stat.S_IMODE(mode))
+            os.fchmod(fd, mode)
             fh.writelines(chunks)
-        os.replace(tmp, target)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        try:
+            os.replace(tmp, target)
+            renamed = True
+        except OSError:
+            shutil.copyfile(tmp, out)
+    finally:
+        if not renamed:
+            os.unlink(tmp)
+
+
+def _replaceable(st: os.stat_result, target: str) -> bool:
+    """True when a rename onto ``target`` may stand in for writing the file
+    ``st`` in place: a regular file of this user that ``target`` names, with
+    no other hard link, and not open as this process's stdout or stderr."""
+    if not stat.S_ISREG(st.st_mode) or st.st_nlink != 1 or st.st_uid != os.geteuid():
+        return False
+    try:
+        if not os.path.samestat(st, os.stat(target)):
+            return False
+    except OSError:
+        return False
+    for fd in (1, 2):
+        try:
+            if os.path.samestat(st, os.fstat(fd)):
+                return False
+        except OSError:
+            pass
+    return True
+
+
+def _write_in_place(out: str, chunks: Iterable[str]) -> None:
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.writelines(chunks)
 
 
 def _table_chunks(fmt: str, columns: list[str], rows: np.ndarray) -> Iterator[str]:

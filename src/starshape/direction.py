@@ -101,22 +101,29 @@ def direction_integral(gauge: Gauge, n_mc: int = 1_000_000, seed: int = 0) -> Sp
     return SphereIntegral(omega * mean, omega * stderr, "monte-carlo", n_mc)
 
 
-def _planar_integral_is_finite(gauge: Gauge) -> bool:
-    """True when the sphere bounds show that :func:`direction_integral` at
-    p = 2 is finite and positive; False when they cannot tell.
+def _planar_sphere_bounds(gauge: Gauge) -> SphereBounds | None:
+    """The sphere bounds of a p = 2 gauge when they show that
+    :func:`direction_integral` is finite and positive; None when they cannot
+    tell, or when computing them raised or met a floating-point error.
 
     The Simpson sum of g^(-2) lies between 2 pi g_max^(-2) and
     2 pi g_min^(-2), and none of its partial sums exceeds 2^18 times the
     largest value, so neither end can leave the normal double range.
-    Bounds that fail or warn here are left for the caller to meet again.
+    Bounds that fail or warn here are left for the caller to meet again,
+    so their errors and warnings come out where a full build puts them.
     """
+    errors = []
     try:
-        with np.errstate(all="ignore"):
+        with np.errstate(all="call", call=lambda kind, flag: errors.append(kind)):
             bounds = gauge.sphere_bounds()
     except StarshapeError:
-        return False
+        return None
+    if errors:
+        return None
     g_min, g_max = float(bounds.g_min), float(bounds.g_max)
-    return 2.0 * np.pi / g_min / g_min < 1e300 and 2.0 * np.pi / g_max / g_max > 1e-300
+    if 2.0 * np.pi / g_min / g_min < 1e300 and 2.0 * np.pi / g_max / g_max > 1e-300:
+        return bounds
+    return None
 
 
 def direction_constant(gauge: Gauge, n_mc: int = 1_000_000, seed: int = 0) -> C0Estimate:

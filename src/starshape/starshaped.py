@@ -21,7 +21,7 @@ from . import rng as _rng
 from .direction import (
     C0Estimate,
     SphereIntegral,
-    _planar_integral_is_finite,
+    _planar_sphere_bounds,
     direction_constant,
     direction_sample,
     sphere_surface,
@@ -92,33 +92,34 @@ class StarDistribution:
         self.c0_provenance = "spherical-integral"
         # A full build's checks, in its order, so that a law failing several
         # reports the same one; math screens skip the work they vouch for.
-        if self.p == 2 and not _planar_integral_is_finite(gauge):
+        bounds = _planar_sphere_bounds(gauge) if self.p == 2 else None
+        if self.p == 2 and bounds is None:
             self._c0_estimate  # raises if the sphere integral is not finite
         self.table = RadialTable.build(profile, self.p)
-        self.bounds = gauge.sphere_bounds()
+        self.bounds = gauge.sphere_bounds() if bounds is None else bounds
         self._c0_radial_cache: dict[tuple[int, int] | None, tuple[float, float]] = {}
 
     @cached_property
     def _c0_estimate(self) -> C0Estimate:
         return direction_constant(self.gauge, self.n_mc, self.seed)
 
-    @cached_property
+    @property
     def c0(self) -> float:
         return self._c0_estimate.c0
 
-    @cached_property
+    @property
     def c0_stderr(self) -> float:
         return self._c0_estimate.stderr
 
-    @cached_property
+    @property
     def sphere_integral(self) -> SphereIntegral:
         return self._c0_estimate.integral
 
-    @cached_property
+    @property
     def radial_norm(self) -> float:
         return self.table.constant
 
-    @cached_property
+    @property
     def scale(self) -> float:
         """density(x) = scale * profile(g(x)): the profile's missing
         constants folded in so that the density integrates to 1."""

@@ -4,6 +4,7 @@ import signal
 import stat
 import subprocess
 import sys
+import tempfile
 import time
 
 import jsonschema
@@ -275,8 +276,74 @@ def test_a_fifo_out_is_written_in_place(runner, cube_path, tmp_path):
         reader.wait()
         reader.stdout.close()
     assert res.exit_code == 0
-    assert text == runner.invoke(main, ["sample", "--dist", cube_path, "--n", "5"]).output
+    expected = runner.invoke(main, ["sample", "--dist", cube_path, "--n", "5"]).output
+    assert text == expected
     assert stat.S_ISFIFO(fifo.stat().st_mode)
+    # /dev/fd/N resolves to a name like "pipe:[N]" that is not a path.
+    r, w = os.pipe()
+    try:
+        res = runner.invoke(main, ["sample", "--dist", cube_path, "--n", "5", "--out", f"/dev/fd/{w}"])
+        os.close(w)
+        w = None
+        with os.fdopen(r, encoding="utf-8") as fh:
+            r = None
+            text = fh.read()
+    finally:
+        for fd in (r, w):
+            if fd is not None:
+                os.close(fd)
+    assert res.exit_code == 0
+    assert text == expected
+
+
+def _write_sample(runner, dist, out):
+    res = runner.invoke(main, ["sample", "--dist", dist, "--n", "5", "--out", str(out)])
+    assert res.exit_code == 0
+    return res
+
+
+def test_a_shared_out_file_is_written_in_place(monkeypatch, runner, cube_path, tmp_path):
+    expected = runner.invoke(main, ["sample", "--dist", cube_path, "--n", "5"]).output
+    own = tmp_path / "own.csv"
+    own.write_text("earlier draws\n")
+    ino = own.stat().st_ino
+    _write_sample(runner, cube_path, own)
+    assert own.read_text() == expected and own.stat().st_ino != ino
+    # A hard link keeps sharing the new text.
+    linked = tmp_path / "linked.csv"
+    os.link(own, linked)
+    ino = own.stat().st_ino
+    own.write_text("earlier draws\n")
+    _write_sample(runner, cube_path, own)
+    assert linked.read_text() == expected and own.stat().st_ino == ino
+    # A file of another user keeps its owner.
+    other = tmp_path / "other.csv"
+    other.write_text("earlier draws\n")
+    ino, euid = other.stat().st_ino, os.geteuid()
+    monkeypatch.setattr(os, "geteuid", lambda: euid + 1)
+    _write_sample(runner, cube_path, other)
+    assert other.read_text() == expected and other.stat().st_ino == ino
+    assert sorted(os.listdir(tmp_path)) == ["cube.json", "linked.csv", "other.csv", "own.csv"]
+
+
+@pytest.mark.parametrize("refused", ["mkstemp", "replace"])
+def test_a_directory_that_refuses_a_new_name_gets_an_in_place_write(
+    monkeypatch, runner, cube_path, tmp_path, refused
+):
+    expected = runner.invoke(main, ["sample", "--dist", cube_path, "--n", "5"]).output
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(tempfile if refused == "mkstemp" else os, refused, refuse)
+    out = tmp_path / "draws.csv"
+    out.write_text("earlier draws\n")
+    out.chmod(0o604)
+    ino = out.stat().st_ino
+    _write_sample(runner, cube_path, out)
+    assert out.read_text() == expected
+    assert out.stat().st_ino == ino and stat.S_IMODE(out.stat().st_mode) == 0o604
+    assert sorted(os.listdir(tmp_path)) == ["cube.json", "draws.csv"]
 
 
 def test_sample_decompose_columns(runner, cube_path):
