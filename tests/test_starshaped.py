@@ -282,6 +282,15 @@ def test_c0_radial_at_p2_is_computed_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_planar_build_computes_the_sphere_bounds_once(monkeypatch):
+    calls = []
+    bounds = SupNormGauge.sphere_bounds
+    monkeypatch.setattr(SupNormGauge, "sphere_bounds", lambda self: calls.append(1) or bounds(self))
+    dist = StarDistribution(SupNormGauge(2), ExponentialProfile(1.0))
+    assert len(calls) == 1
+    assert dist.bounds == bounds(SupNormGauge(2))
+
+
 def _unit_ball_area(label, gauge):
     if label.startswith("ell"):
         return np.pi * np.sqrt(np.linalg.det(gauge.sigma))
