@@ -14,26 +14,26 @@ import functools
 import json
 import os
 import shutil
-import signal
 import stat
 import sys
 import tempfile
-from typing import IO, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import click
 import numpy as np
 
 from . import rng as _rng
 from .direction import direction_constant, direction_densities
-from .errors import ConfigError, StarshapeError, WorkerError
+from .errors import ConfigError, StarshapeError
 from .io import load_distribution
 from .matrixmodels import gl_decompose_batch, lt_decompose_batch, wishart_sample
 from .starshaped import StarDistribution, planar_angles
 from .stats import independence_chisq
 from .verify import matrix_suite, vector_suite
 
-_BLOCK = 1 << 16  # rows per string-formatting call
-_COPY = 1 << 22  # characters per chunk copied from a worker's file
+_BLOCK = 1 << 16  # rows per serializer call
+# How tables spell NaN, +inf and -inf, as %g and json.dumps do.
+_NON_FINITE = {"csv": (b"nan", b"inf", b"-inf"), "json": (b"NaN", b"Infinity", b"-Infinity")}
 _COUNT = click.IntRange(min=1)
 _SEED = click.IntRange(0, 2**64 - 1)
 _ALPHA = click.FloatRange(0.0, 1.0, min_open=True, max_open=True)
@@ -137,99 +137,40 @@ def _write_in_place(out: str, chunks: Iterable[str]) -> None:
 
 
 def _table_chunks(fmt: str, columns: list[str], rows: np.ndarray) -> Iterator[str]:
-    """A table as a head, the text of its rows, and a tail.
+    """A table as a head, the text of its rows in blocks, and a tail.
 
-    CSV "%.17g" round-trips doubles; the JSON chunks join to the text of
-    ``json.dumps({"columns": columns, "rows": rows.tolist()})`` and a newline.
-    The rows are cut into equal contiguous parts, one per available CPU and
-    at most one per block: this process streams the first part while forked
-    workers format the others into temporary files, which are then copied
-    in order.  Rows are formatted one by one, so the text does not depend
-    on where the parts or blocks are cut.
+    Every float is written as the shortest decimal that parses back to it
+    (orjson's numpy serializer), so CSV fields and JSON tokens round-trip
+    exactly; JSON rows are separated as ``json.dumps`` separates them.
+    Non-finite values are written ``nan``, ``inf``, ``-inf`` in CSV and
+    ``NaN``, ``Infinity``, ``-Infinity`` in JSON.
     """
+    import orjson  # only the commands that write a table load it
+
     if fmt == "csv":
-        head, sep, tail = ",".join(columns) + "\n", "", ""
+        head, tail = ",".join(columns) + "\n", ""
     else:
-        head, sep, tail = json.dumps({"columns": columns, "rows": []})[:-2], ", ", "]}\n"
-    n_blocks = -(-len(rows) // _BLOCK)
-    k = _n_parts(n_blocks)
-    cuts = [len(rows) * j // k for j in range(k + 1)]
-    workers = []
-    try:
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            workers.append(_fork_part(fmt, sep, rows[lo:hi]))
-        yield head
-        first = rows[: cuts[1]]
-        for i in range(0, len(first), _BLOCK):
-            yield (sep if i else "") + _block_text(fmt, first[i : i + _BLOCK])
-        while workers:
-            pid, fh = workers[0]
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del workers[0]
-            with fh:
-                fh.seek(0)
-                if code:
-                    why = fh.read(300) if code == 1 else f"exit status {code}"
-                    raise WorkerError(f"a table-formatting worker failed: {why}")
-                yield from iter(functools.partial(fh.read, _COPY), "")
-    finally:
-        for pid, fh in workers:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            fh.close()
+        head, tail = json.dumps({"columns": columns, "rows": []})[:-2], "]}\n"
+    yield head
+    for i in range(0, len(rows), _BLOCK):
+        block = np.ascontiguousarray(rows[i : i + _BLOCK], dtype=float)
+        text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
+        if fmt == "csv":
+            text = text[2:-2].replace(b"],[", b"\n") + b"\n"
+        else:
+            text = (b", " if i else b"") + text[1:-1].replace(b",", b", ")
+        # orjson writes NaN and +-inf as null; the block holds only numbers,
+        # so its k-th null is its k-th non-finite value in row-major order.
+        odd = block[~np.isfinite(block)].tolist()
+        if odd:
+            nan, inf, minus_inf = _NON_FINITE[fmt]
+            parts = text.split(b"null")
+            text = parts[0] + b"".join(
+                (nan if v != v else inf if v > 0 else minus_inf) + part
+                for v, part in zip(odd, parts[1:])
+            )
+        yield text.decode("ascii")
     yield tail
-
-
-def _n_parts(n_blocks: int) -> int:
-    """One part per available CPU, at most one per block, 1 without os.fork."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), n_blocks))
-
-
-def _block_text(fmt: str, block: np.ndarray) -> str:
-    """Rows as CSV lines, or as JSON arrays joined by ", " without brackets."""
-    if fmt == "csv":
-        row = ",".join(["%.17g"] * block.shape[1]) + "\n"
-        return row * len(block) % tuple(block.ravel().tolist())
-    return json.dumps(block.tolist())[1:-1]
-
-
-def _fork_part(fmt: str, sep: str, rows: np.ndarray) -> tuple[int, IO[str]]:
-    """Fork a worker that writes ``sep`` and the text of each block of ``rows``
-    to an anonymous file; return its pid and the file.
-
-    The worker leaves by ``os._exit``, so it never flushes this process's
-    buffers or runs its exit hooks: 0 on success, 1 after writing the error
-    in place of the text, 2 otherwise, also when it finds before a block
-    that this process is gone.  It only slices and formats rows, so no
-    lock held by another thread of this process can block it.
-    """
-    parent = os.getpid()
-    fh = tempfile.TemporaryFile("w+", encoding="utf-8")
-    try:
-        pid = os.fork()
-    except OSError as exc:
-        fh.close()
-        raise WorkerError(f"cannot fork a table-formatting worker: {exc}") from exc
-    if pid:
-        return pid, fh
-    code = 2
-    try:
-        for i in range(0, len(rows), _BLOCK):
-            if os.getppid() != parent:
-                os._exit(2)
-            fh.write(sep + _block_text(fmt, rows[i : i + _BLOCK]))
-        fh.flush()
-        code = 0
-    except Exception as exc:
-        fh.seek(0)
-        fh.truncate()
-        fh.write(f"{type(exc).__name__}: {exc}")
-        fh.flush()
-        code = 1
-    finally:
-        os._exit(code)
 
 
 def _write_densities(out: str, fmt: str, prefix: str, X: np.ndarray, vals: np.ndarray) -> None:
@@ -264,14 +205,13 @@ def sample(dist_path, n, seed, out, fmt, decompose):
     if decompose and gauge.dim != 2:
         raise ConfigError("--decompose emits g,theta and needs a planar distribution")
     dist = StarDistribution(gauge, profile, seed=seed)
-    X = dist.sample(_rng.stream(seed, 0), n)
+    rows, g = dist.sample(_rng.stream(seed, 0), n, lengths=True)
     columns = [f"x{i + 1}" for i in range(gauge.dim)]
     if decompose:
-        g = gauge.values(X)
-        rows = np.column_stack([X, g, planar_angles(X)])
+        rows = np.column_stack([rows, g, planar_angles(rows)])
         columns += ["g", "theta"]
-    else:
-        rows = X
+    # Only rows is written: the lengths need not stay in memory meanwhile.
+    del g
     _write_text(out, _table_chunks(fmt, columns, rows))
 
 

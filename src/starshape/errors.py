@@ -47,10 +47,6 @@ class BoundsUnavailableError(StarshapeError, RuntimeError):
     """Sphere bounds required by a sampler are missing or degenerate."""
 
 
-class WorkerError(StarshapeError, RuntimeError):
-    """A forked worker process failed."""
-
-
 class NotOnCrossSectionError(StarshapeError, ValueError):
     """Point does not satisfy g(z) = 1 within tolerance."""
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
+from math import comb, log
 from typing import Callable
 
 import numpy as np
@@ -66,6 +66,10 @@ _SIMPLEX_BLOCK = 1 << 15
 
 # Tolerance of the check that a boundary simplex of K lies on a facet.
 _FACET_ATOL = 1e-9
+
+# Largest g^-p a gauge may reach on the unit sphere: the sphere integral,
+# its Monte Carlo variance and sums over 2^20 points then stay finite.
+_MAX_SPHERE_DENSITY = 1e150
 
 
 @dataclass(frozen=True)
@@ -108,6 +112,13 @@ def _as_batch(X, dim: int) -> np.ndarray:
     if X.shape[0] and np.min(np.linalg.norm(X, axis=1)) < ZERO_NORM_EPS:
         raise ZeroVectorError("batch contains the origin")
     return X
+
+
+def _check_value_range(p: int, log_g_min: float, log_g_max: float, what: str) -> None:
+    """Raise ConfigError unless g is finite on the unit sphere and g^-p stays
+    below _MAX_SPHERE_DENSITY there; works on logs, so nothing overflows."""
+    if log_g_max >= log(np.finfo(float).max) or -p * log_g_min > log(_MAX_SPHERE_DENSITY):
+        raise ConfigError(f"{what} put the gauge values out of the double range")
 
 
 def unit_angles(theta) -> np.ndarray:
@@ -234,6 +245,10 @@ class EllipticalGauge(Gauge):
         eigvals = np.linalg.eigvalsh(sigma)
         if eigvals[0] <= 0.0:
             raise NonPositiveError("sigma must be positive definite")
+        _check_value_range(
+            self.dim, -0.5 * log(eigvals[-1]), -0.5 * log(eigvals[0]),
+            f"sigma eigenvalues in [{eigvals[0]:.3g}, {eigvals[-1]:.3g}]",
+        )
         self.sigma = 0.5 * (sigma + sigma.T)
         self.sigma_inv = np.linalg.inv(self.sigma)
         self._eigvals = eigvals
@@ -501,6 +516,10 @@ class TabulatedRadialGauge(Gauge):
             raise NonPositiveError("angles must be strictly increasing in [0, 2pi)")
         if np.any(radii <= 0):
             raise NonPositiveError("tabulated radii must be positive")
+        _check_value_range(
+            2, -log(radii.max()), -log(radii.min()),
+            f"tabulated radii in [{radii.min():.3g}, {radii.max():.3g}]",
+        )
         self.angles = angles
         self.radii = radii
         self._ang_ext = np.concatenate([angles, [angles[0] + 2.0 * np.pi]])

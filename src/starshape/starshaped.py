@@ -143,11 +143,13 @@ class StarDistribution:
 
     # -- sampling -----------------------------------------------------------
 
-    def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
-        """n i.i.d. draws, composed as x = g * z'/g(z')."""
+    def sample(self, gen: np.random.Generator, n: int, lengths: bool = False):
+        """n i.i.d. draws, composed as x = g * z'/g(z'); with ``lengths``, the
+        pair (draws, drawn lengths g), which equal g(x) up to rounding."""
         g = self.table.sample(gen, n)
         draws = direction_sample(self.gauge, gen, n, self.bounds)
-        return g[:, None] * (draws.points / draws.g[:, None])
+        X = g[:, None] * (draws.points / draws.g[:, None])
+        return (X, g) if lengths else X
 
     # -- orbital decomposition ----------------------------------------------
 

@@ -1,23 +1,24 @@
 import json
 import os
-import signal
+import re
 import stat
 import subprocess
 import sys
 import tempfile
-import time
 
 import jsonschema
 import numpy as np
+import orjson
 import pytest
 from click.testing import CliRunner
+from hypothesis import Phase, given, settings, strategies as st
 from scipy import stats as sstats
 
 import starshape
 from starshape import direction_integral, ks_test, SupNormGauge
 from starshape import cli, direction, starshaped
 from starshape.cli import _table_chunks, main
-from starshape.io import load_schema
+from starshape.io import load_distribution, load_schema
 
 
 @pytest.fixture()
@@ -87,163 +88,144 @@ def test_sample_csv_round_trip_precision(runner, ellipse_path, tmp_path):
     np.testing.assert_array_equal(rows, rows2)
 
 
+# How _table_chunks spells NaN, +inf and -inf in each format.
+_SPELLING = {"csv": ("nan", "inf", "-inf"), "json": ("NaN", "Infinity", "-Infinity")}
+
+
+# Sign, point and exponent of float tokens, then the zeros at either end
+# of what is left: the rest of a token is its significant digits.
+_NOT_SIGNIFICANT = (re.compile(r"e\S*|[-.]"), re.compile(r"(?<!\S)0+|0+(?!\S)"))
+
+
+def _significant_digits(tokens: list[str]) -> np.ndarray:
+    text = " ".join(tokens)
+    for pattern in _NOT_SIGNIFICANT:
+        text = pattern.sub("", text)
+    return np.array([len(digits) for digits in text.split(" ")]) if tokens else np.zeros(0)
+
+
+def _check_table_text(fmt: str, rows: np.ndarray, text: str) -> None:
+    """The float-text contract of a table: the layout of the format, fields
+    that parse back to the exact doubles (NaN positions included), as many
+    significant digits as ``repr``, no ``null``, non-finite words.  Every
+    assertion compares small values: pytest's report of a failed comparison
+    of two large strings or lists would take minutes."""
+    assert text.count("null") == 0
+    if fmt == "csv":
+        head, body = "a,b,c\n", text[len("a,b,c\n"):]
+        lines = body.split("\n")
+        assert lines.pop() == ""
+        tokens = [line.split(",") for line in lines]
+        parsed = np.array([float(t) for row in tokens for t in row])
+    else:
+        head = '{"columns": ["a", "b", "c"], "rows": ['
+        body = text[len(head) : -len("]}\n")]
+        assert text.endswith("]}\n")
+        tokens = [row.split(", ") for row in body[1:-1].split("], [")] if body else []
+        obj = json.loads(text)
+        assert obj["columns"] == ["a", "b", "c"]
+        parsed = np.array(obj["rows"], dtype=float).ravel()
+    assert text.startswith(head)
+    assert len(tokens) == len(rows) and all(len(row) == 3 for row in tokens)
+    values = rows.ravel()
+    nan = np.isnan(values)
+    assert np.array_equal(np.isnan(parsed), nan)
+    assert np.array_equal(parsed[~nan].view(np.uint64), values[~nan].view(np.uint64))
+    tokens = [t for row in tokens for t in row]
+    finite = np.isfinite(values)
+    digits = _significant_digits(tokens), _significant_digits([repr(v) for v in values.tolist()])
+    assert np.array_equal(digits[0][finite], digits[1][finite])
+    nan_word, inf_word, minus_inf_word = _SPELLING[fmt]
+    for i in np.flatnonzero(~finite):
+        assert tokens[i] == (nan_word if nan[i] else inf_word if values[i] > 0 else minus_inf_word)
+
+
+def _table_text(fmt: str, rows: np.ndarray) -> str:
+    return "".join(_table_chunks(fmt, ["a", "b", "c"], rows))
+
+
 def test_csv_rows_match_per_value_formatting():
     # Special values, then random bit patterns across a block boundary.
     special = [-0.0, 0.0, 5e-324, 1e-310, 2.2250738585072009e-308, 1e22,
                np.inf, -np.inf, np.nan, 0.1, -1.0 / 3.0, 1.7976931348623157e308]
     bits = np.random.default_rng(0).integers(0, 2**64, size=3 * 65_539, dtype=np.uint64)
     rows = np.concatenate([np.array(special), bits.view(np.float64)]).reshape(-1, 3)
-    expected = "a,b,c\n" + "".join(
-        ",".join(format(float(v), ".17g") for v in row) + "\n" for row in rows
-    )
-    _assert_same_text("".join(_table_chunks("csv", ["a", "b", "c"], rows)), expected)
-    assert "".join(_table_chunks("csv", ["a", "b", "c"], rows[:0])) == "a,b,c\n"
-
-
-def _assert_same_text(text: str, expected: str) -> None:
-    """text == expected, reported as a length and the first differing
-    offset: a diff of two multi-megabyte strings takes pytest minutes."""
-    assert len(text) == len(expected)
-    if text != expected:
-        first = next(i for i, (a, b) in enumerate(zip(text, expected)) if a != b)
-        pytest.fail(f"texts differ from offset {first}: "
-                    f"{text[first : first + 80]!r} != {expected[first : first + 80]!r}")
+    text = _table_text("csv", rows)
+    _check_table_text("csv", rows, text)
+    assert text.startswith("a,b,c\n-0.0,0.0,5e-324\n")
+    assert _table_text("csv", rows[:0]) == "a,b,c\n"
 
 
 @pytest.mark.parametrize("n_rows", [0, 1, 2**16 + 1])
 def test_json_table_chunks_join_to_one_dump(n_rows):
     rows = np.random.default_rng(1).normal(size=(n_rows, 3))
-    expected = json.dumps({"columns": ["a", "b", "c"], "rows": rows.tolist()}) + "\n"
-    _assert_same_text("".join(_table_chunks("json", ["a", "b", "c"], rows)), expected)
+    text = _table_text("json", rows)
+    _check_table_text("json", rows, text)
 
 
-def _cpus(monkeypatch, cpus):
-    """Make ``cpus`` the available CPUs; return the list the workers' pids go to."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-    pids, fork = [], os.fork
+# -0.0, subnormals, the edges of repr's positional range, the largest
+# double and the non-finite values.
+_FLOAT_EDGES = [-0.0, 5e-324, 1e-310, 2.2250738585072009e-308, 1e-5, float(np.nextafter(1e-4, 0.0)),
+                1e-4, 1e16, 1.7976931348623157e308, np.nan, np.inf, -np.inf]
 
-    def recording_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
 
-    monkeypatch.setattr(os, "fork", recording_fork)
-    return pids
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n_rows", [0, 1, 2**16, 2**16 + 1])
+# No shrinking: the tables are drawn from a seed, and shrinking one of 2^16
+# rows would take minutes before a failure is reported.
+@settings(derandomize=True, max_examples=2, deadline=None, phases=[Phase.explicit, Phase.generate])
+@given(seed=st.integers(0, 2**32 - 1), edges=st.lists(st.sampled_from(_FLOAT_EDGES), max_size=40))
+def test_table_floats_round_trip_in_shortest_text(fmt, n_rows, seed, edges):
+    gen = np.random.default_rng(seed)
+    rows = gen.integers(0, 2**64, size=(n_rows, 3), dtype=np.uint64).view(np.float64)
+    if rows.size:
+        rows.ravel()[gen.integers(0, rows.size, size=len(edges))] = edges
+    _check_table_text(fmt, rows, _table_text(fmt, rows))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("n_rows", [0, 1, 2**16, 2**16 + 1, 3 * 2**16 + 5])
 def test_table_text_does_not_depend_on_the_cpu_count(monkeypatch, fmt, n_rows):
+    # One process formats every block: nothing forks, whatever the CPUs.
+    def refuse():
+        raise AssertionError("the table writer forked")
+
+    monkeypatch.setattr(os, "fork", refuse)
     rows = np.random.default_rng(2).normal(size=(n_rows, 3))
-    texts, forks = [], []
+    texts = []
     for cpus in ({0}, {0, 1}):
-        with monkeypatch.context() as patch:
-            workers = _cpus(patch, cpus)
-            texts.append("".join(_table_chunks(fmt, ["a", "b", "c"], rows)))
-        forks.append(len(workers))
-    _assert_same_text(texts[0], texts[1])
-    assert forks == [0, int(n_rows > 2**16)]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        texts.append(_table_text(fmt, rows))
+    same = texts[0] == texts[1]
+    assert same
 
 
-def test_sample_writes_the_same_bytes_to_stdout_and_to_a_file(monkeypatch, runner, cube_path, tmp_path):
-    workers = _cpus(monkeypatch, {0, 1})
+def test_sample_writes_the_same_bytes_to_stdout_and_to_a_file(runner, cube_path, tmp_path):
     args = ["sample", "--dist", cube_path, "--n", str(2**16 + 1), "--seed", "4"]
     res = runner.invoke(main, args)
     assert res.exit_code == 0
     out = tmp_path / "draws.csv"
     assert runner.invoke(main, args + ["--out", str(out)]).exit_code == 0
     assert out.read_bytes() == res.stdout_bytes
-    assert len(workers) == 2
-
-
-def test_a_failed_worker_fails_the_command_with_one_line(monkeypatch, runner, cube_path):
-    parent, block_text = os.getpid(), cli._block_text
-
-    def fails_in_a_worker(fmt, block):
-        if os.getpid() != parent:
-            raise MemoryError("no room for the text")
-        return block_text(fmt, block)
-
-    monkeypatch.setattr(cli, "_block_text", fails_in_a_worker)
-    _cpus(monkeypatch, {0, 1})
-    res = runner.invoke(main, ["sample", "--dist", cube_path, "--n", str(2**16 + 1)])
-    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
-    assert res.stderr == "error: a table-formatting worker failed: MemoryError: no room for the text\n"
-
-
-def test_closing_the_table_early_leaves_no_worker(monkeypatch):
-    workers = _cpus(monkeypatch, {0, 1})
-    chunks = _table_chunks("csv", ["a", "b", "c"], np.zeros((3 * 2**16 + 5, 3)))
-    assert next(chunks) == "a,b,c\n"
-    assert len(workers) == 1
-    chunks.close()
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _alive(pid: int) -> bool:
-    """Whether ``pid`` runs; an exited process that nobody reaped does not."""
-    try:
-        with open(f"/proc/{pid}/stat") as fh:
-            return fh.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
-    except FileNotFoundError:
-        return False
-
-
-@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
-def test_a_worker_leaves_when_its_parent_is_killed():
-    # The parent streams the head of a table in 400 one-row blocks, reports
-    # its worker and sleeps; the worker's 200 blocks, at 0.1 s each, would
-    # keep it alive for another 20 s.
-    code = (
-        "import os, time, numpy as np\n"
-        "from starshape import cli\n"
-        "cli._BLOCK = 1\n"
-        "text = cli._block_text\n"
-        "cli._block_text = lambda fmt, block: time.sleep(0.1) or text(fmt, block)\n"
-        "os.sched_getaffinity = lambda pid: {0, 1}\n"
-        "fork, pids = os.fork, []\n"
-        "os.fork = lambda: pids.append(fork()) or pids[-1]\n"
-        "chunks = cli._table_chunks('csv', ['a'], np.zeros((400, 1)))\n"
-        "next(chunks)\n"
-        "print(*pids, flush=True)\n"
-        "time.sleep(60)\n"
-    )
-    parent = subprocess.Popen([sys.executable, "-c", code], env=_env(), stdout=subprocess.PIPE, text=True)
-    worker = None
-    try:
-        (worker,) = map(int, parent.stdout.readline().split())
-        parent.kill()
-        parent.wait(timeout=10)
-        deadline = time.monotonic() + 3.0
-        while _alive(worker) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert not _alive(worker)
-    finally:
-        parent.kill()
-        parent.wait(timeout=10)
-        parent.stdout.close()
-        if worker is not None and _alive(worker):
-            os.kill(worker, signal.SIGKILL)
 
 
 def test_a_failed_table_leaves_the_out_file_as_it_was(monkeypatch, runner, cube_path, tmp_path):
-    parent, block_text = os.getpid(), cli._block_text
+    calls, dumps = [], orjson.dumps
 
-    def fails_in_a_worker(fmt, block):
-        if os.getpid() != parent:
+    def fails_on_the_second_block(obj, **kwargs):
+        calls.append(len(obj))
+        if len(calls) % 2 == 0:
             raise MemoryError("no room for the text")
-        return block_text(fmt, block)
+        return dumps(obj, **kwargs)
 
-    monkeypatch.setattr(cli, "_block_text", fails_in_a_worker)
-    _cpus(monkeypatch, {0, 1})
+    monkeypatch.setattr(orjson, "dumps", fails_on_the_second_block)
     old = tmp_path / "old.csv"
     old.write_text("earlier draws\n")
     for out in (old, tmp_path / "new.csv"):
         res = runner.invoke(main, ["sample", "--dist", cube_path, "--n", str(2**16 + 1),
                                    "--out", str(out)])
-        assert res.exit_code == 1 and "worker failed" in res.stderr
+        assert res.exit_code == 1 and isinstance(res.exception, MemoryError)
+    assert calls == [2**16, 1, 2**16, 1]
     assert sorted(os.listdir(tmp_path)) == ["cube.json", "old.csv"]
     assert old.read_text() == "earlier draws\n"
 
@@ -346,17 +328,30 @@ def test_a_directory_that_refuses_a_new_name_gets_an_in_place_write(
     assert sorted(os.listdir(tmp_path)) == ["cube.json", "draws.csv"]
 
 
-def test_sample_decompose_columns(runner, cube_path):
-    res = runner.invoke(
-        main,
-        ["sample", "--dist", cube_path, "--n", "100", "--seed", "5", "--decompose"],
-    )
+def _decompose(runner, path, n, seed):
+    res = runner.invoke(main, ["sample", "--dist", path, "--n", str(n), "--seed", str(seed),
+                               "--decompose"])
     assert res.exit_code == 0
     lines = res.output.strip().splitlines()
     assert lines[0] == "x1,x2,g,theta"
     data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    gauge, profile, _ = load_distribution(path)
+    dist = starshaped.StarDistribution(gauge, profile, seed=seed)
+    X, drawn = dist.sample(starshape.rng.stream(seed, 0), n, lengths=True)
+    assert np.array_equal(data[:, :2], X)
+    assert np.array_equal(dist.sample(starshape.rng.stream(seed, 0), n), X)
+    return data, drawn
+
+
+def test_sample_decompose_columns(runner, cube_path, ellipse_path):
+    # The g column is the lengths the sampler drew, which equal g(x) up to rounding.
+    data, drawn = _decompose(runner, cube_path, 100, 5)
+    assert np.array_equal(data[:, 2], drawn)
     g = np.max(np.abs(data[:, :2]), axis=1)
-    np.testing.assert_allclose(data[:, 2], g, rtol=1e-15)
+    np.testing.assert_allclose(data[:, 2], g, rtol=1e-15, atol=0.0)
+    # On an ellipse the two differ in the last bit for about a third of the draws.
+    data, drawn = _decompose(runner, ellipse_path, 100, 5)
+    assert np.array_equal(data[:, 2], drawn)
 
 
 def test_sample_json_schema(runner, ellipse_path):
@@ -564,8 +559,13 @@ def _loaded_modules(code: str, modules: tuple[str, ...]) -> list[bool]:
 
 
 def test_cli_import_does_not_load_scipy_stats(cube_path, tmp_path):
-    modules = ("scipy.stats", "scipy.integrate", "scipy.linalg", "scipy.spatial", "scipy.special")
-    assert _loaded_modules("import starshape.cli", modules) == [False] * 5
+    modules = ("scipy.stats", "scipy.integrate", "scipy.linalg", "scipy.spatial", "scipy.special",
+               "orjson")
+    assert _loaded_modules("import starshape.cli", modules) == [False] * 6
+    # Only the table writer needs orjson.
+    args = ["constant", "--dist", cube_path, "--out", str(tmp_path / "c0.json")]
+    code = f"from starshape.cli import main; main({args!r}, standalone_mode=False)"
+    assert _loaded_modules(code, ("orjson",)) == [False]
     # Nor do planar sampling and the matrix decompositions need scipy.special.
     poly = tmp_path / "poly.json"
     poly.write_text(json.dumps({
@@ -622,10 +622,30 @@ _REJECTED = {
         "sphere integral evaluated to nan"),
 }
 
+# Laws whose gauge values leave the double range, which the gauge
+# constructors reject as bad input.
+_OUT_OF_RANGE = {
+    "tabulated-radius-1e-320": (
+        {"dim": 2, "variant": "tabulated",
+         "params": {"angles": [0.0, 2.0, 4.0], "radii": [1e-320, 1.0, 1.0]}},
+        "tabulated radii in [1e-320, 1] put the gauge values out of the double range"),
+    "ellipse-sigma-1e305": (
+        {"dim": 2, "variant": "elliptical", "params": {"sigma": [[1e305, 0.0], [0.0, 1e305]]}},
+        "sigma eigenvalues in [1e+305, 1e+305] put the gauge values out of the double range"),
+    "ellipse-sigma-1e308": (
+        {"dim": 2, "variant": "elliptical", "params": {"sigma": [[1e308, 0.0], [0.0, 1e308]]}},
+        "sigma eigenvalues in [1e+308, 1e+308] put the gauge values out of the double range"),
+}
+_EXPONENTIAL = {"family": "exponential", "params": {"rate": 1.0}}
 
-@pytest.mark.parametrize("label", sorted(_REJECTED))
+
+@pytest.mark.parametrize("label", sorted(_REJECTED) + sorted(_OUT_OF_RANGE))
 def test_sample_rejects_every_law_a_full_build_rejects(tmp_path, label):
-    doc, message = _REJECTED[label]
+    if label in _REJECTED:
+        (doc, message), code = _REJECTED[label], 1
+    else:
+        (gauge, message), code = _OUT_OF_RANGE[label], 2
+        doc = {"gauge": gauge, "profile": _EXPONENTIAL}
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     res = subprocess.run(
@@ -633,7 +653,7 @@ def test_sample_rejects_every_law_a_full_build_rejects(tmp_path, label):
          "sample", "--dist", str(path), "--n", "10"],
         env=_env(), capture_output=True, text=True,
     )
-    assert (res.returncode, res.stdout, res.stderr) == (1, "", f"error: {message}\n")
+    assert (res.returncode, res.stdout, res.stderr) == (code, "", f"error: {message}\n")
 
 
 def test_planar_polytope_distribution_does_not_load_qhull():

@@ -35,6 +35,21 @@ def test_elliptical_euclidean_case():
     np.testing.assert_allclose(g.cross_section_point([3.0, 4.0]), [0.6, 0.8], atol=1e-14)
 
 
+def test_gauges_whose_values_leave_the_double_range_are_rejected():
+    # g^-p may reach 1e150 on the unit sphere, and g must stay finite there.
+    angles = [0.0, 2.0, 4.0]
+    for make in (lambda: EllipticalGauge(1e305 * np.eye(2)),
+                 lambda: EllipticalGauge(1e308 * np.eye(2)),
+                 lambda: EllipticalGauge(1e51 * np.eye(6)),
+                 lambda: TabulatedRadialGauge(angles, [1e-320, 1.0, 1.0]),
+                 lambda: TabulatedRadialGauge(angles, [1e76, 1.0, 1.0])):
+        with pytest.raises(ConfigError, match="out of the double range"):
+            make()
+    for sigma in (1e149 * np.eye(2), 1e-300 * np.eye(2), 1e49 * np.eye(6)):
+        assert np.isfinite(EllipticalGauge(sigma).value(np.ones(len(sigma))))
+    assert np.isfinite(TabulatedRadialGauge(angles, [1e-300, 1.0, 1e74]).value([1.0, 1.0]))
+
+
 def test_supnorm_and_l1_values():
     assert SupNormGauge(3).value([1.0, -2.0, 0.5]) == 2.0
     assert L1NormGauge(2).value([1.0, -2.0]) == 3.0
