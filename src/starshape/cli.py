@@ -47,6 +47,9 @@ def _guard(func):
         except StarshapeError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2 if isinstance(exc, ValueError) else 1)
+        except MemoryError as exc:
+            click.echo(f"error: out of memory: {exc}", err=True)
+            sys.exit(1)
 
     return wrapper
 
@@ -254,7 +257,7 @@ def constant(dist_path, seed, out):
     """Print the normalizing constant by both routes, with discrepancy."""
     gauge, profile, _ = load_distribution(dist_path)
     dist = StarDistribution(gauge, profile, seed=seed)
-    chk = dist.c0_cross_check(seed=seed)
+    chk = dist.c0_cross_check()
     _write_text(out, [json.dumps(chk) + "\n"])
 
 

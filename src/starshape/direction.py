@@ -34,7 +34,6 @@ from .errors import (
     NotOnCrossSectionError,
     NotUnitVectorError,
     QuadratureFailureError,
-    StarshapeError,
 )
 from .gauge import DirectionDerivedGauge, Gauge, SphereBounds, sphere_surface, unit_angles
 from .quadrature import arcs, mean_stderr, panels, simpson
@@ -50,6 +49,8 @@ _MAX_ROUNDS = 10_000
 _BOUND_RTOL = 1e-12
 # How far from 1 a target direction density may integrate.
 _NORM_RTOL = 0.01
+# Simpson panels of the planar cross-section mass check.
+_MASS_PANELS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -91,39 +92,17 @@ def direction_integral(gauge: Gauge, n_mc: int = 1_000_000, seed: int = 0) -> Sp
     if p < 2:
         raise DimensionMismatchError("direction integrals need dim >= 2")
     if p == 2:
-        val = sum(_arc_integrals(gauge)[1])
-        if not np.isfinite(val) or val <= 0:
-            raise QuadratureFailureError(f"sphere integral evaluated to {val}")
-        return SphereIntegral(float(val), 0.0, "angular-quadrature", SPHERE_PANELS + 1)
-    U = uniform_sphere(_rng.stream(seed, 1000), n_mc, p)
-    mean, stderr = mean_stderr(gauge.values(U) ** (-float(p)))
-    omega = sphere_surface(p)
-    return SphereIntegral(omega * mean, omega * stderr, "monte-carlo", n_mc)
-
-
-def _planar_sphere_bounds(gauge: Gauge) -> SphereBounds | None:
-    """The sphere bounds of a p = 2 gauge when they show that
-    :func:`direction_integral` is finite and positive; None when they cannot
-    tell, or when computing them raised or met a floating-point error.
-
-    The Simpson sum of g^(-2) lies between 2 pi g_max^(-2) and
-    2 pi g_min^(-2), and none of its partial sums exceeds 2^18 times the
-    largest value, so neither end can leave the normal double range.
-    Bounds that fail or warn here are left for the caller to meet again,
-    so their errors and warnings come out where a full build puts them.
-    """
-    errors = []
-    try:
-        with np.errstate(all="call", call=lambda kind, flag: errors.append(kind)):
-            bounds = gauge.sphere_bounds()
-    except StarshapeError:
-        return None
-    if errors:
-        return None
-    g_min, g_max = float(bounds.g_min), float(bounds.g_max)
-    if 2.0 * np.pi / g_min / g_min < 1e300 and 2.0 * np.pi / g_max / g_max > 1e-300:
-        return bounds
-    return None
+        integral = SphereIntegral(
+            float(sum(_arc_integrals(gauge)[1])), 0.0, "angular-quadrature", SPHERE_PANELS + 1
+        )
+    else:
+        U = uniform_sphere(_rng.stream(seed, 1000), n_mc, p)
+        mean, stderr = mean_stderr(gauge.values(U) ** (-float(p)))
+        omega = sphere_surface(p)
+        integral = SphereIntegral(omega * mean, omega * stderr, "monte-carlo", n_mc)
+    if not 0.0 < integral.value < np.inf:
+        raise QuadratureFailureError(f"sphere integral evaluated to {integral.value}")
+    return integral
 
 
 def direction_constant(gauge: Gauge, n_mc: int = 1_000_000, seed: int = 0) -> C0Estimate:
@@ -251,7 +230,7 @@ def cross_section_measure_densities(gauge: Gauge, c0: float, Z) -> np.ndarray:
     return c0 * np.einsum("ij,ij->i", Z, grad) / np.linalg.norm(grad, axis=1)
 
 
-def cross_section_mass(gauge: Gauge, c0: float, n_panels: int = 1 << 14) -> float:
+def cross_section_mass(gauge: Gauge, c0: float) -> float:
     """Total mass of c0 <z, n_z> dz over the unit cross section (p = 2).
 
     Parameterizes the cross section by angle, z(t) = u(t)/g(u(t)), and
@@ -278,7 +257,7 @@ def cross_section_mass(gauge: Gauge, c0: float, n_panels: int = 1 << 14) -> floa
     # back as endpoint rectangles (error O(inset^2)).
     total = 0.0
     for a, b in arcs(gauge.kink_angles()):
-        k = panels(n_panels, b - a, 2.0 * np.pi)
+        k = panels(_MASS_PANELS, b - a, 2.0 * np.pi)
         inset = 4.0 * delta
         theta = np.linspace(a + inset, b - inset, k + 1)
         vals = integrand(theta)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, log
+from math import comb, log, log2
 from typing import Callable
 
 import numpy as np
@@ -98,8 +98,9 @@ def _as_point(x, dim: int) -> np.ndarray:
         raise DimensionMismatchError(
             f"expected a point of dimension {dim}, got shape {x.shape}"
         )
-    if np.linalg.norm(x) < ZERO_NORM_EPS:
-        raise ZeroVectorError("gauge functions are undefined at the origin")
+    with np.errstate(over="ignore"):  # a norm past the double range is not zero
+        if np.linalg.norm(x) < ZERO_NORM_EPS:
+            raise ZeroVectorError("gauge functions are undefined at the origin")
     return x
 
 
@@ -109,8 +110,9 @@ def _as_batch(X, dim: int) -> np.ndarray:
         raise DimensionMismatchError(
             f"expected points of shape (n, {dim}), got {X.shape}"
         )
-    if X.shape[0] and np.min(np.linalg.norm(X, axis=1)) < ZERO_NORM_EPS:
-        raise ZeroVectorError("batch contains the origin")
+    with np.errstate(over="ignore"):
+        if X.shape[0] and np.min(np.linalg.norm(X, axis=1)) < ZERO_NORM_EPS:
+            raise ZeroVectorError("batch contains the origin")
     return X
 
 
@@ -245,12 +247,12 @@ class EllipticalGauge(Gauge):
         eigvals = np.linalg.eigvalsh(sigma)
         if eigvals[0] <= 0.0:
             raise NonPositiveError("sigma must be positive definite")
-        _check_value_range(
-            self.dim, -0.5 * log(eigvals[-1]), -0.5 * log(eigvals[0]),
-            f"sigma eigenvalues in [{eigvals[0]:.3g}, {eigvals[-1]:.3g}]",
-        )
+        what = f"sigma eigenvalues in [{eigvals[0]:.3g}, {eigvals[-1]:.3g}]"
+        _check_value_range(self.dim, -0.5 * log(eigvals[-1]), -0.5 * log(eigvals[0]), what)
         self.sigma = 0.5 * (sigma + sigma.T)
         self.sigma_inv = np.linalg.inv(self.sigma)
+        if not np.isfinite(self.sigma_inv).all():
+            raise ConfigError(f"{what} put sigma's inverse out of the double range")
         self._eigvals = eigvals
 
     def values(self, X) -> np.ndarray:
@@ -361,22 +363,31 @@ class PolytopeGauge(Gauge):
         self.facets = A
         self._kinks = np.empty(0)
         self._polar = None
+        # The hull is built on A/s, s a power of two near max|a_ij|, so that
+        # its arithmetic stays in range; g scales by s exactly.
+        top = float(np.max(np.abs(A)))
+        s = 2.0 ** min(round(log2(top)), 1023) if 0.0 < top < np.inf else 1.0
         if self.dim == 1:
             g_min = float(min(A.max(), -A.min()))
         elif self.dim == 2:
-            self._kinks, g_min = _hull_geometry(A)
+            self._kinks, g_min = _hull_geometry(A / s)
+            g_min *= s
         else:
             # Qhull costs 0.1 s of import, so planar gauges keep the chain.
             from scipy.spatial import ConvexHull, QhullError
 
             try:
-                self._polar = ConvexHull(A).equations
+                self._polar = ConvexHull(A / s).equations
+                self._polar[:, -1] *= s
                 g_min = float(np.min(-self._polar[:, -1]))
             except QhullError:  # the facet points lie in a hyperplane
                 g_min = 0.0
         if g_min <= 0.0:
             raise NonPositiveError("gauge is not positive on the unit sphere")
-        self._bounds = SphereBounds(g_min, float(np.linalg.norm(A, axis=1).max()))
+        g_max = s * float(np.linalg.norm(A / s, axis=1).max())
+        what = f"facets giving g in [{g_min:.3g}, {g_max:.3g}]"
+        _check_value_range(self.dim, log(g_min), log(g_max), what)
+        self._bounds = SphereBounds(g_min, g_max)
 
     def values(self, X) -> np.ndarray:
         X = _as_batch(X, self.dim)

@@ -48,6 +48,11 @@ DEFAULT_GAP_TOL = 1e-10
 # Gauss-Jacobi order per axis of the twisted normalisers (p <= 2).
 _NORMALISER_ORDER = 20
 _SYM_ATOL = 1e-12
+# Random probes of check_sign_invariance, and its relative tolerance.
+_SIGN_PROBES = 8
+_SIGN_RTOL = 1e-8
+# Absolute tolerance (times the pair's scale) of an isotropy audit's fixed points.
+_ISOTROPY_ATOL = 1e-9
 
 
 def _as_square(W, name: str = "matrix") -> np.ndarray:
@@ -521,22 +526,20 @@ def check_sign_invariance(
     t_handle: Callable[[np.ndarray], float],
     p: int,
     gen: np.random.Generator,
-    n_probe: int = 8,
-    rtol: float = 1e-8,
 ) -> bool:
     """Probe whether t(B) ignores column signs, as the eigenvalue law requires.
 
     Not a certification — random matrices and random sign flips only.  A
     failed probe emits a warning and returns False.
     """
-    for _ in range(n_probe):
+    for _ in range(_SIGN_PROBES):
         B = gen.normal(size=(p, p))
         while abs(np.linalg.det(B)) < 1e-6:
             B = gen.normal(size=(p, p))
         eps = np.diag(np.where(gen.random(p) < 0.5, 1.0, -1.0))
         base = float(t_handle(B))
         flipped = float(t_handle(B @ eps))
-        if abs(base - flipped) > rtol * max(1.0, abs(base)):
+        if abs(base - flipped) > _SIGN_RTOL * max(1.0, abs(base)):
             warnings.warn(
                 "t-handle changed under a column sign flip; the stated "
                 "eigenvalue law does not apply to it",
@@ -564,7 +567,6 @@ class CrossSectionReport:
 def verify_global_cross_section(
     points: Sequence[tuple[np.ndarray, np.ndarray]],
     group: str = "gl",
-    atol: float = 1e-9,
     gen: np.random.Generator | None = None,
 ) -> CrossSectionReport:
     """Audit that candidate cross-section points share the expected isotropy.
@@ -595,8 +597,8 @@ def verify_global_cross_section(
             stab = 0
             for E in signs:
                 if (
-                    np.max(np.abs(E @ W1 @ E.T - W1)) <= atol * scale
-                    and np.max(np.abs(E @ W2 @ E.T - W2)) <= atol * scale
+                    np.max(np.abs(E @ W1 @ E.T - W1)) <= _ISOTROPY_ATOL * scale
+                    and np.max(np.abs(E @ W2 @ E.T - W2)) <= _ISOTROPY_ATOL * scale
                 ):
                     stab += 1
             sizes.append(stab)
@@ -619,8 +621,8 @@ def verify_global_cross_section(
             if np.max(np.abs(A - np.eye(p))) < 1e-6:
                 continue
             if (
-                np.max(np.abs(A @ W1 @ A.T - W1)) <= atol * scale
-                and np.max(np.abs(A @ W2 @ A.T - W2)) <= atol * scale
+                np.max(np.abs(A @ W1 @ A.T - W1)) <= _ISOTROPY_ATOL * scale
+                and np.max(np.abs(A @ W2 @ A.T - W2)) <= _ISOTROPY_ATOL * scale
             ):
                 stab += 1
         sizes.append(stab)

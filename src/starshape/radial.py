@@ -12,7 +12,6 @@ are drawn as exact transforms of Gamma variates, with no table in between.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -79,34 +78,6 @@ class RadialProfile:
         s, r, t = self._kotz_form()
         k = (p + s) / t
         return float((gammainccinv(k, tail) / r) ** (1.0 / t))
-
-    def _law_is_finite(self, p: int) -> bool:
-        """True when ``math`` alone shows that :func:`radial_constant` and
-        the 1e-10 tail length are finite (the constant positive); False
-        when it cannot tell.
-
-        The constant is exp(gammaln(k) - k log r) / t, finite and normal
-        while both exponents stay within 700.  The Chernoff bound puts the
-        Gamma(k) 1e-10 upper quantile below 2k + 100 for every k, so the
-        tail length is at most exp(log((2k + 100)/r) / t).  Terms below
-        2^40 keep the few-ulp gap between ``math.lgamma`` and scipy's
-        ``gammaln`` far inside the margin.
-        """
-        s, r, t = self._kotz_form()
-        k = (p + s) / t
-        try:
-            k_log_r = k * math.log(r)
-            log_mass = math.lgamma(k) - k_log_r
-            log_tail = math.log((2.0 * k + 100.0) / r) / t
-        except (OverflowError, ValueError):
-            return False
-        return (
-            p >= 1
-            and abs(k_log_r) < 2.0**40
-            and abs(log_mass) < 700.0
-            and abs(log_mass - math.log(t)) < 700.0
-            and log_tail < 700.0
-        )
 
     def _draw(self, gen: np.random.Generator, n: int, p: int) -> np.ndarray:
         """n lengths g = (X/r)^(1/t) U^(1/(p + s)), X ~ Gamma(k + 1) drawn
@@ -211,10 +182,6 @@ class HeavyTailProfile(RadialProfile):
         y = betaincinv(self.nu / 2.0, p / 2.0, tail)
         return float(np.sqrt((1.0 - y) / y)) if y >= np.finfo(float).tiny else np.inf
 
-    def _law_is_finite(self, p: int) -> bool:
-        # Beta functions have no screen here: heavy tails are checked in full.
-        return False
-
     def _draw(self, gen: np.random.Generator, n: int, p: int) -> np.ndarray:
         """n lengths sqrt(X/Y), X ~ Gamma(p/2) drawn before Y ~ Gamma(nu/2)."""
         x = gen.standard_gamma(p / 2.0, n)
@@ -289,9 +256,10 @@ class RadialTable:
     """The length law of ``profile`` in dimension ``p``, in closed form.
 
     ``constant`` is the radial integral c and ``g_hi`` the length with
-    upper-tail mass 1e-10, which sizes the plane rule's square; both are
-    computed on first use, and draws need neither.  Draws are exact (see
-    the profiles' ``_draw``) and :meth:`cdf_at` is the exact CDF.
+    upper-tail mass 1e-10, which sizes the plane rule's square; each is
+    computed on first use and raises DivergentError there unless finite,
+    and draws need neither.  Draws are exact (see the profiles' ``_draw``)
+    and :meth:`cdf_at` is the exact CDF.
     """
 
     profile: RadialProfile
@@ -299,13 +267,7 @@ class RadialTable:
 
     @classmethod
     def build(cls, profile: RadialProfile, p: int) -> "RadialTable":
-        """The table; raises DivergentError if ``constant`` or ``g_hi`` is
-        not finite, computing them here only when the profile's ``math``
-        screen cannot vouch for them."""
-        table = cls(profile, p)
-        if not profile._law_is_finite(p):
-            table.constant, table.g_hi
-        return table
+        return cls(profile, p)
 
     @cached_property
     def constant(self) -> float:
@@ -323,8 +285,10 @@ class RadialTable:
         return self.profile._cdf(np.asarray(g, dtype=float), self.p)
 
     def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
-        """n i.i.d. lengths; a draw that is not finite and positive raises."""
-        g = self.profile._draw(gen, n, self.p)
+        """n i.i.d. lengths; a draw that is not finite and positive raises,
+        so the draw itself may overflow or divide by zero silently."""
+        with np.errstate(over="ignore", divide="ignore"):
+            g = self.profile._draw(gen, n, self.p)
         if not np.all((g > 0.0) & (g < np.inf)):
             raise DivergentError(f"length draw outside (0, inf) for {self.profile.family}")
         return g

@@ -21,12 +21,11 @@ from . import rng as _rng
 from .direction import (
     C0Estimate,
     SphereIntegral,
-    _planar_sphere_bounds,
     direction_constant,
     direction_sample,
     sphere_surface,
 )
-from .errors import ConfigError, DimensionMismatchError, QuadratureFailureError
+from .errors import ConfigError, DimensionMismatchError, DivergentError, QuadratureFailureError
 from .gauge import Gauge, _as_batch, _as_point
 from .quadrature import gauss, mean_stderr
 from .radial import (
@@ -56,13 +55,13 @@ class OrbitalRecord:
 class StarDistribution:
     """A star-shaped law built from a gauge and a radial profile.
 
-    Building computes only the sphere bounds, and checks that the sphere
-    integral and the length law are finite, in ``math`` where that can
-    decide; it rejects exactly the laws a full build would reject.  The
-    spherical constant ``c0`` (with ``c0_stderr`` and ``sphere_integral``,
-    from ``n_mc`` and ``seed``), the radial table's constant
-    ``radial_norm`` and the density ``scale`` are computed on first use,
-    so sampling never computes c0.  Two threads racing on a first use
+    Building computes only the sphere bounds.  The spherical constant
+    ``c0`` (with ``c0_stderr`` and ``sphere_integral``, from ``n_mc`` and
+    ``seed``), the radial table's constant ``radial_norm``, the density
+    ``scale`` and the radial route's c0 are computed on first use, and
+    each raises where it is computed, so a command fails only on what it
+    uses: sampling needs none of them, and fails only when a draw cannot
+    be represented in doubles.  Two threads racing on a first use
     compute the same deterministic value, so the object stays safe to
     share across threads (samplers take an explicit generator).
 
@@ -89,15 +88,8 @@ class StarDistribution:
         self.p = gauge.dim
         self.n_mc = n_mc
         self.seed = seed
-        self.c0_provenance = "spherical-integral"
-        # A full build's checks, in its order, so that a law failing several
-        # reports the same one; math screens skip the work they vouch for.
-        bounds = _planar_sphere_bounds(gauge) if self.p == 2 else None
-        if self.p == 2 and bounds is None:
-            self._c0_estimate  # raises if the sphere integral is not finite
         self.table = RadialTable.build(profile, self.p)
-        self.bounds = gauge.sphere_bounds() if bounds is None else bounds
-        self._c0_radial_cache: dict[tuple[int, int] | None, tuple[float, float]] = {}
+        self.bounds = gauge.sphere_bounds()
 
     @cached_property
     def _c0_estimate(self) -> C0Estimate:
@@ -145,10 +137,14 @@ class StarDistribution:
 
     def sample(self, gen: np.random.Generator, n: int, lengths: bool = False):
         """n i.i.d. draws, composed as x = g * z'/g(z'); with ``lengths``, the
-        pair (draws, drawn lengths g), which equal g(x) up to rounding."""
+        pair (draws, drawn lengths g), which equal g(x) up to rounding.
+        Raises DivergentError unless every draw has 0 < max|x_i| < inf."""
         g = self.table.sample(gen, n)
         draws = direction_sample(self.gauge, gen, n, self.bounds)
-        X = g[:, None] * (draws.points / draws.g[:, None])
+        with np.errstate(over="ignore"):
+            X = g[:, None] * (draws.points / draws.g[:, None])
+        if not (np.isfinite(X).all() and (X != 0.0).any(axis=1).all()):
+            raise DivergentError("a draw left the double range")
         return (X, g) if lengths else X
 
     # -- orbital decomposition ----------------------------------------------
@@ -167,50 +163,45 @@ class StarDistribution:
 
     # -- the radial route to c0 ----------------------------------------------
 
-    def c0_radial(self, seed: int = 0, n_mc: int = 1_000_000) -> tuple[float, float]:
+    def c0_radial(self) -> tuple[float, float]:
         """(value, stderr) of c0 via the radial integral.
 
         The profile is unnormalized, so the radial integral is divided by
         the total mass Z = integral of profile(g(x)) dx, computed by a
         method independent of the sphere route: a graded Cartesian
         Gauss-Legendre rule with kink-ray split points at p = 2,
-        importance-sampled Monte Carlo at p >= 3.  Agreement with the
-        spherical constant is a numerical check of the length/direction
-        factorization.  Results are cached per ``(seed, n_mc)`` at p >= 3;
-        the p = 2 rule uses neither, so it is computed once.
+        importance-sampled Monte Carlo from ``n_mc`` and ``seed`` at
+        p >= 3.  Agreement with the spherical constant is a numerical
+        check of the length/direction factorization.
         """
-        key = (seed, n_mc) if self.p > 2 else None
-        if key not in self._c0_radial_cache:
-            if self.p == 2:
-                total, err = _plane_integral_2d(self.gauge, self.profile, self.table)
-                value = self.radial_norm / total
-                stderr = 0.0
-                # Coarse sanity gate only: the twin-route comparison is the
-                # real accuracy check.
-                if err > 1e-4 * total:
-                    raise QuadratureFailureError(
-                        f"plane integral error {err:.2e} too large for {total:.6e}"
-                    )
-            else:
-                total, se = _plane_integral_mc(
-                    self.gauge, self.profile, self.bounds, seed=seed, n_mc=n_mc
-                )
-                value = self.radial_norm / total
-                stderr = self.radial_norm * se / total**2
-            self._c0_radial_cache[key] = (float(value), float(stderr))
-        return self._c0_radial_cache[key]
+        return self._c0_radial
 
-    def c0_cross_check(self, seed: int = 0, n_mc: int = 1_000_000) -> dict:
+    @cached_property
+    def _c0_radial(self) -> tuple[float, float]:
+        norm = self.radial_norm  # its error comes before the integral's
+        if self.p == 2:
+            total, err = _plane_integral_2d(self.gauge, self.profile, self.table)
+            # Coarse sanity gate only: the twin-route comparison is the
+            # real accuracy check.
+            if err > 1e-4 * total:
+                raise QuadratureFailureError(
+                    f"plane integral error {err:.2e} too large for {total:.6e}"
+                )
+            return float(norm / total), 0.0
+        total, se = _plane_integral_mc(self.gauge, self.profile, self.bounds, self.seed, self.n_mc)
+        return float(norm / total), float(norm * se / total**2)
+
+    def c0_cross_check(self) -> dict:
         """Both routes to c0 plus their relative discrepancy."""
-        rad, rad_se = self.c0_radial(seed=seed, n_mc=n_mc)
-        combined_se = float(np.hypot(rad_se, self.c0_stderr))
+        c0, c0_se = self.c0, self.c0_stderr
+        rad, rad_se = self.c0_radial()
         return {
             "c0_radial": rad,
             "stderr_radial": rad_se,
-            "c0_spherical": self.c0,
-            "stderr_spherical": self.c0_stderr,
-            "rel_discrepancy": abs(rad - self.c0) / self.c0,
-            "combined_stderr": combined_se,
+            "c0_spherical": c0,
+            "stderr_spherical": c0_se,
+            "rel_discrepancy": abs(rad - c0) / c0,
+            "combined_stderr": float(np.hypot(rad_se, c0_se)),
         }
 
 
@@ -303,11 +294,7 @@ def _plane_integral_2d(
 
 
 def _plane_integral_mc(
-    gauge: Gauge,
-    profile: RadialProfile,
-    bounds,
-    seed: int = 0,
-    n_mc: int = 1_000_000,
+    gauge: Gauge, profile: RadialProfile, bounds, seed: int, n_mc: int
 ) -> tuple[float, float]:
     """Importance-sampled integral of profile(g(x)) dx for p >= 3.
 

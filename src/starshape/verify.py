@@ -50,7 +50,7 @@ def vector_suite(
     dist = StarDistribution(gauge, profile, seed=seed)
 
     # Twin routes to the normalizing constant.
-    chk = dist.c0_cross_check(seed=seed)
+    chk = dist.c0_cross_check()
     if dist.p == 2:
         tol = 1e-6 if gauge.kink_angles().size else 1e-7
         reports.append(_tolerance_report("c0-twin-route", chk["rel_discrepancy"], tol))

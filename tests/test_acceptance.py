@@ -134,7 +134,7 @@ def test_criterion_02_twin_route_consistency(dists):
         (L1NormGauge(3), GaussianProfile(1.0), 12),
     ):
         dist3 = StarDistribution(gauge, prof, seed=seed)
-        chk = dist3.c0_cross_check(seed=seed)
+        chk = dist3.c0_cross_check()
         dev = abs(chk["c0_radial"] - chk["c0_spherical"])
         ok &= dev <= 3.0 * chk["combined_stderr"]
         p3_details.append(f"p3 dev={dev:.2e} (3se={3*chk['combined_stderr']:.2e})")

@@ -224,7 +224,7 @@ def test_a_failed_table_leaves_the_out_file_as_it_was(monkeypatch, runner, cube_
     for out in (old, tmp_path / "new.csv"):
         res = runner.invoke(main, ["sample", "--dist", cube_path, "--n", str(2**16 + 1),
                                    "--out", str(out)])
-        assert res.exit_code == 1 and isinstance(res.exception, MemoryError)
+        assert (res.exit_code, res.stderr) == (1, "error: out of memory: no room for the text\n")
     assert calls == [2**16, 1, 2**16, 1]
     assert sorted(os.listdir(tmp_path)) == ["cube.json", "old.csv"]
     assert old.read_text() == "earlier draws\n"
@@ -573,9 +573,13 @@ def test_cli_import_does_not_load_scipy_stats(cube_path, tmp_path):
                   "params": {"facets": [[1.0, 0.2], [-0.8, 0.6], [0.1, -1.1], [0.9, 0.9]]}},
         "profile": {"family": "gaussian", "params": {"scale": 1.0}},
     }))
+    heavy = tmp_path / "heavy.json"
+    heavy.write_text(json.dumps({"gauge": _SUP, "profile": {"family": "heavytail",
+                                                            "params": {"nu": 3.0}}}))
     out = str(tmp_path / "out.txt")
     for args in (["sample", "--dist", cube_path, "--n", "1000", "--out", out],
                  ["sample", "--dist", str(poly), "--n", "1000", "--out", out],
+                 ["sample", "--dist", str(heavy), "--n", "1000", "--out", out],
                  ["matrix", "--group", "lt", "--p", "3", "--out", out],
                  ["matrix", "--group", "gl", "--p", "2", "--out", out]):
         code = f"from starshape.cli import main; main({args!r}, standalone_mode=False)"
@@ -600,26 +604,29 @@ def test_sampling_a_polytope_at_p3_never_computes_c0(monkeypatch, runner, tmp_pa
 
 
 _SUP = {"dim": 2, "variant": "sup", "params": {}}
+_EXPONENTIAL = {"family": "exponential", "params": {"rate": 1.0}}
 
-# Laws that a full build rejected; a lazy one must reject them alike.
+# Laws whose constants are not finite: `constant` rejects them with the
+# message of the first constant it meets, and `sample`, which uses none of
+# them, fails only on draws it cannot represent (None: it writes them).
 _REJECTED = {
     "exponential-rate-1e-300": (
         {"gauge": _SUP, "profile": {"family": "exponential", "params": {"rate": 1e-300}}},
-        "radial integral evaluated to inf"),
+        "radial integral evaluated to inf", None),
     "kotz-s500-r1e-3-t0.5": (
         {"gauge": _SUP, "profile": {"family": "kotz", "params": {"s": 500.0, "r": 1e-3, "t": 0.5}}},
-        "radial integral evaluated to inf"),
+        "radial integral evaluated to inf", None),
     "heavytail-nu-1e-300": (
         {"gauge": _SUP, "profile": {"family": "heavytail", "params": {"nu": 1e-300}}},
-        "could not cover the radial tail"),
+        "could not cover the radial tail", "length draw outside (0, inf) for heavytail"),
     "heavytail-nu-1e-3": (
         {"gauge": _SUP, "profile": {"family": "heavytail", "params": {"nu": 1e-3}}},
-        "could not cover the radial tail"),
-    "ellipse-sigma-1e-310": (
+        "could not cover the radial tail", "length draw outside (0, inf) for heavytail"),
+    "ellipse-sigma-1e100-rate-1e-260": (
         {"gauge": {"dim": 2, "variant": "elliptical",
-                   "params": {"sigma": [[1e-310, 0.0], [0.0, 1.0]]}},
-         "profile": {"family": "exponential", "params": {"rate": 1.0}}},
-        "sphere integral evaluated to nan"),
+                   "params": {"sigma": [[1e100, 0.0], [0.0, 1e100]]}},
+         "profile": {"family": "exponential", "params": {"rate": 1e-260}}},
+        "radial integral evaluated to inf", "a draw left the double range"),
 }
 
 # Laws whose gauge values leave the double range, which the gauge
@@ -635,25 +642,93 @@ _OUT_OF_RANGE = {
     "ellipse-sigma-1e308": (
         {"dim": 2, "variant": "elliptical", "params": {"sigma": [[1e308, 0.0], [0.0, 1e308]]}},
         "sigma eigenvalues in [1e+308, 1e+308] put the gauge values out of the double range"),
+    "ellipse-sigma-1e-310": (
+        {"dim": 2, "variant": "elliptical", "params": {"sigma": [[1e-310, 0.0], [0.0, 1.0]]}},
+        "sigma eigenvalues in [1e-310, 1] put sigma's inverse out of the double range"),
 }
-_EXPONENTIAL = {"family": "exponential", "params": {"rate": 1.0}}
+
+
+def _run_cli(tmp_path, doc, *args) -> subprocess.CompletedProcess:
+    """Run a command on ``doc`` in a fresh interpreter that turns every
+    RuntimeWarning into an error."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "starshape.cli",
+         args[0], "--dist", str(path), *args[1:]],
+        env=_env(), capture_output=True, text=True,
+    )
+
+
+def _expected_failure(label, command):
+    """(document, exit code, message) of a _REJECTED or _OUT_OF_RANGE law."""
+    if label in _OUT_OF_RANGE:
+        gauge, message = _OUT_OF_RANGE[label]
+        return {"gauge": gauge, "profile": _EXPONENTIAL}, 2, message
+    doc, constant_message, sample_message = _REJECTED[label]
+    return doc, 1, constant_message if command == "constant" else sample_message
 
 
 @pytest.mark.parametrize("label", sorted(_REJECTED) + sorted(_OUT_OF_RANGE))
-def test_sample_rejects_every_law_a_full_build_rejects(tmp_path, label):
-    if label in _REJECTED:
-        (doc, message), code = _REJECTED[label], 1
-    else:
-        (gauge, message), code = _OUT_OF_RANGE[label], 2
-        doc = {"gauge": gauge, "profile": _EXPONENTIAL}
-    path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
-    res = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "starshape.cli",
-         "sample", "--dist", str(path), "--n", "10"],
-        env=_env(), capture_output=True, text=True,
-    )
+def test_constant_rejects_laws_it_cannot_normalise(tmp_path, label):
+    doc, code, message = _expected_failure(label, "constant")
+    res = _run_cli(tmp_path, doc, "constant")
     assert (res.returncode, res.stdout, res.stderr) == (code, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("label", sorted(_REJECTED) + sorted(_OUT_OF_RANGE))
+def test_sample_fails_only_on_draws_it_cannot_represent(tmp_path, label):
+    doc, code, message = _expected_failure(label, "sample")
+    res = _run_cli(tmp_path, doc, "sample", "--n", "10")
+    if message is None:
+        assert (res.returncode, res.stderr) == (0, "")
+        rows = np.loadtxt(res.stdout.splitlines()[1:], delimiter=",")
+        assert rows.shape == (10, 2) and np.all(np.isfinite(rows))
+        assert np.all(np.any(rows != 0.0, axis=1))
+    else:
+        assert (res.returncode, res.stdout, res.stderr) == (code, "", f"error: {message}\n")
+
+
+def _log_uniform(lo: float, hi: float):
+    """10^e for e in [lo, hi]; Hypothesis favours the ends of the interval."""
+    return st.floats(0.0, 1.0).map(lambda u: 10.0 ** (lo + (hi - lo) * u))
+
+
+_PROFILES = st.one_of(
+    st.builds(lambda rate: {"family": "exponential", "params": {"rate": rate}},
+              _log_uniform(-300, 300)),
+    st.builds(lambda s, r, t: {"family": "kotz", "params": {"s": s, "r": r, "t": t}},
+              st.floats(0.0, 1e3), _log_uniform(-300, 300), _log_uniform(-2, 2)),
+    st.builds(lambda nu: {"family": "heavytail", "params": {"nu": nu}}, _log_uniform(-300, 3)),
+)
+_GAUGES = st.one_of(
+    st.sampled_from([_SUP, {"dim": 3, "variant": "sup", "params": {}}]),
+    st.builds(
+        lambda p, c: {"dim": p, "variant": "elliptical",
+                      "params": {"sigma": (c * np.diag(np.arange(1.0, p + 1.0))).tolist()}},
+        st.sampled_from([2, 3]), _log_uniform(-100, 99),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(gauge=_GAUGES, profile=_PROFILES)
+def test_sample_writes_representable_rows_or_one_error_line(gauge, profile):
+    # RuntimeWarnings are errors in this suite, so a warning would end the
+    # command with an exception rather than an error line.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as fh:
+            json.dump({"gauge": gauge, "profile": profile}, fh)
+        res = CliRunner().invoke(main, ["sample", "--dist", path, "--n", "50"])
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
+    if res.exit_code == 0:
+        rows = np.loadtxt(res.stdout.splitlines()[1:], delimiter=",")
+        assert rows.shape == (50, gauge["dim"]) and np.all(np.isfinite(rows))
+        assert np.all(np.any(rows != 0.0, axis=1))
+    else:
+        assert res.exit_code == 1 and res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1 and res.stderr.startswith("error: ")
 
 
 def test_planar_polytope_distribution_does_not_load_qhull():

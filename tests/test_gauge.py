@@ -41,6 +41,7 @@ def test_gauges_whose_values_leave_the_double_range_are_rejected():
     for make in (lambda: EllipticalGauge(1e305 * np.eye(2)),
                  lambda: EllipticalGauge(1e308 * np.eye(2)),
                  lambda: EllipticalGauge(1e51 * np.eye(6)),
+                 lambda: EllipticalGauge(np.diag([1e-310, 1.0])),  # Sigma^-1 overflows
                  lambda: TabulatedRadialGauge(angles, [1e-320, 1.0, 1.0]),
                  lambda: TabulatedRadialGauge(angles, [1e76, 1.0, 1.0])):
         with pytest.raises(ConfigError, match="out of the double range"):
@@ -50,9 +51,28 @@ def test_gauges_whose_values_leave_the_double_range_are_rejected():
     assert np.isfinite(TabulatedRadialGauge(angles, [1e-300, 1.0, 1e74]).value([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_scaled_polytopes_keep_their_bounds_or_are_rejected(p):
+    # The facet hull is built on facets scaled by a power of two, so the
+    # cube's facets times 1e200 keep exact bounds; times 1e-100 and below,
+    # g^-p passes 1e150 on the sphere, and past DBL_MAX g_max overflows.
+    A = np.vstack([np.eye(p), -np.eye(p)])
+    base = PolytopeGauge(A).sphere_bounds()
+    for scale in (1e200, 2.0**-100):
+        bounds = PolytopeGauge(scale * A).sphere_bounds()
+        assert bounds.g_min == pytest.approx(scale * base.g_min, rel=1e-15)
+        assert bounds.g_max == pytest.approx(scale * base.g_max, rel=1e-15)
+    for facets in (1e-100 * A, 1e-120 * A, 1e-160 * A, 1.5e308 * np.vstack([A, np.ones(p)])):
+        with pytest.raises(ConfigError, match="out of the double range"):
+            PolytopeGauge(facets)
+
+
 def test_supnorm_and_l1_values():
     assert SupNormGauge(3).value([1.0, -2.0, 0.5]) == 2.0
     assert L1NormGauge(2).value([1.0, -2.0]) == 3.0
+    # The origin check must not overflow on points whose norm does.
+    assert SupNormGauge(2).value([1e300, -1e300]) == 1e300
+    assert L1NormGauge(2).values(np.array([[1e300, 1e300]]))[0] == 2e300
 
 
 def test_supnorm_gradient_is_facet_normal():

@@ -8,6 +8,8 @@ from starshape import (
     HeavyTailProfile,
     KotzProfile,
     RadialTable,
+    StarDistribution,
+    SupNormGauge,
     ks_test,
     profile_from_dict,
     radial_constant,
@@ -81,30 +83,14 @@ def test_radial_density_rejects_nonpositive():
 
 @pytest.mark.parametrize("profile", [ExponentialProfile(1e-200), GaussianProfile(1e110)])
 def test_overflowing_radial_constant_fails_loudly(profile):
-    # Gamma(3) / rate^3 and the Gaussian mass overflow at p = 3; a table
-    # built on them would give the distribution a zero scale.
+    # Gamma(3) / rate^3 and the Gaussian mass overflow at p = 3; the table's
+    # constant, and the density scale built on it, raise where they are used.
     with pytest.raises(DivergentError):
         radial_constant(profile, 3)
     with pytest.raises(DivergentError):
-        RadialTable.build(profile, 3)
-
-
-def test_the_math_screen_vouches_only_for_finite_length_laws(profiles):
-    # Where the screen lets a table skip its scipy checks at build, the
-    # checks pass; the usual profiles need no scipy at build.
-    vouched = 0
-    for s in (0.0, 1.0, 500.0, 1e6):
-        for r in (1e-300, 1e-30, 1e-3, 1.0, 1e3, 1e300):
-            for t in (1e-3, 0.5, 2.0, 60.0, 1e4):
-                for p in (1, 2, 6, 1000):
-                    profile = KotzProfile(s, r, t)
-                    if profile._law_is_finite(p):
-                        vouched += 1
-                        table = RadialTable(profile, p)
-                        assert table.constant > 0.0 and np.isfinite(table.g_hi)
-    assert vouched >= 150  # of 480
-    for key, profile in profiles.items():
-        assert profile._law_is_finite(2) == (key != "heavytail")
+        RadialTable.build(profile, 3).constant
+    with pytest.raises(DivergentError):
+        StarDistribution(SupNormGauge(3), profile, n_mc=1000).scale
 
 
 def test_table_head_of_a_steep_kotz_profile():

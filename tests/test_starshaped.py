@@ -255,31 +255,28 @@ def test_p3_build_and_independence():
     g, _, zp = dist.decompose_many(X)
     report = independence_chisq(g, zp[:, 0], 4, 4, alpha=0.001)
     assert report.passed, report
-    chk = dist.c0_cross_check(seed=2, n_mc=400_000)
+    chk = dist.c0_cross_check()
     assert abs(chk["c0_radial"] - chk["c0_spherical"]) <= 3.0 * chk["combined_stderr"]
 
 
-def test_c0_radial_is_cached_per_seed_and_sample_size():
-    def build():
-        return StarDistribution(SupNormGauge(3), ExponentialProfile(1.0), n_mc=20_000)
+@pytest.mark.parametrize("p", [2, 3])
+def test_the_radial_route_is_computed_once(monkeypatch, p):
+    # Both routes to c0 use the build's seed and n_mc, so the radial one is
+    # one value per distribution: the plane rule at p = 2, Monte Carlo above.
+    name = "_plane_integral_2d" if p == 2 else "_plane_integral_mc"
+    calls, rule = [], getattr(starshaped, name)
+    monkeypatch.setattr(starshaped, name, lambda *a: calls.append(1) or rule(*a))
 
-    dist = build()
-    first = dist.c0_radial(seed=1, n_mc=20_000)
-    second = dist.c0_radial(seed=2, n_mc=20_000)
-    assert second != first
-    assert second == build().c0_radial(seed=2, n_mc=20_000)
-    assert dist.c0_radial(seed=1, n_mc=10_000) == build().c0_radial(seed=1, n_mc=10_000)
-    assert dist.c0_radial(seed=1, n_mc=20_000) == first
+    def build(seed):
+        return StarDistribution(SupNormGauge(p), ExponentialProfile(1.0), n_mc=20_000, seed=seed)
 
-
-def test_c0_radial_at_p2_is_computed_once(monkeypatch):
-    # The plane rule depends on neither seed nor n_mc.
-    calls = []
-    rule = starshaped._plane_integral_2d
-    monkeypatch.setattr(starshaped, "_plane_integral_2d", lambda *a: calls.append(1) or rule(*a))
-    dist = StarDistribution(SupNormGauge(2), ExponentialProfile(1.0))
-    assert dist.c0_radial(seed=1) == dist.c0_radial(seed=2, n_mc=10)
+    dist = build(1)
+    first = dist.c0_radial()
+    assert dist.c0_radial() == first
+    assert dist.c0_cross_check()["c0_radial"] == first[0]
     assert len(calls) == 1
+    assert build(1).c0_radial() == first
+    assert (build(2).c0_radial() == first) == (p == 2)
 
 
 def test_a_planar_build_computes_the_sphere_bounds_once(monkeypatch):
