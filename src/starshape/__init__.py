@@ -33,10 +33,10 @@ from .gauge import (
     SphereBounds,
     SupNormGauge,
     TabulatedRadialGauge,
-    gauge_from_dict,
     sphere_surface,
     unit_angles,
 )
+from .io import distribution_from_dict, gauge_from_dict, load_distribution, profile_from_dict
 from .matrixmodels import (
     CrossSectionReport,
     GLDecomposition,
@@ -64,7 +64,6 @@ from .radial import (
     KotzProfile,
     RadialProfile,
     RadialTable,
-    profile_from_dict,
     radial_constant,
     radial_density,
 )

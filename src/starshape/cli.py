@@ -272,9 +272,12 @@ def independence_test(dist_path, n, seed, alpha, report_path):
     """Chi-square independence of length and direction on fresh draws."""
     gauge, profile, _ = load_distribution(dist_path)
     dist = StarDistribution(gauge, profile, seed=seed)
-    X = dist.sample(_rng.stream(seed, 0), n)
-    g = gauge.values(X)
-    other = planar_angles(X) if gauge.dim == 2 else X[:, 0] / np.linalg.norm(X, axis=1)
+    X, g = dist.sample(_rng.stream(seed, 0), n, lengths=True)
+    if gauge.dim == 2:
+        other = planar_angles(X)
+    else:
+        X /= np.max(np.abs(X), axis=1, keepdims=True)  # so that the norm cannot overflow
+        other = X[:, 0] / np.linalg.norm(X, axis=1)
     report = independence_chisq(g, other, 8, 8, alpha=alpha, name="length-direction-independence")
     click.echo(json.dumps(report.to_dict()))
     if report_path:

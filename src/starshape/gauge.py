@@ -149,6 +149,8 @@ class Gauge(ABC):
 
     #: short lowercase tag used in the JSON schema
     variant: str
+    #: document fields, each a constructor argument and an attribute
+    params: tuple[str, ...] = ()
 
     def __init__(self, dim: int):
         if dim < 1:
@@ -225,17 +227,15 @@ class Gauge(ABC):
 
     def to_dict(self) -> dict:
         """JSON-ready descriptor {"dim":..., "variant":..., "params":...}."""
-        return {"dim": self.dim, "variant": self.variant, "params": self._params()}
-
-    @abstractmethod
-    def _params(self) -> dict:
-        ...
+        params = {k: getattr(self, k).tolist() for k in self.params}
+        return {"dim": self.dim, "variant": self.variant, "params": params}
 
 
 class EllipticalGauge(Gauge):
     """g(x) = sqrt(x' Sigma^-1 x) for a symmetric positive-definite Sigma."""
 
     variant = "elliptical"
+    params = ("sigma",)
 
     def __init__(self, sigma):
         sigma = np.asarray(sigma, dtype=float)
@@ -245,7 +245,7 @@ class EllipticalGauge(Gauge):
         if np.max(np.abs(sigma - sigma.T)) > 1e-12 * max(1.0, np.max(np.abs(sigma))):
             raise NonPositiveError("sigma must be symmetric")
         eigvals = np.linalg.eigvalsh(sigma)
-        if eigvals[0] <= 0.0:
+        if not eigvals[0] > 0.0:
             raise NonPositiveError("sigma must be positive definite")
         what = f"sigma eigenvalues in [{eigvals[0]:.3g}, {eigvals[-1]:.3g}]"
         _check_value_range(self.dim, -0.5 * log(eigvals[-1]), -0.5 * log(eigvals[0]), what)
@@ -271,9 +271,6 @@ class EllipticalGauge(Gauge):
         return SphereBounds(
             float(self._eigvals[-1] ** -0.5), float(self._eigvals[0] ** -0.5)
         )
-
-    def _params(self):
-        return {"sigma": self.sigma.tolist()}
 
 
 class SupNormGauge(Gauge):
@@ -302,9 +299,6 @@ class SupNormGauge(Gauge):
         if self.dim != 2:
             return np.empty(0)
         return np.pi / 4.0 + np.arange(4) * np.pi / 2.0
-
-    def _params(self):
-        return {}
 
 
 class L1NormGauge(Gauge):
@@ -337,9 +331,6 @@ class L1NormGauge(Gauge):
             return np.empty(0)
         return np.arange(4) * np.pi / 2.0
 
-    def _params(self):
-        return {}
-
 
 class PolytopeGauge(Gauge):
     """g(x) = max_j <a_j, x> for outward facet functionals a_j.
@@ -354,6 +345,7 @@ class PolytopeGauge(Gauge):
     """
 
     variant = "polytope"
+    params = ("facets",)
 
     def __init__(self, facets):
         A = np.asarray(facets, dtype=float)
@@ -382,7 +374,7 @@ class PolytopeGauge(Gauge):
                 g_min = float(np.min(-self._polar[:, -1]))
             except QhullError:  # the facet points lie in a hyperplane
                 g_min = 0.0
-        if g_min <= 0.0:
+        if not g_min > 0.0:
             raise NonPositiveError("gauge is not positive on the unit sphere")
         g_max = s * float(np.linalg.norm(A / s, axis=1).max())
         what = f"facets giving g in [{g_min:.3g}, {g_max:.3g}]"
@@ -454,9 +446,6 @@ class PolytopeGauge(Gauge):
     def kink_angles(self) -> np.ndarray:
         return self._kinks
 
-    def _params(self):
-        return {"facets": self.facets.tolist()}
-
 
 def _max_boundary_simplices(v: int, p: int) -> int:
     """McMullen's bound on the facets of a simplicial p-polytope with v
@@ -516,6 +505,7 @@ class TabulatedRadialGauge(Gauge):
     """
 
     variant = "tabulated"
+    params = ("angles", "radii")
 
     def __init__(self, angles, radii):
         super().__init__(2)
@@ -523,9 +513,9 @@ class TabulatedRadialGauge(Gauge):
         radii = np.asarray(radii, dtype=float)
         if angles.ndim != 1 or angles.shape != radii.shape or angles.size < 3:
             raise DimensionMismatchError("angles and radii must be equal-length 1-D")
-        if np.any(np.diff(angles) <= 0) or angles[0] < 0 or angles[-1] >= 2 * np.pi:
+        if not (np.all(np.diff(angles) > 0) and 0 <= angles[0] and angles[-1] < 2 * np.pi):
             raise NonPositiveError("angles must be strictly increasing in [0, 2pi)")
-        if np.any(radii <= 0):
+        if not np.all(radii > 0):
             raise NonPositiveError("tabulated radii must be positive")
         _check_value_range(
             2, -log(radii.max()), -log(radii.min()),
@@ -552,9 +542,6 @@ class TabulatedRadialGauge(Gauge):
 
     def kink_angles(self) -> np.ndarray:
         return np.mod(self.angles, 2.0 * np.pi)
-
-    def _params(self):
-        return {"angles": self.angles.tolist(), "radii": self.radii.tolist()}
 
 
 class DirectionDerivedGauge(Gauge):
@@ -599,7 +586,7 @@ class DirectionDerivedGauge(Gauge):
             g_max = hi + pad
         return SphereBounds(g_min, g_max)
 
-    def _params(self):
+    def to_dict(self) -> dict:
         raise NotADensityError(
             "direction-derived gauges hold a function handle and do not serialize"
         )
@@ -610,56 +597,3 @@ def sphere_surface(p: int) -> float:
     from scipy.special import gamma
 
     return float(2.0 * np.pi ** (p / 2.0) / gamma(p / 2.0))
-
-
-# -- JSON (de)serialization ------------------------------------------------
-
-# variant -> (factory(dim, **params), required params)
-_VARIANTS = {
-    "elliptical": (lambda dim, sigma: EllipticalGauge(sigma), ["sigma"]),
-    "sup": (SupNormGauge, []),
-    "l1": (L1NormGauge, []),
-    "polytope": (lambda dim, facets: PolytopeGauge(facets), ["facets"]),
-    "tabulated": (
-        lambda dim, angles, radii: TabulatedRadialGauge(angles, radii),
-        ["angles", "radii"],
-    ),
-}
-
-
-def gauge_from_dict(obj: dict) -> Gauge:
-    """Rebuild a gauge from its JSON descriptor, rejecting unknown fields."""
-    if not isinstance(obj, dict):
-        raise ConfigError("gauge: expected a JSON object")
-    unknown = set(obj) - {"dim", "variant", "params"}
-    if unknown:
-        raise ConfigError(f"gauge: unknown field '{sorted(unknown)[0]}'")
-    for field in ("dim", "variant"):
-        if field not in obj:
-            raise ConfigError(f"gauge: missing field '{field}'")
-    dim = obj["dim"]
-    variant = obj["variant"]
-    params = obj.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("gauge.params: expected a JSON object")
-    if variant not in _VARIANTS:
-        raise ConfigError(f"gauge.variant: unknown variant '{variant}'")
-
-    factory, keys = _VARIANTS[variant]
-    try:
-        unknown = set(params) - set(keys)
-        if unknown:
-            raise ConfigError(f"gauge.params: unknown field '{sorted(unknown)[0]}'")
-        for k in keys:
-            if k not in params:
-                raise ConfigError(f"gauge.params: missing field '{k}'")
-        g = factory(dim, **params)
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"gauge.params: {exc}") from exc
-    if g.dim != dim:
-        raise ConfigError(
-            f"gauge.dim: declared {dim} but params imply {g.dim}"
-        )
-    return g

@@ -44,7 +44,8 @@ from .errors import (
 )
 from .quadrature import gauss
 
-DEFAULT_GAP_TOL = 1e-10
+# Smallest gap between congruence roots for which a GL decomposition is kept.
+_GAP_TOL = 1e-10
 # Gauss-Jacobi order per axis of the twisted normalisers (p <= 2).
 _NORMALISER_ORDER = 20
 _SYM_ATOL = 1e-12
@@ -78,25 +79,14 @@ def cholesky_factor(W) -> np.ndarray:
         raise NotPositiveDefiniteError("matrix is not positive definite") from exc
 
 
-def validate_pd_pair(W1, W2, gap_tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Check symmetry and positive-definiteness of a pair.
-
-    With ``gap_tol`` set, also require the congruence roots of
-    det(W1 - l (W1+W2)) = 0 to be separated by more than the tolerance,
-    the precondition of the general-linear decomposition.
-    """
+def validate_pd_pair(W1, W2) -> tuple[np.ndarray, np.ndarray]:
+    """Check symmetry and positive-definiteness of a pair."""
     W1 = _check_symmetric(_as_square(W1, "W1"), "W1")
     W2 = _check_symmetric(_as_square(W2, "W2"), "W2")
     if W1.shape != W2.shape:
         raise DimensionMismatchError("W1 and W2 must have the same shape")
     cholesky_factor(W1)
     cholesky_factor(W2)
-    if gap_tol is not None:
-        roots = congruence_roots(W1, W2)
-        if roots.size > 1 and np.min(-np.diff(roots)) <= gap_tol:
-            raise DegenerateRootsError(
-                f"congruence roots {roots} are not separated beyond {gap_tol:g}"
-            )
     return W1, W2
 
 
@@ -313,14 +303,14 @@ def lt_decompose_batch(W1: np.ndarray, W2: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def gl_decompose_batch(
-    W1: np.ndarray, W2: np.ndarray, gap_tol: float = DEFAULT_GAP_TOL
+    W1: np.ndarray, W2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized general-linear decomposition of stacked pairs.
 
     Solves W1 v = l (W1 + W2) v by Cholesky reduction of W1 + W2; B = T V
     holds the eigenvectors for the decreasing roots, re-signed into the
     column convention.  Returns (B, l, ok) where ``ok`` flags the slices
-    whose roots lie in (0, 1) and are separated beyond ``gap_tol``;
+    whose roots lie in (0, 1) and are separated beyond 1e-10;
     degenerate slices keep their raw numbers but should be dropped by the
     caller.
     """
@@ -331,7 +321,7 @@ def gl_decompose_batch(
     p = W1.shape[-1]
     ok = np.ones(len(W1), dtype=bool)
     if p > 1:
-        ok &= np.min(-np.diff(lam, axis=1), axis=1) > gap_tol
+        ok &= np.min(-np.diff(lam, axis=1), axis=1) > _GAP_TOL
     ok &= (lam[:, 0] < 1.0) & (lam[:, -1] > 0.0)
     return _sign_normalize(T @ V), lam, ok
 
@@ -380,22 +370,21 @@ def gl_orbital_decompose(
     W1,
     W2,
     p_handle: Callable[[np.ndarray], np.ndarray] | None = None,
-    gap_tol: float = DEFAULT_GAP_TOL,
 ) -> GLDecomposition:
     """Decompose a positive-definite pair under the general linear action.
 
     The validated single-pair form of :func:`gl_decompose_batch`, with
     residuals and the optional normalizer twist.  Raises
-    :class:`DegenerateRootsError` when the roots are closer than
-    ``gap_tol``.
+    :class:`DegenerateRootsError` when two roots are not more than
+    1e-10 apart.
     """
     W1, W2 = validate_pd_pair(W1, W2)
-    B, lam, ok = (x[0] for x in gl_decompose_batch(W1[None], W2[None], gap_tol))
+    B, lam, ok = (x[0] for x in gl_decompose_batch(W1[None], W2[None]))
     if lam[0] >= 1.0 or lam[-1] <= 0.0:
         raise NotPositiveDefiniteError(f"congruence roots {lam} outside (0, 1)")
     if not ok:
         raise DegenerateRootsError(
-            f"congruence roots {lam} are not separated beyond {gap_tol:g}"
+            f"congruence roots {lam} are not separated beyond {_GAP_TOL:g}"
         )
     if p_handle is None:
         G = B

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DivergentError, NonPositiveError
+from .errors import DivergentError, NonPositiveError
 
 _LOG_TINY = float(np.log(np.finfo(float).tiny))
 
@@ -30,6 +30,8 @@ class RadialProfile:
     """
 
     family: str
+    #: document fields, each a constructor argument and an attribute
+    params: tuple[str, ...]
 
     def shape(self, g, p: int) -> np.ndarray:
         """Profile value f(g); ``p`` only matters for the heavy-tail family."""
@@ -38,10 +40,7 @@ class RadialProfile:
         return g**s * np.exp(-r * g**t)
 
     def to_dict(self) -> dict:
-        return {"family": self.family, "params": self._params()}
-
-    def _params(self) -> dict:
-        raise NotImplementedError
+        return {"family": self.family, "params": {k: getattr(self, k) for k in self.params}}
 
     def _kotz_form(self) -> tuple[float, float, float]:
         """(s, r, t) with f(g) = g^s exp(-r g^t)."""
@@ -93,14 +92,12 @@ class GaussianProfile(RadialProfile):
     """f(g) = exp(-g^2 / (2 sigma^2))."""
 
     family = "gaussian"
+    params = ("scale",)
 
     def __init__(self, scale: float = 1.0):
-        if scale <= 0:
-            raise NonPositiveError("gaussian scale must be positive")
+        if not 0 < scale < np.inf:
+            raise NonPositiveError("gaussian scale must be positive and finite")
         self.scale = float(scale)
-
-    def _params(self):
-        return {"scale": self.scale}
 
     def _kotz_form(self):
         return 0.0, 0.5 / self.scale**2, 2.0
@@ -110,14 +107,12 @@ class ExponentialProfile(RadialProfile):
     """f(g) = exp(-beta g)."""
 
     family = "exponential"
+    params = ("rate",)
 
     def __init__(self, rate: float = 1.0):
-        if rate <= 0:
-            raise NonPositiveError("exponential rate must be positive")
+        if not 0 < rate < np.inf:
+            raise NonPositiveError("exponential rate must be positive and finite")
         self.rate = float(rate)
-
-    def _params(self):
-        return {"rate": self.rate}
 
     def _kotz_form(self):
         return 0.0, self.rate, 1.0
@@ -127,16 +122,14 @@ class KotzProfile(RadialProfile):
     """f(g) = g^s exp(-r g^t) with s >= 0, r > 0, t > 0."""
 
     family = "kotz"
+    params = ("s", "r", "t")
 
     def __init__(self, s: float, r: float, t: float):
-        if s < 0:
-            raise NonPositiveError("kotz exponent s must be >= 0")
-        if r <= 0 or t <= 0:
-            raise NonPositiveError("kotz decay parameters r, t must be positive")
+        if not 0 <= s < np.inf:
+            raise NonPositiveError("kotz exponent s must be >= 0 and finite")
+        if not (0 < r < np.inf and 0 < t < np.inf):
+            raise NonPositiveError("kotz decay parameters r, t must be positive and finite")
         self.s, self.r, self.t = float(s), float(r), float(t)
-
-    def _params(self):
-        return {"s": self.s, "r": self.r, "t": self.t}
 
     def _kotz_form(self):
         return self.s, self.r, self.t
@@ -146,18 +139,16 @@ class HeavyTailProfile(RadialProfile):
     """f(g) = (1 + g^2)^(-(p + nu)/2); the dimension binds at the use site."""
 
     family = "heavytail"
+    params = ("nu",)
 
     def __init__(self, nu: float):
-        if nu <= 0:
-            raise NonPositiveError("heavy-tail index nu must be positive")
+        if not 0 < nu < np.inf:
+            raise NonPositiveError("heavy-tail index nu must be positive and finite")
         self.nu = float(nu)
 
     def shape(self, g, p: int) -> np.ndarray:
         g = np.asarray(g, dtype=float)
         return (1.0 + g ** 2) ** (-(p + self.nu) / 2.0)
-
-    def _params(self):
-        return {"nu": self.nu}
 
     def _mass(self, p: int) -> float:
         from scipy.special import beta
@@ -186,42 +177,6 @@ class HeavyTailProfile(RadialProfile):
         """n lengths sqrt(X/Y), X ~ Gamma(p/2) drawn before Y ~ Gamma(nu/2)."""
         x = gen.standard_gamma(p / 2.0, n)
         return np.sqrt(x / gen.standard_gamma(self.nu / 2.0, n))
-
-
-_FAMILIES = {
-    "gaussian": (GaussianProfile, ["scale"]),
-    "exponential": (ExponentialProfile, ["rate"]),
-    "kotz": (KotzProfile, ["s", "r", "t"]),
-    "heavytail": (HeavyTailProfile, ["nu"]),
-}
-
-
-def profile_from_dict(obj: dict) -> RadialProfile:
-    """Rebuild a profile from its JSON form, rejecting unknown fields."""
-    if not isinstance(obj, dict):
-        raise ConfigError("profile: expected a JSON object")
-    unknown = set(obj) - {"family", "params"}
-    if unknown:
-        raise ConfigError(f"profile: unknown field '{sorted(unknown)[0]}'")
-    if "family" not in obj:
-        raise ConfigError("profile: missing field 'family'")
-    family = obj["family"]
-    if family not in _FAMILIES:
-        raise ConfigError(f"profile.family: unknown family '{family}'")
-    cls, keys = _FAMILIES[family]
-    params = obj.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("profile.params: expected a JSON object")
-    bad = set(params) - set(keys)
-    if bad:
-        raise ConfigError(f"profile.params: unknown field '{sorted(bad)[0]}'")
-    missing = set(keys) - set(params)
-    if missing:
-        raise ConfigError(f"profile.params: missing field '{sorted(missing)[0]}'")
-    try:
-        return cls(**params)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"profile.params: {exc}") from exc
 
 
 def radial_constant(profile: RadialProfile, p: int) -> float:

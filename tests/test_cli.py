@@ -560,12 +560,13 @@ def _loaded_modules(code: str, modules: tuple[str, ...]) -> list[bool]:
 
 def test_cli_import_does_not_load_scipy_stats(cube_path, tmp_path):
     modules = ("scipy.stats", "scipy.integrate", "scipy.linalg", "scipy.spatial", "scipy.special",
-               "orjson")
-    assert _loaded_modules("import starshape.cli", modules) == [False] * 6
-    # Only the table writer needs orjson.
+               "orjson", "jsonschema")
+    assert _loaded_modules("import starshape.cli", modules) == [False] * 7
+    # Only the table writer needs orjson; the document reader checks its
+    # fields without jsonschema, a test-only dependency.
     args = ["constant", "--dist", cube_path, "--out", str(tmp_path / "c0.json")]
     code = f"from starshape.cli import main; main({args!r}, standalone_mode=False)"
-    assert _loaded_modules(code, ("orjson",)) == [False]
+    assert _loaded_modules(code, ("orjson", "jsonschema")) == [False, False]
     # Nor do planar sampling and the matrix decompositions need scipy.special.
     poly = tmp_path / "poly.json"
     poly.write_text(json.dumps({
@@ -687,6 +688,73 @@ def test_sample_fails_only_on_draws_it_cannot_represent(tmp_path, label):
         assert np.all(np.any(rows != 0.0, axis=1))
     else:
         assert (res.returncode, res.stdout, res.stderr) == (code, "", f"error: {message}\n")
+
+
+def _tabulated(angles, radii):
+    return {"dim": 2, "variant": "tabulated", "params": {"angles": angles, "radii": radii}}
+
+
+def _with_rate(rate):
+    return {"gauge": _SUP, "profile": {"family": "exponential", "params": {"rate": rate}}}
+
+
+# Documents that break the value rules of the format (json.dumps writes
+# NaN and Infinity, as Python's json reads them), with the one error line
+# each exits 2 with; None marks a document that runs.
+_MALFORMED = {
+    "tabulated-angle-nan": ({"gauge": _tabulated([0.0, 1.0, np.nan], [1.0, 1.0, 1.0]),
+                             "profile": _EXPONENTIAL},
+                            "gauge.params.angles: expected a finite number, got nan"),
+    "tabulated-radius-nan": ({"gauge": _tabulated([0.0, 1.0, 2.0], [1.0, np.nan, 1.0]),
+                              "profile": _EXPONENTIAL},
+                             "gauge.params.radii: expected a finite number, got nan"),
+    "sigma-strings": ({"gauge": {"dim": 2, "variant": "elliptical",
+                                 "params": {"sigma": [["1", "0"], ["0", "1"]]}},
+                       "profile": _EXPONENTIAL},
+                      "gauge.params.sigma: expected a finite number, got '1'"),
+    "sigma-infinity": ({"gauge": {"dim": 2, "variant": "elliptical",
+                                  "params": {"sigma": [[np.inf, 0.0], [0.0, 1.0]]}},
+                        "profile": _EXPONENTIAL},
+                       "gauge.params.sigma: expected a finite number, got inf"),
+    "gaussian-scale-infinity": ({"gauge": _SUP,
+                                 "profile": {"family": "gaussian", "params": {"scale": np.inf}}},
+                                "profile.params.scale: expected a finite number, got inf"),
+    "rate-nan": (_with_rate(np.nan), "profile.params.rate: expected a finite number, got nan"),
+    "rate-true": (_with_rate(True), "profile.params.rate: expected a finite number, got True"),
+    "rate-int-1e400": (_with_rate(10**400),
+                       f"profile.params.rate: expected a finite number, got {10**400}"),
+    "c0-true": ({"gauge": _SUP, "profile": _EXPONENTIAL, "c0": True},
+                "distribution.c0: expected a finite number, got True"),
+    "dim-string": ({"gauge": {**_SUP, "dim": "2"}, "profile": _EXPONENTIAL},
+                   "gauge.dim: expected an integer >= 1, got '2'"),
+    "dim-true": ({"gauge": {**_SUP, "dim": True}, "profile": _EXPONENTIAL},
+                 "gauge.dim: expected an integer >= 1, got True"),
+    "variant-array": ({"gauge": {**_SUP, "variant": []}, "profile": _EXPONENTIAL},
+                      "gauge.variant: unknown variant '[]'"),
+    "dim-2.0": ({"gauge": {**_SUP, "dim": 2.0}, "profile": _EXPONENTIAL}, None),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_MALFORMED))
+def test_malformed_documents_exit_2_naming_the_field(tmp_path, label):
+    doc, message = _MALFORMED[label]
+    res = _run_cli(tmp_path, doc, "constant")
+    if message is None:
+        assert (res.returncode, res.stderr) == (0, "")
+    else:
+        assert (res.returncode, res.stdout, res.stderr) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("gauge", [{"dim": 3, "variant": "sup", "params": {}},
+                                   _tabulated([0.0, 2.0, 4.0], [1.0, 1.5, 0.8])],
+                         ids=["sup-p3", "tabulated"])
+def test_independence_test_takes_draws_whose_squares_overflow(tmp_path, gauge):
+    # Draws reach ~1e300, so neither the lengths nor the directions may
+    # square a coordinate.
+    doc = {"gauge": gauge, "profile": {"family": "exponential", "params": {"rate": 1e-300}}}
+    res = _run_cli(tmp_path, doc, "independence-test", "--n", "4000")
+    assert (res.returncode, res.stderr) == (0, "")
+    assert json.loads(res.stdout)["passed"] is True
 
 
 def _log_uniform(lo: float, hi: float):

@@ -1,5 +1,7 @@
+import json
 import math
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -25,6 +27,7 @@ from starshape.errors import (
     ZeroVectorError,
 )
 from starshape.gauge import _max_boundary_simplices
+from starshape.io import load_schema
 from conftest import random_unit, sign_vectors, stream
 
 
@@ -223,6 +226,14 @@ def test_hexacube_lower_bound_is_an_uncut_corner():
     assert b.g_max == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
 
+def test_tabulated_nodes_must_be_finite():
+    # Stated positively, so that NaN fails too.
+    with pytest.raises(NonPositiveError, match="angles"):
+        TabulatedRadialGauge([0.0, 1.0, np.nan], [1.0, 1.0, 1.0])
+    with pytest.raises(NonPositiveError, match="radii"):
+        TabulatedRadialGauge([0.0, 1.0, 2.0], [1.0, np.nan, 1.0])
+
+
 def test_polytope_requires_origin_inside():
     with pytest.raises(NonPositiveError):
         PolytopeGauge([[1.0, 0.0], [0.0, 1.0]])  # open in the third quadrant
@@ -349,17 +360,45 @@ def test_direction_derived_recovers_elliptical_shape():
     assert (ratio.max() - ratio.min()) / ratio.mean() <= 1e-6
 
 
-def test_json_round_trip(analytic_gauges):
-    nodes = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
-    gauges = list(analytic_gauges.values()) + [
-        TabulatedRadialGauge(nodes, 1.0 + 0.2 * np.sin(nodes))
-    ]
-    gen = np.random.default_rng(61)
-    for g in gauges:
-        back = gauge_from_dict(g.to_dict())
-        for _ in range(20):
-            x = gen.normal(size=2)
-            assert back.value(x) == pytest.approx(g.value(x), rel=1e-12)
+def _elliptical(p, entries):
+    A = np.reshape(entries, (p, p))
+    return EllipticalGauge(A @ A.T + np.eye(p))
+
+
+def _box_polytope(scales, extra):
+    # The axis facets keep the origin inside; the extra ones cut corners.
+    p = len(scales)
+    return PolytopeGauge(np.vstack([np.diag(scales), -np.diag(scales), np.reshape(extra, (-1, p))]))
+
+
+def _floats(lo, hi, k):
+    return st.lists(st.floats(lo, hi), min_size=k, max_size=k)
+
+
+_DIMS = st.sampled_from([2, 3])
+_ANGLES = st.lists(st.floats(0.0, 2.0 * np.pi, exclude_max=True), min_size=3, max_size=12,
+                   unique=True)
+_DOC_GAUGES = st.one_of(
+    _DIMS.flatmap(lambda p: st.builds(_elliptical, st.just(p), _floats(-2, 2, p * p))),
+    st.builds(SupNormGauge, st.integers(1, 4)),
+    st.builds(L1NormGauge, st.integers(1, 4)),
+    _DIMS.flatmap(lambda p: st.builds(_box_polytope, _floats(0.5, 2.0, p),
+                                      st.lists(_floats(-2, 2, p), max_size=4))),
+    _ANGLES.flatmap(lambda a: st.builds(TabulatedRadialGauge, st.just(sorted(a)),
+                                        _floats(0.5, 2.0, len(a)))),
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(g=_DOC_GAUGES)
+def test_json_round_trip(g):
+    doc = json.loads(json.dumps(g.to_dict()))
+    back = gauge_from_dict(doc)
+    assert back.to_dict() == g.to_dict()
+    X = np.random.default_rng(61).normal(size=(20, g.dim))
+    np.testing.assert_array_equal(back.values(X), g.values(X))
+    profile = {"family": "exponential", "params": {"rate": 1.0}}
+    jsonschema.validate({"gauge": doc, "profile": profile}, load_schema("distribution.schema.json"))
 
 
 def test_json_rejects_unknown_and_missing_fields():

@@ -20,7 +20,6 @@ from starshape import (
     multivariate_beta,
     sign_matrices,
     two_sample_ks,
-    validate_pd_pair,
     verify_global_cross_section,
     wishart_sample,
 )
@@ -529,8 +528,6 @@ def test_gl_reconstruction_and_signs():
 def test_gl_degenerate_pair_rejected():
     with pytest.raises(DegenerateRootsError):
         gl_orbital_decompose(np.eye(2), np.eye(2))
-    with pytest.raises(DegenerateRootsError):
-        validate_pd_pair(np.eye(2), np.eye(2), gap_tol=1e-10)
 
 
 def test_gl_twist_changes_equivariant_selection_only():

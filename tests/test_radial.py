@@ -1,5 +1,9 @@
+import json
+
+import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from starshape import (
@@ -17,6 +21,7 @@ from starshape import (
     two_sample_ks,
 )
 from starshape.errors import ConfigError, DivergentError, NonPositiveError
+from starshape.io import load_schema
 from conftest import stream
 
 
@@ -170,21 +175,43 @@ def test_gaussian_scale_equivariance():
 
 
 def test_profile_validation():
-    with pytest.raises(NonPositiveError):
-        GaussianProfile(0.0)
-    with pytest.raises(NonPositiveError):
-        ExponentialProfile(-1.0)
-    with pytest.raises(NonPositiveError):
-        KotzProfile(-0.5, 1.0, 1.0)
-    with pytest.raises(NonPositiveError):
-        HeavyTailProfile(0.0)
+    # Stated positively, so that NaN and infinities fail too.
+    for make in (lambda: GaussianProfile(0.0),
+                 lambda: GaussianProfile(np.nan),
+                 lambda: GaussianProfile(np.inf),
+                 lambda: ExponentialProfile(-1.0),
+                 lambda: ExponentialProfile(np.nan),
+                 lambda: KotzProfile(-0.5, 1.0, 1.0),
+                 lambda: KotzProfile(np.nan, 1.0, 1.0),
+                 lambda: KotzProfile(1.0, np.inf, 1.0),
+                 lambda: HeavyTailProfile(0.0),
+                 lambda: HeavyTailProfile(np.inf)):
+        with pytest.raises(NonPositiveError):
+            make()
 
 
-def test_profile_json_round_trip(profiles):
-    for prof in profiles.values():
-        back = profile_from_dict(prof.to_dict())
-        g = np.linspace(0.1, 5.0, 40)
-        np.testing.assert_allclose(back.shape(g, 3), prof.shape(g, 3), rtol=1e-15)
+_MODERATE = st.floats(1e-3, 1e3)
+_DOC_PROFILES = st.one_of(
+    st.builds(GaussianProfile, _MODERATE),
+    st.builds(ExponentialProfile, _MODERATE),
+    st.builds(KotzProfile, st.floats(0.0, 10.0), _MODERATE, st.floats(0.1, 4.0)),
+    st.builds(HeavyTailProfile, _MODERATE),
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(prof=_DOC_PROFILES)
+def test_profile_json_round_trip(prof):
+    doc = json.loads(json.dumps(prof.to_dict()))
+    back = profile_from_dict(doc)
+    assert back.to_dict() == prof.to_dict()
+    g = np.linspace(0.1, 5.0, 40)
+    np.testing.assert_array_equal(back.shape(g, 3), prof.shape(g, 3))
+    sup = {"dim": 2, "variant": "sup", "params": {}}
+    jsonschema.validate({"gauge": sup, "profile": doc}, load_schema("distribution.schema.json"))
+
+
+def test_profile_json_rejects_unknown_and_missing_fields():
     with pytest.raises(ConfigError, match="unknown family"):
         profile_from_dict({"family": "levy", "params": {}})
     with pytest.raises(ConfigError, match="missing field 'rate'"):
