@@ -27,7 +27,7 @@ from .direction import direction_constant, direction_densities
 from .errors import ConfigError, StarshapeError
 from .io import load_distribution
 from .matrixmodels import gl_decompose_batch, lt_decompose_batch, wishart_sample
-from .starshaped import StarDistribution, planar_angles
+from .starshaped import StarDistribution, length_and_direction, planar_angles
 from .stats import independence_chisq
 from .verify import matrix_suite, vector_suite
 
@@ -272,12 +272,7 @@ def independence_test(dist_path, n, seed, alpha, report_path):
     """Chi-square independence of length and direction on fresh draws."""
     gauge, profile, _ = load_distribution(dist_path)
     dist = StarDistribution(gauge, profile, seed=seed)
-    X, g = dist.sample(_rng.stream(seed, 0), n, lengths=True)
-    if gauge.dim == 2:
-        other = planar_angles(X)
-    else:
-        X /= np.max(np.abs(X), axis=1, keepdims=True)  # so that the norm cannot overflow
-        other = X[:, 0] / np.linalg.norm(X, axis=1)
+    g, other = length_and_direction(gauge, dist.sample(_rng.stream(seed, 0), n))
     report = independence_chisq(g, other, 8, 8, alpha=alpha, name="length-direction-independence")
     click.echo(json.dumps(report.to_dict()))
     if report_path:

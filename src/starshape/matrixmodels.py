@@ -310,7 +310,7 @@ def gl_decompose_batch(
     Solves W1 v = l (W1 + W2) v by Cholesky reduction of W1 + W2; B = T V
     holds the eigenvectors for the decreasing roots, re-signed into the
     column convention.  Returns (B, l, ok) where ``ok`` flags the slices
-    whose roots lie in (0, 1) and are separated beyond 1e-10;
+    whose roots lie in (0, 1) and are separated beyond ``_GAP_TOL``;
     degenerate slices keep their raw numbers but should be dropped by the
     caller.
     """
@@ -376,7 +376,7 @@ def gl_orbital_decompose(
     The validated single-pair form of :func:`gl_decompose_batch`, with
     residuals and the optional normalizer twist.  Raises
     :class:`DegenerateRootsError` when two roots are not more than
-    1e-10 apart.
+    ``_GAP_TOL`` apart.
     """
     W1, W2 = validate_pd_pair(W1, W2)
     B, lam, ok = (x[0] for x in gl_decompose_batch(W1[None], W2[None]))

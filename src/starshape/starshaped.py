@@ -252,6 +252,17 @@ def planar_angles(X) -> np.ndarray:
     return np.mod(np.arctan2(X[:, 1], X[:, 0]), 2.0 * np.pi)
 
 
+def length_and_direction(gauge: Gauge, X) -> tuple[np.ndarray, np.ndarray]:
+    """(g(x), direction) of each row, the direction being the angle at p = 2
+    and the first coordinate of x/|x| otherwise.  Rows are first divided by
+    a power of two near their largest |x_i|, which is exact by homogeneity,
+    so that no coordinate is squared past the double range."""
+    _, e = np.frexp(np.max(np.abs(X), axis=1))
+    Y = np.ldexp(X, 1 - e[:, None])
+    g = np.ldexp(gauge.values(Y), e - 1)
+    return g, planar_angles(Y) if gauge.dim == 2 else Y[:, 0] / np.linalg.norm(Y, axis=1)
+
+
 def _plane_integral_2d(
     gauge: Gauge, profile: RadialProfile, table: RadialTable
 ) -> tuple[float, float]:

@@ -25,7 +25,7 @@ from .matrixmodels import (
     wishart_sample,
 )
 from .radial import RadialProfile
-from .starshaped import StarDistribution, planar_angles
+from .starshaped import StarDistribution, length_and_direction, planar_angles
 from .stats import TestReport, chisq_gof, independence_chisq, ks_test, two_sample_ks
 
 
@@ -64,17 +64,15 @@ def vector_suite(
         rel = abs(stored_c0 - dist.c0) / dist.c0
         reports.append(_tolerance_report("c0-stored-consistency", rel, 1e-6))
 
-    gen = _rng.stream(seed, 10)
-    X = dist.sample(gen, n)
-    g = dist.gauge.values(X)
+    g, direction = length_and_direction(gauge, dist.sample(_rng.stream(seed, 10), n))
 
+    bins = 8 if dist.p == 2 else 4
+    reports.append(
+        independence_chisq(g, direction, bins, bins, alpha=alpha, name="length-direction-independence")
+    )
     if dist.p == 2:
-        angles = planar_angles(X)
-        reports.append(
-            independence_chisq(g, angles, 8, 8, alpha=alpha, name="length-direction-independence")
-        )
         edges = np.linspace(0.0, 2.0 * np.pi, 37)
-        counts, _ = np.histogram(angles, bins=edges)
+        counts, _ = np.histogram(direction, bins=edges)
         probs = angle_bin_probs(gauge, dist.c0, edges)
         reports.append(chisq_gof(counts, probs, alpha=alpha, name="direction-law-36bin"))
         mass = cross_section_mass(gauge, dist.c0)
@@ -87,12 +85,7 @@ def vector_suite(
         alt_dist = StarDistribution(gauge, alt, seed=seed)
         alt_angles = planar_angles(alt_dist.sample(_rng.stream(seed, 11), n))
         reports.append(
-            two_sample_ks(angles, alt_angles, alpha=0.01, name="null-robustness")
-        )
-    else:
-        zp = X / np.linalg.norm(X, axis=1, keepdims=True)
-        reports.append(
-            independence_chisq(g, zp[:, 0], 4, 4, alpha=alpha, name="length-direction-independence")
+            two_sample_ks(direction, alt_angles, alpha=0.01, name="null-robustness")
         )
 
     # Radial marginal against the exact length-law CDF.

@@ -444,6 +444,21 @@ def test_independence_test_command(runner, cube_path, tmp_path):
     assert line["passed"] is True
 
 
+def test_independence_test_detects_a_wrong_assembly(runner, ellipse_path, monkeypatch):
+    # Composing x = g * z' without dividing by g(z') ties g(x) to the
+    # direction; the statistic is taken on g(x) of the output, so it must fail.
+    real = starshaped.direction_sample
+
+    def unscaled(*args, **kwargs):
+        draws = real(*args, **kwargs)
+        return draws._replace(g=np.ones_like(draws.g))
+
+    monkeypatch.setattr(starshaped, "direction_sample", unscaled)
+    res = runner.invoke(main, ["independence-test", "--dist", ellipse_path, "--n", "20000"])
+    assert res.exit_code == 1
+    assert json.loads(res.output)["passed"] is False
+
+
 def test_verify_vector_mode(runner, cube_path, tmp_path):
     report = tmp_path / "verify.jsonl"
     res = runner.invoke(

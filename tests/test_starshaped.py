@@ -82,6 +82,22 @@ def test_sample_independence_of_length_and_angle(sup_exp):
     assert report.passed, report
 
 
+@pytest.mark.parametrize("gauge", [SupNormGauge(2), SupNormGauge(3),
+                                   EllipticalGauge(np.diag([1.0, 4.0, 9.0]))],
+                         ids=["sup-p2", "sup-p3", "ellipse-p3"])
+def test_length_and_direction_is_exact_and_does_not_overflow(gauge):
+    X = stream(303).standard_normal((500, gauge.dim)) * 10.0 ** stream(304).uniform(-3, 3, (500, 1))
+    g, direction = starshaped.length_and_direction(gauge, X)
+    assert np.array_equal(g, gauge.values(X))
+    want = planar_angles(X) if gauge.dim == 2 else X[:, 0] / np.linalg.norm(X, axis=1)
+    assert np.array_equal(direction, want)
+    # Squares of coordinates near 1e274 overflow; the power-of-two scaling is exact.
+    with np.errstate(all="raise"):
+        g_big, direction_big = starshaped.length_and_direction(gauge, np.ldexp(X, 900))
+    assert np.array_equal(g_big, np.ldexp(g, 900))
+    assert np.array_equal(direction_big, direction)
+
+
 def test_direction_derived_sampling_matches_target():
     def target(U):
         return (2.0 + U[:, 0]) / (4.0 * np.pi)
