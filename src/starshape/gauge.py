@@ -239,6 +239,8 @@ class EllipticalGauge(Gauge):
 
     def __init__(self, sigma):
         sigma = np.asarray(sigma, dtype=float)
+        if not np.isfinite(sigma).all():
+            raise ConfigError("sigma entries must be finite")
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
             raise DimensionMismatchError("sigma must be a square matrix")
         super().__init__(sigma.shape[0])
@@ -349,6 +351,8 @@ class PolytopeGauge(Gauge):
 
     def __init__(self, facets):
         A = np.asarray(facets, dtype=float)
+        if not np.isfinite(A).all():
+            raise ConfigError("facet entries must be finite")
         if A.ndim != 2 or A.shape[0] < 2:
             raise DimensionMismatchError("facets must be an (m, p) array, m >= 2")
         super().__init__(A.shape[1])

@@ -198,10 +198,13 @@ def _root_constant(p: int, a: float, b: float) -> float:
 def _beta_shape(U: np.ndarray, a: float, b: float, s_handle) -> np.ndarray:
     """Unnormalized matrix-beta shape at one (p, p) matrix or a stack of them."""
     p = U.shape[-1]
-    dU = np.linalg.det(U)
-    dI = np.linalg.det(np.eye(p) - U)
-    value = dU ** (a - (p + 1) / 2.0) * dI ** (b - (p + 1) / 2.0)
+    value = _beta_det_shape(np.linalg.det(U), np.linalg.det(np.eye(p) - U), p, a, b)
     return value if s_handle is None else value * _s_factor(U, a, b, s_handle)
+
+
+def _beta_det_shape(dU, dI, p: int, a: float, b: float):
+    """Untwisted matrix-beta shape from det U and det(I - U) of (p, p) matrices."""
+    return dU ** (a - (p + 1) / 2.0) * dI ** (b - (p + 1) / 2.0)
 
 
 def _s_factor(

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DivergentError, NonPositiveError
+from .errors import DivergentError, NonPositiveError, OutOfRangeError
 
 _LOG_TINY = float(np.log(np.finfo(float).tiny))
 
@@ -97,6 +97,11 @@ class GaussianProfile(RadialProfile):
     def __init__(self, scale: float = 1.0):
         if not 0 < scale < np.inf:
             raise NonPositiveError("gaussian scale must be positive and finite")
+        if not 1e-154 <= scale <= 1e154:
+            raise OutOfRangeError(
+                f"gaussian scale {scale:g} is outside [1e-154, 1e154], where its rate "
+                "1/(2 scale^2) is a finite, positive double"
+            )
         self.scale = float(scale)
 
     def _kotz_form(self):

@@ -13,14 +13,15 @@ import numpy as np
 
 from . import rng as _rng
 from .direction import angle_bin_probs, cross_section_mass
-from .errors import DegenerateRootsError
+from .errors import ConfigError, DegenerateRootsError
 from .gauge import Gauge
 from .matrixmodels import (
+    _beta_det_shape,
+    _eigen_shape,
     eigenvalue_density,
     gl_decompose_batch,
     gl_orbital_decompose,
     lt_decompose_batch,
-    matrix_beta_density,
     verify_global_cross_section,
     wishart_sample,
 )
@@ -104,6 +105,11 @@ def matrix_suite(
     """Criteria for the Wishart-pair fixture under both group actions."""
     from scipy.special import betainc, gammainc
 
+    if p >= 2 and min(n1, n2) < 3.0:
+        # Below a, b = 3/2 the shapes are unbounded at the edge of their
+        # support, which the midpoint cells of the histograms cannot follow.
+        low = " and ".join(f"{k} = {v:g}" for k, v in (("n1", n1), ("n2", n2)) if v < 3.0)
+        raise ConfigError(f"{low}: the matrix criteria at p >= 2 need n1, n2 >= 3")
     a, b = n1 / 2.0, n2 / 2.0
     gen = _rng.stream(seed, 20)
     W1 = wishart_sample(p, n1, gen, n)
@@ -199,46 +205,40 @@ def _u_histogram_report(U: np.ndarray, a: float, b: float, alpha: float) -> Test
         np.column_stack([U[:, 0, 0], U[:, 1, 1], U[:, 0, 1]]),
         bins=[edges1, edges1, edges2],
     )[0].ravel()
-    probs = _u_cell_probs(a, b, edges1, edges2, sub=24)
+
+    def density(u):  # zero outside 0 < U < I
+        u11, u22, u12 = np.moveaxis(u, -1, 0)
+        dU = u11 * u22 - u12 ** 2
+        dI = (1.0 - u11) * (1.0 - u22) - u12 ** 2
+        inside = (dU > 0) & (dI > 0)
+        dU, dI = np.where(inside, dU, 1.0), np.where(inside, dI, 1.0)
+        return np.where(inside, _beta_det_shape(dU, dI, 2, a, b), 0.0)
+
+    probs = _cell_probs(density, [edges1, edges1, edges2], sub=24)
     return chisq_gof(counts, probs, alpha=alpha, name="matrix-beta-histogram")
-
-
-def _u_cell_probs(a, b, edges1, edges2, sub=24) -> np.ndarray:
-    """Midpoint-rule cell probabilities of the p=2 matrix beta density."""
-    m1 = len(edges1) - 1
-    m2 = len(edges2) - 1
-    fine = m1 * sub
-    x = (np.arange(fine) + 0.5) / fine
-    t = -0.5 + (np.arange(m2 * sub) + 0.5) / (m2 * sub)
-    X, Y, Z = np.meshgrid(x, x, t, indexing="ij")
-    dU = X * Y - Z ** 2
-    dI = (1 - X) * (1 - Y) - Z ** 2
-    vals = np.where(
-        (dU > 0) & (dI > 0),
-        np.where(dU > 0, dU, 1.0) ** (a - 1.5) * np.where(dI > 0, dI, 1.0) ** (b - 1.5),
-        0.0,
-    )
-    cell = vals.reshape(m1, sub, m1, sub, m2, sub).sum(axis=(1, 3, 5))
-    probs = cell.ravel()
-    return probs / probs.sum()
 
 
 def _eigen_histogram_report(lam: np.ndarray, a: float, b: float, alpha: float) -> TestReport:
     """Chi-square of (l1, l2) cells against the ordered eigenvalue density."""
     edges = np.linspace(0.0, 1.0, 11)
     counts = np.histogram2d(lam[:, 0], lam[:, 1], bins=[edges, edges])[0].ravel()
-    sub = 30
-    fine = 10 * sub
-    x = (np.arange(fine) + 0.5) / fine
-    L1, L2 = np.meshgrid(x, x, indexing="ij")
-    vals = np.where(
-        L1 > L2,
-        L1 ** (a - 1.5) * L2 ** (a - 1.5)
-        * (1 - L1) ** (b - 1.5) * (1 - L2) ** (b - 1.5)
-        * np.maximum(L1 - L2, 0.0),
-        0.0,
-    )
-    cell = vals.reshape(10, sub, 10, sub).sum(axis=(1, 3))
-    probs = cell.ravel()
-    probs /= probs.sum()
+    probs = _cell_probs(lambda l: np.where(l[..., 0] > l[..., 1], _eigen_shape(l, a, b, None), 0.0),
+                        [edges, edges], sub=30)
     return chisq_gof(counts, probs, alpha=alpha, name="eigenvalue-law-histogram")
+
+
+def _cell_probs(density, edges, sub) -> np.ndarray:
+    """Midpoint-rule probabilities of the cells of equally spaced ``edges``, flattened.
+
+    Each cell gets ``sub`` nodes per axis, where ``density`` maps nodes (..., d) to an
+    unnormalised density, summed one first-axis cell at a time: never the full node grid.
+    """
+    m = [len(e) - 1 for e in edges]
+    axes = [e[0] + (e[-1] - e[0]) * (np.arange(k * sub) + 0.5) / (k * sub) for e, k in zip(edges, m)]
+    cells = []
+    for i in range(m[0]):
+        nodes = np.meshgrid(axes[0][i * sub:(i + 1) * sub], *axes[1:], indexing="ij")
+        vals = density(np.stack(nodes, axis=-1)).reshape([sub] + [n for k in m[1:] for n in (k, sub)])
+        cells.append(vals.sum(axis=tuple(range(0, vals.ndim, 2))))
+    probs = np.ravel(cells)
+    return probs / probs.sum()

@@ -494,6 +494,26 @@ def test_verify_matrix_mode(runner):
     assert "PASS eigenvalue-law-histogram" in res.output
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--n1", "2.5", "--n2", "7"], "n1 = 2.5"),
+    (["--n1", "2", "--n2", "2"], "n1 = 2 and n2 = 2"),
+    (["--p", "3", "--n1", "5", "--n2", "2.2"], "n2 = 2.2"),
+], ids=["n1-2.5", "both-2", "p3-n2-2.2"])
+def test_verify_matrix_mode_needs_three_degrees_of_freedom(runner, args, message):
+    # Below n = 3 the matrix shapes are unbounded at the edge of their
+    # support, and the midpoint histogram references fail a correct sampler.
+    res = runner.invoke(main, ["verify", "--matrix", *args])
+    assert res.exit_code == 2, res.output
+    assert f"error: {message}: the matrix criteria at p >= 2 need n1, n2 >= 3" in res.output
+
+
+def test_verify_matrix_mode_passes_at_three_degrees_of_freedom(runner):
+    res = runner.invoke(
+        main, ["verify", "--matrix", "--n1", "3", "--n2", "3", "--n", "20000", "--seed", "1"]
+    )
+    assert res.exit_code == 0, res.output
+
+
 def test_verify_matrix_mode_p3_checks_the_roots(runner):
     res = runner.invoke(main, ["verify", "--matrix", "--p", "3", "--n", "20000"])
     assert res.exit_code == 0, res.output
@@ -734,6 +754,14 @@ _MALFORMED = {
     "gaussian-scale-infinity": ({"gauge": _SUP,
                                  "profile": {"family": "gaussian", "params": {"scale": np.inf}}},
                                 "profile.params.scale: expected a finite number, got inf"),
+    **{f"gaussian-scale-{scale:g}": (
+        {"gauge": _SUP, "profile": {"family": "gaussian", "params": {"scale": scale}}},
+        f"profile.params: gaussian scale {scale:g} is outside [1e-154, 1e154], "
+        "where its rate 1/(2 scale^2) is a finite, positive double",
+    ) for scale in (1e200, 1e-162, 1e-200)},
+    **{f"gaussian-scale-{scale:g}": (
+        {"gauge": _SUP, "profile": {"family": "gaussian", "params": {"scale": scale}}}, None,
+    ) for scale in (1e150, 1e-150)},
     "rate-nan": (_with_rate(np.nan), "profile.params.rate: expected a finite number, got nan"),
     "rate-true": (_with_rate(True), "profile.params.rate: expected a finite number, got True"),
     "rate-int-1e400": (_with_rate(10**400),

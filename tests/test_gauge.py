@@ -226,6 +226,18 @@ def test_hexacube_lower_bound_is_an_uncut_corner():
     assert b.g_max == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: EllipticalGauge([[np.inf, 0.0], [0.0, 1.0]]),
+    lambda: EllipticalGauge([[1.0, np.nan], [np.nan, 1.0]]),
+    lambda: PolytopeGauge([[np.inf, 0.0], [-1.0, 1.0], [-1.0, -1.0]]),
+    lambda: PolytopeGauge([[1.0, 0.0, 0.0], [0.0, np.nan, 1.0], [-1.0, -1.0, -1.0]]),
+], ids=["sigma-inf", "sigma-nan", "facet-inf", "facet-nan"])
+def test_gauge_entries_must_be_finite(make):
+    # Checked before any arithmetic, so no RuntimeWarning comes first.
+    with pytest.raises(ConfigError, match="entries must be finite"):
+        make()
+
+
 def test_tabulated_nodes_must_be_finite():
     # Stated positively, so that NaN fails too.
     with pytest.raises(NonPositiveError, match="angles"):

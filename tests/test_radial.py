@@ -20,7 +20,7 @@ from starshape import (
     radial_density,
     two_sample_ks,
 )
-from starshape.errors import ConfigError, DivergentError, NonPositiveError
+from starshape.errors import ConfigError, DivergentError, NonPositiveError, OutOfRangeError
 from starshape.io import load_schema
 from conftest import stream
 
@@ -188,6 +188,14 @@ def test_profile_validation():
                  lambda: HeavyTailProfile(np.inf)):
         with pytest.raises(NonPositiveError):
             make()
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e155, 1e-155, 1e-162, 1e-200])
+def test_gaussian_scale_whose_rate_leaves_the_double_range_is_rejected(scale):
+    with pytest.raises(OutOfRangeError, match=r"outside \[1e-154, 1e154\]"):
+        GaussianProfile(scale)
+    for edge in (1e-154, 1e154):
+        assert GaussianProfile(edge)._kotz_form()[1] > 0.0
 
 
 _MODERATE = st.floats(1e-3, 1e3)
