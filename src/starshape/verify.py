@@ -206,6 +206,7 @@ def _u_histogram_report(U: np.ndarray, a: float, b: float, alpha: float) -> Test
         bins=[edges1, edges1, edges2],
     )[0].ravel()
 
+    # Closed-form determinants: np.linalg.det runs one LU per node, on ~0.9M nodes.
     def density(u):  # zero outside 0 < U < I
         u11, u22, u12 = np.moveaxis(u, -1, 0)
         dU = u11 * u22 - u12 ** 2
