@@ -109,7 +109,7 @@ def direction_constant(gauge: Gauge, n_mc: int = 1_000_000, seed: int = 0) -> C0
     """Normalizing constant c0 = 1 / integral of g^(-p) over the sphere."""
     integral = direction_integral(gauge, n_mc, seed)
     c0 = 1.0 / integral.value
-    stderr = integral.stderr / integral.value ** 2
+    stderr = integral.stderr / integral.value / integral.value  # value^2 can underflow
     return C0Estimate(float(c0), float(stderr), integral)
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, log, log2
+from math import comb, gamma, log, log2
 from typing import Callable
 
 import numpy as np
@@ -598,6 +598,4 @@ class DirectionDerivedGauge(Gauge):
 
 def sphere_surface(p: int) -> float:
     """Surface measure of the unit sphere in R^p, 2 pi^(p/2) / Gamma(p/2)."""
-    from scipy.special import gamma
-
     return float(2.0 * np.pi ** (p / 2.0) / gamma(p / 2.0))

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -176,9 +177,7 @@ def _check_lower_triangular(G: np.ndarray) -> np.ndarray:
 
 def _log_gamma_p(p: int, x: float) -> float:
     """log Gamma_p(x) = p(p-1)/4 log(pi) + sum_{i<p} log Gamma(x - i/2)."""
-    from scipy.special import gammaln
-
-    return p * (p - 1) / 4.0 * np.log(np.pi) + sum(gammaln(x - 0.5 * i) for i in range(p))
+    return p * (p - 1) / 4.0 * np.log(np.pi) + sum(math.lgamma(x - 0.5 * i) for i in range(p))
 
 
 def multivariate_beta(p: int, a: float, b: float) -> float:

@@ -11,6 +11,8 @@ Callers choose their own nodes and pass the samples in.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -53,11 +55,17 @@ def simpson(vals: np.ndarray, h: float) -> float:
 
 
 def mean_stderr(w: np.ndarray) -> tuple[float, float]:
-    """Sample mean of ``w`` and its standard error (unbiased variance)."""
+    """Sample mean of ``w`` and its standard error (unbiased variance).
+
+    ``w`` is first divided by a power of two near its largest |w_i|, which
+    is exact, so that its squares cannot underflow or overflow.
+    """
     n = w.size
+    _, e = np.frexp(np.max(np.abs(w), initial=0.0))
+    w = np.ldexp(w, -e)
     mean = w.sum() / n
     var = max((w * w).sum() / n - mean * mean, 0.0) * n / (n - 1)
-    return float(mean), float(np.sqrt(var / n))
+    return float(np.ldexp(mean, e)), float(np.ldexp(np.sqrt(var / n), e))
 
 
 def gauss(order: int, lo, hi, alpha: float = 0.0, beta: float = 0.0):
@@ -68,9 +76,32 @@ def gauss(order: int, lo, hi, alpha: float = 0.0, beta: float = 0.0):
     Welsch 1969); alpha = beta = 0 gives Gauss-Legendre.  ``lo`` and ``hi``
     broadcast against each other and the node axis is appended last.
     """
-    from scipy.special import roots_jacobi
-
-    t, w = roots_jacobi(order, alpha, beta)
+    t, w = _jacobi_rule(order, alpha, beta)
     lo = np.asarray(lo, dtype=float)[..., None]
     half = 0.5 * (np.asarray(hi, dtype=float)[..., None] - lo)
     return lo + half * (1.0 + t), half ** (alpha + beta + 1.0) * w
+
+
+def _jacobi_rule(order: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi nodes and weights on [-1, 1] for (1 - t)^alpha (1 + t)^beta.
+
+    The nodes are the eigenvalues of the Jacobi matrix of the three-term
+    recurrence, the weights mu0 times the squared first components of its
+    unit eigenvectors, mu0 = 2^(alpha+beta+1) B(alpha + 1, beta + 1) being
+    the weight's integral (Golub and Welsch 1969).  The weights are scaled to
+    sum to mu0 exactly, as the squares of a unit vector do only to rounding.
+    """
+    ab = alpha + beta
+    k = np.arange(order, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):  # k = 0 when ab = 0
+        diag = np.where(k == 0, (beta - alpha) / (ab + 2.0),
+                        (beta * beta - alpha * alpha) / ((2.0 * k + ab) * (2.0 * k + ab + 2.0)))
+    k = k[1:]
+    # At k = 1 the factor k (k + ab) / (2k + ab - 1) is 1, and 0/0 when ab = -1.
+    ratio = np.where(k == 1, 1.0, k * (k + ab) / np.maximum(2.0 * k + ab - 1.0, 1.0))
+    off = 2.0 / (2.0 * k + ab) * np.sqrt((k + alpha) * (k + beta) / (2.0 * k + ab + 1.0) * ratio)
+    t, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    log_mu0 = (ab + 1.0) * math.log(2.0) + math.lgamma(alpha + 1.0) + math.lgamma(beta + 1.0) \
+        - math.lgamma(ab + 2.0)
+    w = v[0] ** 2
+    return t, math.exp(log_mu0) / w.sum() * w

@@ -12,6 +12,7 @@ are drawn as exact transforms of Gamma variates, with no table in between.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,10 +35,12 @@ class RadialProfile:
     params: tuple[str, ...]
 
     def shape(self, g, p: int) -> np.ndarray:
-        """Profile value f(g); ``p`` only matters for the heavy-tail family."""
+        """Profile value f(g); ``p`` only matters for the heavy-tail family.
+        A power of g that overflows is inf, which gives the limit 0 here."""
         s, r, t = self._kotz_form()
         g = np.asarray(g, dtype=float)
-        return g**s * np.exp(-r * g**t)
+        with np.errstate(over="ignore"):
+            return g**s * np.exp(-r * g**t)
 
     def to_dict(self) -> dict:
         return {"family": self.family, "params": {k: getattr(self, k) for k in self.params}}
@@ -48,12 +51,10 @@ class RadialProfile:
 
     def _mass(self, p: int) -> float:
         """Integral of f(g) g^(p-1): Gamma(k) / (t r^k), k = (p + s)/t."""
-        from scipy.special import gammaln
-
         s, r, t = self._kotz_form()
         k = (p + s) / t
         with np.errstate(over="ignore"):  # inf is rejected by radial_constant
-            return float(np.exp(gammaln(k) - k * np.log(r)) / t)
+            return float(np.exp(math.lgamma(k) - k * np.log(r)) / t)
 
     def _cdf(self, g: np.ndarray, p: int) -> np.ndarray:
         """Length-law CDF at g: the regularized gamma P(k, r g^t).
@@ -62,17 +63,17 @@ class RadialProfile:
         P(k, x) is its leading series term x^k / Gamma(k + 1) to double
         precision, and that is taken in logs.
         """
-        from scipy.special import gammainc, gammaln
+        from .special import gammainc  # compiled only by the commands that use it
 
         s, r, t = self._kotz_form()
         k = (p + s) / t
         log_x = np.minimum(np.log(r) + t * np.log(g), _LOG_TINY)
-        series = np.exp(k * log_x - gammaln(k + 1.0))
+        series = np.exp(k * log_x - math.lgamma(k + 1.0))
         return np.where(log_x < _LOG_TINY, series, gammainc(k, r * g**t))
 
     def _tail_quantile(self, p: int, tail: float) -> float:
         """The length with upper-tail mass ``tail``."""
-        from scipy.special import gammainccinv
+        from .special import gammainccinv
 
         s, r, t = self._kotz_form()
         k = (p + s) / t
@@ -153,7 +154,8 @@ class HeavyTailProfile(RadialProfile):
 
     def shape(self, g, p: int) -> np.ndarray:
         g = np.asarray(g, dtype=float)
-        return (1.0 + g ** 2) ** (-(p + self.nu) / 2.0)
+        with np.errstate(over="ignore"):
+            return (1.0 + g ** 2) ** (-(p + self.nu) / 2.0)
 
     def _mass(self, p: int) -> float:
         from scipy.special import beta

@@ -12,6 +12,7 @@ factorization into a numerical cross-check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -130,8 +131,7 @@ class StarDistribution:
 
     def densities(self, X) -> np.ndarray:
         """Vectorized density over rows of X."""
-        X = _as_batch(X, self.p)
-        return self.profile_density(self.gauge.values(X))
+        return self.profile_density(_scaled_values(self.gauge, _as_batch(X, self.p))[0])
 
     # -- sampling -----------------------------------------------------------
 
@@ -254,13 +254,18 @@ def planar_angles(X) -> np.ndarray:
 
 def length_and_direction(gauge: Gauge, X) -> tuple[np.ndarray, np.ndarray]:
     """(g(x), direction) of each row, the direction being the angle at p = 2
-    and the first coordinate of x/|x| otherwise.  Rows are first divided by
-    a power of two near their largest |x_i|, which is exact by homogeneity,
-    so that no coordinate is squared past the double range."""
+    and the first coordinate of x/|x| otherwise."""
+    g, Y = _scaled_values(gauge, X)
+    return g, planar_angles(Y) if gauge.dim == 2 else Y[:, 0] / np.linalg.norm(Y, axis=1)
+
+
+def _scaled_values(gauge: Gauge, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(g(x), Y): each row x is divided by a power of two near its largest
+    |x_i|, giving Y, and g is evaluated on Y and scaled back.  Both steps are
+    exact by homogeneity, and no coordinate is squared past the double range."""
     _, e = np.frexp(np.max(np.abs(X), axis=1))
     Y = np.ldexp(X, 1 - e[:, None])
-    g = np.ldexp(gauge.values(Y), e - 1)
-    return g, planar_angles(Y) if gauge.dim == 2 else Y[:, 0] / np.linalg.norm(Y, axis=1)
+    return np.ldexp(gauge.values(Y), e - 1), Y
 
 
 def _plane_integral_2d(
@@ -314,8 +319,6 @@ def _plane_integral_mc(
     Heavy-tail/sub-exponential profiles are rejected with a ConfigError —
     the importance weights would have infinite variance.
     """
-    from scipy.special import gammaln, xlogy
-
     p = gauge.dim
     if isinstance(profile, ExponentialProfile):
         theta = 1.5 / (profile.rate * bounds.g_min)
@@ -333,8 +336,8 @@ def _plane_integral_mc(
     radius = gen.gamma(shape=p, scale=theta, size=n_mc)
     X = _rng.uniform_sphere(gen, n_mc, p)
     X *= radius[:, None]
-    # Gamma(p, theta) pdf of the radius, in the form scipy.stats evaluates it.
+    # Gamma(p, theta) pdf of the radius.
     u = radius / theta
-    gamma_pdf = np.exp(xlogy(p - 1.0, u) - u - gammaln(p)) / theta
+    gamma_pdf = np.exp((p - 1.0) * np.log(u) - u - math.lgamma(p)) / theta
     dens = gamma_pdf / (sphere_surface(p) * radius ** (p - 1))
     return mean_stderr(profile.shape(gauge.values(X), p) / dens)

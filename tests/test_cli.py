@@ -523,6 +523,17 @@ def test_verify_matrix_mode_p3_checks_the_roots(runner):
     assert "eigenvalue-law-histogram" not in res.output
 
 
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_verify_matrix_mode_p4_with_roots_near_zero(runner, seed):
+    # At a - 3/2 = 0.1 about 1.6% of the pairs have a smallest root that
+    # rounds to <= 0 and are dropped; root-product-ks conditions both of its
+    # samples on a product above 1e-12, so the dropped pairs bias neither.
+    res = runner.invoke(main, ["verify", "--matrix", "--p", "4", "--n1", "3.2", "--n2", "7",
+                               "--seed", str(seed)])
+    assert res.exit_code == 0, res.output
+    assert "PASS root-product-ks" in res.output
+
+
 def test_matrix_command_lt_bounds_and_scalar_beta(runner):
     res = runner.invoke(
         main,
@@ -586,17 +597,17 @@ def _env() -> dict:
 
 def _loaded_modules(code: str, modules: tuple[str, ...]) -> list[bool]:
     """Run ``code`` in a fresh interpreter; report which ``modules`` it loaded."""
-    code += f"; import json, sys; print(json.dumps([m in sys.modules for m in {modules!r}]))"
+    code += f"\nimport json, sys; print('loaded', json.dumps([m in sys.modules for m in {modules!r}]))"
     out = subprocess.run(
         [sys.executable, "-c", code], env=_env(), capture_output=True, text=True, check=True
     )
-    return json.loads(out.stdout)
+    return json.loads(next(l for l in out.stdout.splitlines() if l.startswith("loaded "))[7:])
 
 
 def test_cli_import_does_not_load_scipy_stats(cube_path, tmp_path):
     modules = ("scipy.stats", "scipy.integrate", "scipy.linalg", "scipy.spatial", "scipy.special",
-               "orjson", "jsonschema")
-    assert _loaded_modules("import starshape.cli", modules) == [False] * 7
+               "orjson", "jsonschema", "starshape.special")
+    assert _loaded_modules("import starshape.cli", modules) == [False] * 8
     # Only the table writer needs orjson; the document reader checks its
     # fields without jsonschema, a test-only dependency.
     args = ["constant", "--dist", cube_path, "--out", str(tmp_path / "c0.json")]
@@ -619,7 +630,33 @@ def test_cli_import_does_not_load_scipy_stats(cube_path, tmp_path):
                  ["matrix", "--group", "lt", "--p", "3", "--out", out],
                  ["matrix", "--group", "gl", "--p", "2", "--out", out]):
         code = f"from starshape.cli import main; main({args!r}, standalone_mode=False)"
-        assert _loaded_modules(code, ("scipy.special",)) == [False], args
+        assert _loaded_modules(code, ("scipy.special", "starshape.special")) == [False] * 2, args
+    # The gamma-family functions, the Kolmogorov law and the Gauss-Jacobi
+    # rules are the package's own, so neither do planar constants, their
+    # verification, p = 2 matrix verification, a p = 3 elliptical constant
+    # or the pointwise commands.  One interpreter runs them all in turn.
+    ell3 = tmp_path / "ell3.json"
+    ell3.write_text(json.dumps({
+        "gauge": {"dim": 3, "variant": "elliptical",
+                  "params": {"sigma": [[1.0, 0.2, 0.0], [0.2, 2.0, 0.0], [0.0, 0.0, 1.5]]}},
+        "profile": {"family": "kotz", "params": {"s": 1.0, "r": 0.5, "t": 2.0}},
+    }))
+    ellipse = tmp_path / "ellipse.json"
+    ellipse.write_text(json.dumps({
+        "gauge": {"dim": 2, "variant": "elliptical", "params": {"sigma": [[2.0, 0.3], [0.3, 1.0]]}},
+        "profile": {"family": "gaussian", "params": {"scale": 1.0}},
+    }))
+    runs = [["constant", "--dist", path, "--out", out] for path in (cube_path, ellipse, poly, ell3)]
+    runs += [["verify", "--dist", str(poly), "--n", "20000", "--report", out],
+             ["verify", "--matrix", "--p", "2", "--n", "20000", "--report", out],
+             ["density", "--dist", str(ellipse), "--at", "1,2", "--out", out],
+             ["direction-density", "--dist", cube_path, "--at", "1,0", "--out", out],
+             ["independence-test", "--dist", cube_path, "--n", "4000", "--report", out]]
+    # verify and independence-test end in sys.exit, 0 when every check passes.
+    code = (f"from starshape.cli import main\nfor args in {[[str(a) for a in r] for r in runs]!r}:\n"
+            "    try:\n        main(args, standalone_mode=False)\n"
+            "    except SystemExit as exc:\n        assert not exc.code, args")
+    assert _loaded_modules(code, ("scipy.special", "scipy.linalg")) == [False, False]
 
 
 def test_sampling_a_polytope_at_p3_never_computes_c0(monkeypatch, runner, tmp_path):

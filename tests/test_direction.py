@@ -84,6 +84,18 @@ def test_constant_p3_monte_carlo():
     assert abs(c.c0 - 1.0 / 24.0) <= 3.0 * c.stderr
 
 
+def test_a_constant_whose_sphere_integral_squares_below_the_double_range_is_finite():
+    # Facets x 1e100 put the sphere integral near 1e-300: its square
+    # underflows, and so do the squares of the Monte Carlo samples.  By
+    # homogeneity c0 and its stderr are the unit cube's times 1e300.
+    cube = np.vstack([np.eye(3), -np.eye(3)])
+    big = direction_constant(PolytopeGauge(1e100 * cube), n_mc=100_000)
+    unit = direction_constant(PolytopeGauge(cube), n_mc=100_000)
+    assert np.isfinite(big.c0) and np.isfinite(big.stderr)
+    assert big.c0 == pytest.approx(1e300 * unit.c0, rel=1e-13)
+    assert big.stderr == pytest.approx(1e300 * unit.stderr, rel=1e-13) and unit.stderr > 0.0
+
+
 def test_a_sphere_integral_that_underflows_raises_at_every_p():
     # g = 1e150 |x| puts g^-3 below the double range: the Monte Carlo mean
     # is 0, as a p = 2 rule's sum is for g = 1e200 |x|.

@@ -1,0 +1,127 @@
+import math
+
+import mpmath as mp
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy import stats as sstats
+from scipy.special import roots_jacobi
+
+from starshape.quadrature import gauss
+from starshape.special import gammainc, gammaincc, gammainccinv
+from starshape.stats import kolmogorov_sf
+
+mp.mp.dps = 50
+_EXAMPLES = settings(derandomize=True, max_examples=300, deadline=None)
+
+
+def _tails(a: float, x: float) -> tuple[mp.mpf, mp.mpf]:
+    a, x = mp.mpf(a), mp.mpf(x)
+    return (mp.gammainc(a, 0, x, regularized=True), mp.gammainc(a, x, mp.inf, regularized=True))
+
+
+def _rel(value: float, ref: mp.mpf) -> float:
+    return float(abs((mp.mpf(value) - ref) / ref))
+
+
+@_EXAMPLES
+@given(log_a=st.floats(-2.0, 2.0), spread=st.floats(-4.0, 1.5), near=st.floats(-6.0, 6.0),
+       at_mode=st.booleans())
+def test_incomplete_gamma_ratios_against_mpmath(log_a, spread, near, at_mode):
+    # x either anywhere from 1e-4 a to 30 a, or within 6 standard deviations
+    # of the mean; the bound holds where the smaller tail is at least 1e-100,
+    # beyond which the rounding of the exponent, about 1e-16 per unit of
+    # |log tail|, reaches it.
+    a = 10.0 ** log_a
+    x = a + near * math.sqrt(a) if at_mode else a * 10.0 ** spread
+    assume(x > 0.0)
+    p_ref, q_ref = _tails(a, x)
+    assume(min(p_ref, q_ref) >= 1e-100)
+    p, q = gammainc(a, x), gammaincc(a, x)
+    if p_ref < q_ref:
+        assert _rel(p, p_ref) <= 1e-13
+    else:
+        assert _rel(q, q_ref) <= 1e-13
+    assert p + q == pytest.approx(1.0, abs=4e-16)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(log_a=st.floats(2.0, 6.0), near=st.floats(-8.0, 8.0))
+def test_incomplete_gamma_ratios_terminate_for_large_a(log_a, near):
+    # Near x = a both loops need about 10 sqrt(a) terms: 10^4 at a = 10^6.
+    a = 10.0 ** log_a
+    x = a + near * math.sqrt(a)
+    big_a, big_x = mp.mpf(a), mp.mpf(x)
+    mp.mp.dps = 70
+    try:
+        p_ref = mp.exp(big_a * mp.log(big_x) - big_x - mp.loggamma(big_a + 1)) * mp.hyp1f1(
+            1, big_a + 1, big_x, maxterms=10**6
+        )
+        q_ref = 1 - p_ref
+    finally:
+        mp.mp.dps = 50
+    p, q = gammainc(a, np.array([x, x])), gammaincc(a, x)
+    assert _rel(p[0], p_ref) <= 1e-9 and _rel(p[1], p_ref) <= 1e-9
+    assert _rel(q, q_ref) <= 1e-9
+
+
+def test_incomplete_gamma_ratios_keep_the_shape_and_the_ends():
+    x = np.array([[0.0, 0.5], [3.0, np.inf]])
+    p, q = gammainc(2.5, x), gammaincc(2.5, x)
+    assert p.shape == q.shape == (2, 2)
+    assert (p[0, 0], q[0, 0], p[1, 1], q[1, 1]) == (0.0, 1.0, 1.0, 0.0)
+    assert isinstance(gammaincc(2.5, 3.0), float)
+
+
+@_EXAMPLES
+@given(log_a=st.floats(-2.0, 2.0), log_tail=st.floats(-100.0, math.log10(0.5)),
+       lower=st.booleans())
+def test_gammainccinv_against_mpmath(log_a, log_tail, lower):
+    # For the lower tail, log_tail is log10(1 - q), down to 1e-15.  Near 0
+    # P is x^a / Gamma(1 + a), so x magnifies P's relative error by 1/a.
+    a = 10.0 ** log_a
+    if lower:
+        assume(log_tail >= -15.0)
+        q = 1.0 - 10.0**log_tail
+    else:
+        q = 10.0**log_tail
+    x = gammainccinv(a, q)
+    assume(x > 1e-300)
+    big_a = mp.mpf(a)
+    if lower:
+        target = mp.log(1 - mp.mpf(q))
+        f = lambda y: mp.log(mp.gammainc(big_a, 0, mp.exp(y), regularized=True)) - target
+    else:
+        target = mp.log(mp.mpf(q))
+        f = lambda y: mp.log(mp.gammainc(big_a, mp.exp(y), mp.inf, regularized=True)) - target
+    x_ref = mp.exp(mp.findroot(f, mp.log(x)))
+    assert _rel(x, x_ref) <= 1e-13 * max(1.0, 1.0 / a)
+
+
+def test_gammainccinv_ends():
+    assert gammainccinv(1.5, 0.0) == math.inf
+    assert gammainccinv(1.5, 1.0) == 0.0
+    assert gammainccinv(1.0, 1e-10) == pytest.approx(10.0 * math.log(10.0), rel=1e-15)
+
+
+def test_kolmogorov_against_scipy_on_a_dense_grid():
+    x = np.linspace(1e-4, 5.0, 20_001)
+    ours = np.array([kolmogorov_sf(v) for v in x])
+    ref = sstats.kstwobign.sf(x)
+    assert np.max(np.abs(ours - ref) / ref) <= 5e-14
+    assert kolmogorov_sf(0.0) == 1.0 and kolmogorov_sf(40.0) == 0.0
+
+
+@pytest.mark.parametrize("alpha", [-0.99, -0.5, 0.0, 0.02, 0.5, 1.0, 2.5, 10.5])
+@pytest.mark.parametrize("beta", [-0.99, -0.5, 0.0, 0.3, 1.0, 3.5, 10.5])
+def test_gauss_jacobi_against_scipy(alpha, beta):
+    # Weights are compared on the scale of their sum mu0: with an exponent
+    # at -0.99, roots_jacobi's own weights are off by up to 2.4e-11 of mu0
+    # (against a 50-digit Golub-Welsch rule, which these match to 1e-14).
+    for order in range(1, 41):
+        t, w = gauss(order, -1.0, 1.0, alpha, beta)
+        t_ref, w_ref = roots_jacobi(order, alpha, beta)
+        assert np.max(np.abs(t - t_ref)) <= 4e-15, order
+        assert np.max(np.abs(w - w_ref)) <= 1e-10 * w_ref.sum(), order
+        assert w.sum() == pytest.approx(w_ref.sum(), rel=1e-14), order
+

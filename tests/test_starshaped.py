@@ -7,9 +7,12 @@ from starshape import (
     ExponentialProfile,
     GaussianProfile,
     HeavyTailProfile,
+    KotzProfile,
+    PolytopeGauge,
     RadialTable,
     StarDistribution,
     SupNormGauge,
+    TabulatedRadialGauge,
     chisq_gof,
     gauge_from_direction_density,
     independence_chisq,
@@ -24,6 +27,28 @@ from starshape.errors import DimensionMismatchError, ZeroVectorError
 from starshape import starshaped
 from starshape.starshaped import _plane_integral_2d
 from conftest import polar_integral, stream
+
+
+def test_densities_far_from_the_origin():
+    # Rows are scaled by a power of two before the gauge squares them: at
+    # 1e200 the tabulated gauge's norm does not overflow (a RuntimeWarning
+    # fails the suite) and the Kotz density is 0, not inf * 0.
+    tab = StarDistribution(TabulatedRadialGauge([0.0, 2.0, 4.0], [1.0, 1.5, 1.2]),
+                           GaussianProfile(1.0))
+    assert tab.densities([[1e200, 1e200]]).tolist() == [0.0]
+    ell = StarDistribution(EllipticalGauge(np.diag([1.0, 2.0, 3.0])), KotzProfile(1.0, 0.5, 2.0))
+    assert ell.densities([[1e200, 1e200, 1.0]]).tolist() == [0.0]
+
+
+def test_densities_of_points_in_the_normal_range_are_the_unscaled_bits():
+    gen = stream(61)
+    gauges = [EllipticalGauge([[2.0, 0.3], [0.3, 1.0]]), EllipticalGauge(np.diag([1.0, 2.0, 3.0])),
+              SupNormGauge(2), PolytopeGauge([[1.0, 0.2], [-0.8, 0.6], [0.1, -1.1], [0.9, 0.9]]),
+              TabulatedRadialGauge(np.linspace(0.0, 6.0, 9), 1.0 + 0.3 * np.sin(np.arange(9.0)))]
+    for gauge in gauges:
+        dist = StarDistribution(gauge, KotzProfile(1.0, 0.5, 2.0))
+        X = gen.standard_normal((20_000, gauge.dim)) * np.exp(gen.uniform(-8.0, 4.0, (20_000, 1)))
+        assert np.array_equal(dist.densities(X), dist.profile_density(gauge.values(X)))
 
 
 @pytest.fixture(scope="module")
