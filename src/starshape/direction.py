@@ -35,7 +35,9 @@ from .errors import (
     NotUnitVectorError,
     QuadratureFailureError,
 )
-from .gauge import DirectionDerivedGauge, Gauge, SphereBounds, sphere_surface, unit_angles
+from .gauge import (
+    DirectionDerivedGauge, Gauge, SphereBounds, _scaled_rows, sphere_surface, unit_angles,
+)
 from .quadrature import arcs, mean_stderr, panels, simpson
 from .rng import uniform_sphere
 
@@ -155,6 +157,7 @@ def direction_sample(
     X = gauge.body_sample(gen, n)
     if X is None:
         return rejection_sample(gauge, gen, n, bounds)
+    X = _scaled_rows(X)[0]  # body points may be too small to square
     X /= np.linalg.norm(X, axis=1, keepdims=True)
     g_dir = gauge.values(X)
     _check_lower_bound(g_dir, bounds)

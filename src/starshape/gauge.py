@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from math import comb, gamma, log, log2
 from typing import Callable
 
@@ -114,6 +114,15 @@ def _as_batch(X, dim: int) -> np.ndarray:
         if X.shape[0] and np.min(np.linalg.norm(X, axis=1)) < ZERO_NORM_EPS:
             raise ZeroVectorError("batch contains the origin")
     return X
+
+
+def _scaled_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Y, e): each row x of X divided by 2^(e-1), e the binary exponent of
+    its largest |x_i|, so that max|y_i| lies in [1, 2).  The division is
+    exact, and no coordinate of Y is squared past the double range."""
+    # Column by column: numpy reduces an (n, 2) array along axis 1 25x slower.
+    _, e = np.frexp(reduce(np.maximum, np.abs(X).T))
+    return np.ldexp(X, 1 - e[:, None]), e
 
 
 def _check_value_range(p: int, log_g_min: float, log_g_max: float, what: str) -> None:
@@ -374,13 +383,13 @@ class PolytopeGauge(Gauge):
 
             try:
                 self._polar = ConvexHull(A / s).equations
-                self._polar[:, -1] *= s
-                g_min = float(np.min(-self._polar[:, -1]))
+                g_min = s * float(np.min(-self._polar[:, -1]))
             except QhullError:  # the facet points lie in a hyperplane
                 g_min = 0.0
         if not g_min > 0.0:
             raise NonPositiveError("gauge is not positive on the unit sphere")
         g_max = s * float(np.linalg.norm(A / s, axis=1).max())
+        self._scale = s
         what = f"facets giving g in [{g_min:.3g}, {g_max:.3g}]"
         _check_value_range(self.dim, log(g_min), log(g_max), what)
         self._bounds = SphereBounds(g_min, g_max)
@@ -421,14 +430,17 @@ class PolytopeGauge(Gauge):
         """
         if self._polar is None:
             return None
-        # Each facet n.y = -b of conv{a_j} is the vertex n/b of K.
-        V = np.unique(self._polar[:, :-1] / -self._polar[:, -1:], axis=0)
+        # Each facet n.y = -b of conv{a_j / s} is the vertex n/b of sK, and
+        # the vertices of K are those over s.  The hull and the volumes are
+        # taken on sK, whose determinants stay in the double range.
+        W = np.unique(self._polar[:, :-1] / -self._polar[:, -1:], axis=0)
+        V = W / self._scale
         if _max_boundary_simplices(len(V), self.dim) > MAX_BODY_SIMPLICES:
             return None
         from scipy.spatial import ConvexHull, QhullError
 
         try:
-            simplices = ConvexHull(V).simplices
+            simplices = ConvexHull(W).simplices
         except QhullError:
             return None
         # Each simplex must lie on one facet of K: all its vertices at
@@ -439,7 +451,7 @@ class PolytopeGauge(Gauge):
             block = simplices[i : i + _SIMPLEX_BLOCK]
             if np.any(scores[block].min(axis=1).max(axis=1) < 1.0 - _FACET_ATOL):
                 return None
-            dets.append(np.abs(np.linalg.det(V[block])))
+            dets.append(np.abs(np.linalg.det(W[block])))
         if not _ridges_pair_up(simplices):
             return None
         return V, simplices, np.cumsum(np.concatenate(dets))
@@ -517,10 +529,11 @@ class TabulatedRadialGauge(Gauge):
         radii = np.asarray(radii, dtype=float)
         if angles.ndim != 1 or angles.shape != radii.shape or angles.size < 3:
             raise DimensionMismatchError("angles and radii must be equal-length 1-D")
-        if not (np.all(np.diff(angles) > 0) and 0 <= angles[0] and angles[-1] < 2 * np.pi):
+        increasing = np.isfinite(angles).all() and np.all(np.diff(angles) > 0)  # no inf - inf
+        if not (increasing and 0 <= angles[0] and angles[-1] < 2 * np.pi):
             raise NonPositiveError("angles must be strictly increasing in [0, 2pi)")
-        if not np.all(radii > 0):
-            raise NonPositiveError("tabulated radii must be positive")
+        if not np.all((radii > 0) & (radii < np.inf)):
+            raise NonPositiveError("tabulated radii must be positive and finite")
         _check_value_range(
             2, -log(radii.max()), -log(radii.min()),
             f"tabulated radii in [{radii.min():.3g}, {radii.max():.3g}]",

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import DivergentError, NonPositiveError, OutOfRangeError
 
 _LOG_TINY = float(np.log(np.finfo(float).tiny))
+_POWERS_OF_TWO = np.ldexp(1.0, np.arange(-1074, 1024))
 
 
 class RadialProfile:
@@ -36,11 +37,13 @@ class RadialProfile:
 
     def shape(self, g, p: int) -> np.ndarray:
         """Profile value f(g); ``p`` only matters for the heavy-tail family.
-        A power of g that overflows is inf, which gives the limit 0 here."""
+        A power of g that overflows is inf, and where exp(-r g^t) is 0 so is
+        f, whatever g^s is."""
         s, r, t = self._kotz_form()
         g = np.asarray(g, dtype=float)
         with np.errstate(over="ignore"):
-            return g**s * np.exp(-r * g**t)
+            decay = np.exp(-r * g**t)
+            return np.where(decay > 0.0, g**s, 0.0) * decay
 
     def to_dict(self) -> dict:
         return {"family": self.family, "params": {k: getattr(self, k) for k in self.params}}
@@ -72,12 +75,14 @@ class RadialProfile:
         return np.where(log_x < _LOG_TINY, series, gammainc(k, r * g**t))
 
     def _tail_quantile(self, p: int, tail: float) -> float:
-        """The length with upper-tail mass ``tail``."""
-        from .special import gammainccinv
+        """(x/r)^(1/t) at the smallest power of two x with Q(k, x) <= ``tail``
+        (inf if none), less than a factor 2^(1/t) above the exact quantile."""
+        from .special import gammaincc
 
         s, r, t = self._kotz_form()
-        k = (p + s) / t
-        return float((gammainccinv(k, tail) / r) ** (1.0 / t))
+        x = _POWERS_OF_TWO[gammaincc((p + s) / t, _POWERS_OF_TWO) <= tail]
+        with np.errstate(over="ignore"):  # inf is rejected by RadialTable.g_hi
+            return float(np.float_power(x[0] / r, 1.0 / t)) if x.size else math.inf
 
     def _draw(self, gen: np.random.Generator, n: int, p: int) -> np.ndarray:
         """n lengths g = (X/r)^(1/t) U^(1/(p + s)), X ~ Gamma(k + 1) drawn

@@ -7,8 +7,7 @@ its own Taylor coefficients so that the smaller tail keeps its relative
 accuracy; elsewhere P comes from its power series below x = a + 1 and Q from
 the Legendre continued fraction above, the other tail being one minus it.
 Each element leaves its loop once its sum has converged, and a loop that
-reaches its cap raises.  The inverse of Q takes Newton steps on the log of
-the smaller tail in log x.  Besides the package's errors only ``math`` and
+reaches its cap raises.  Besides the package's errors only ``math`` and
 ``numpy`` are imported, and callers import this module inside the functions
 that use it, so that a command which never evaluates them does not compile it.
 """
@@ -26,7 +25,6 @@ _EPS = float(np.finfo(float).eps)
 # 10 sqrt(a) terms; the cap covers a up to about 4e7 there.
 _MAX_TERMS = 50_000
 _TAYLOR_TERMS = 30  # (-x)^n / n! < 1e-18 beyond it for x < 1.5
-_MAX_NEWTON = 200
 # Taylor coefficients of 1/Gamma(1 + a) at a = 0 (Abramowitz and Stegun
 # 6.1.34), from the a^1 term on; the first is Euler's constant.
 _RGAMMA1P = (
@@ -51,77 +49,43 @@ def gammaincc(a: float, x):
     return _ratios(a, x)[1]
 
 
-def gammainccinv(a: float, q: float) -> float:
-    """The x >= 0 with Q(a, x) = q, for scalars a > 0 and 0 <= q <= 1.
-
-    Newton steps in y = log x on the log of the smaller tail (P when
-    q > 1/2, solving P = 1 - q, which is exact there), each kept inside the
-    bracket of y that earlier values have established, else replaced by
-    the bracket's midpoint.
-    """
-    if q <= 0.0:
-        return math.inf
-    if q >= 1.0:
-        return 0.0
-    lower = q > 0.5
-    target = math.log1p(-q) if lower else math.log(q)
-    sign = -1.0 if lower else 1.0  # d log P / dy = D / P, d log Q / dy = -D / Q
-    lo, hi = math.log(5e-324), math.log(np.finfo(float).max)
-    y = math.log(_wilson_hilferty(a, q))
-    for _ in range(_MAX_NEWTON):
-        p, qq, d = (float(v) for v in _ratios(a, math.exp(y), density=True))
-        tail = p if lower else qq
-        h = (math.log(tail) if tail > 0.0 else -math.inf) - target
-        if h == 0.0:
-            break
-        if (h > 0.0) == lower:
-            hi = y
-        else:
-            lo = y
-        step = sign * h * tail / d if d > 0.0 and math.isfinite(h) else math.inf
-        if abs(step) <= 1e-13:
-            y += step
-            break
-        y_new = y + step if lo < y + step < hi else 0.5 * (lo + hi)
-        if y_new == y:  # the bracket has closed
-            break
-        y = y_new
-    return math.exp(y)
-
-
-def _ratios(a: float, x, density: bool = False):
-    """(P(a, x), Q(a, x)), with D = x^a e^-x / Gamma(a) third if ``density``."""
+def _ratios(a: float, x):
+    """(P(a, x), Q(a, x))."""
     a = float(a)
     if not 0.0 < a < math.inf:
         raise NonPositiveError(f"the incomplete gamma ratios need 0 < a < inf, got a = {a}")
     x = np.asarray(x, dtype=float)
     xs = x.ravel()
-    p, q, d = (np.full(xs.shape, np.nan) for _ in range(3))
-    p[xs == 0.0], q[xs == 0.0], d[xs == 0.0] = 0.0, 1.0, 0.0
-    p[xs == np.inf], q[xs == np.inf], d[xs == np.inf] = 1.0, 0.0, 0.0
+    p, q = np.full(xs.shape, np.nan), np.full(xs.shape, np.nan)
+    p[xs == 0.0], q[xs == 0.0] = 0.0, 1.0
+    p[xs == np.inf], q[xs == np.inf] = 1.0, 0.0
     inside = (xs > 0.0) & (xs < np.inf)
     taylor = inside & (xs < 1.5) if a < 1.0 else np.zeros_like(inside)
     series = inside & ~taylor & (xs < a + 1.0)
     frac = inside & ~taylor & ~series
     if taylor.any():
-        p[taylor], q[taylor], d[taylor] = _taylor(a, xs[taylor])
+        p[taylor], q[taylor] = _taylor(a, xs[taylor])
     for mask, sums, left in ((series, _power_series, True), (frac, _continued_fraction, False)):
         if mask.any():
-            d[mask] = _density(a, xs[mask])
-            tail = d[mask] * sums(a, xs[mask])
+            tail = _density(a, xs[mask]) * sums(a, xs[mask])
             p[mask], q[mask] = (tail, 1.0 - tail) if left else (1.0 - tail, tail)
-    out = (p.reshape(x.shape)[()], q.reshape(x.shape)[()])
-    return (*out, d.reshape(x.shape)[()]) if density else out
+    return p.reshape(x.shape)[()], q.reshape(x.shape)[()]
 
 
 def _density(a: float, x: np.ndarray) -> np.ndarray:
     """D = x^a e^-x / Gamma(a), as sqrt(a / 2 pi) exp(a (log(1 + u) - u) - mu(a))
     with u = (x - a)/a, so that no large logarithms cancel near x = a; below
-    x = a/2, where 1 + u would round, log(1 + u) is log(x/a)."""
-    u = (x - a) / a
+    x = a/2, where 1 + u would round, log(1 + u) is log(x/a).  Where u
+    overflows (a < 1, x > a 1.8e308) x is far above a, nothing cancels, and
+    D is exp(a log x - x) / Gamma(a)."""
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        u = (x - a) / a
+        far = u == np.inf
+        u[far] = 0.0
         log_ratio = np.where(u < -0.5, np.log(x / a), np.log1p(u))
-        return math.sqrt(a / (2.0 * math.pi)) * np.exp(a * (log_ratio - u) - _stirling_error(a))
+        d = math.sqrt(a / (2.0 * math.pi)) * np.exp(a * (log_ratio - u) - _stirling_error(a))
+        d[far] = np.exp(a * np.log(x[far]) - x[far] - math.lgamma(a))
+    return d
 
 
 def _stirling_error(a: float) -> float:
@@ -135,7 +99,7 @@ def _stirling_error(a: float) -> float:
 
 
 def _taylor(a: float, x: np.ndarray):
-    """(P, Q, D) for a < 1 and x < 1.5 (DiDonato and Morris, eqs. 9 and 10).
+    """(P, Q) for a < 1 and x < 1.5 (DiDonato and Morris, eqs. 9 and 10).
 
     With t = x^a / Gamma(1 + a) and s = sum_{n>=1} (-x)^n / ((a + n) n!),
     P = t (1 + a s) and Q = (1 - t) - t a s, where 1 - t is formed from
@@ -150,7 +114,7 @@ def _taylor(a: float, x: np.ndarray):
     log_x = np.log(x)
     t = np.exp(a * log_x) * (1.0 + g1)
     one_minus_t = -(np.expm1(a * log_x) * (1.0 + g1) + g1)
-    return t * (1.0 + a * s), one_minus_t - t * a * s, a * t * np.exp(-x)
+    return t * (1.0 + a * s), one_minus_t - t * a * s
 
 
 def _power_series(a: float, x: np.ndarray) -> np.ndarray:
@@ -208,16 +172,3 @@ def _converge(step, state, a: float, what: str):
     raise QuadratureFailureError(
         f"the incomplete gamma {what} at a = {a:g} did not converge in {_MAX_TERMS} terms"
     )
-
-
-def _wilson_hilferty(a: float, q: float) -> float:
-    """A starting point for gammainccinv: the Wilson-Hilferty cube-root
-    normal approximation, with the normal quantile from Abramowitz and
-    Stegun 26.2.23 (error < 4.5e-4), kept positive."""
-    t = math.sqrt(-2.0 * math.log(min(q, 1.0 - q)))
-    z = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
-        1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308))
-    )
-    z = z if q < 0.5 else -z
-    x = a * (1.0 - 1.0 / (9.0 * a) + z / (3.0 * math.sqrt(a))) ** 3
-    return x if x > 1e-3 * a else 1e-3 * a

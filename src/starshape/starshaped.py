@@ -27,7 +27,7 @@ from .direction import (
     sphere_surface,
 )
 from .errors import ConfigError, DimensionMismatchError, DivergentError, QuadratureFailureError
-from .gauge import Gauge, _as_batch, _as_point
+from .gauge import Gauge, _as_batch, _as_point, _scaled_rows
 from .quadrature import gauss, mean_stderr
 from .radial import (
     ExponentialProfile,
@@ -260,11 +260,10 @@ def length_and_direction(gauge: Gauge, X) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _scaled_values(gauge: Gauge, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(g(x), Y): each row x is divided by a power of two near its largest
-    |x_i|, giving Y, and g is evaluated on Y and scaled back.  Both steps are
-    exact by homogeneity, and no coordinate is squared past the double range."""
-    _, e = np.frexp(np.max(np.abs(X), axis=1))
-    Y = np.ldexp(X, 1 - e[:, None])
+    """(g(x), Y): Y is X with its rows scaled by powers of two
+    (:func:`~starshape.gauge._scaled_rows`), and g is evaluated on Y and
+    scaled back, which is exact by homogeneity."""
+    Y, e = _scaled_rows(X)
     return np.ldexp(gauge.values(Y), e - 1), Y
 
 
@@ -285,7 +284,9 @@ def _plane_integral_2d(
     R = 1.3 * table.g_hi / gauge.sphere_bounds().g_min
     angles = np.asarray(gauge.kink_angles(), dtype=float)
     slopes = np.tan(angles[np.abs(np.cos(angles)) > 1e-12])
-    levels = int(np.ceil(np.log2(R / profile._tail_quantile(2, 0.5)))) + _PLANE_DEPTH
+    # A Kotz-form median is high by less than 2^(1/t): halve 1/t more times.
+    rounding = 0.0 if profile.family == "heavytail" else 1.0 / profile._kotz_form()[2]
+    levels = int(np.ceil(np.log2(R / profile._tail_quantile(2, 0.5)) + rounding)) + _PLANE_DEPTH
     edges = np.append(R / 2.0 ** np.arange(levels + 1.0), 0.0)
     totals = []
     for order in _PLANE_ORDERS:

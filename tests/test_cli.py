@@ -762,6 +762,18 @@ def test_sample_fails_only_on_draws_it_cannot_represent(tmp_path, label):
         assert (res.returncode, res.stdout, res.stderr) == (code, "", f"error: {message}\n")
 
 
+def test_sample_draws_from_a_cube_whose_volume_underflows(tmp_path):
+    # Facets +-1e200 e_i at p = 3: K's cone volumes (~1e-600) and the squared
+    # norms of its points are below the double range unless scaled first.
+    facets = 1e200 * np.vstack([np.eye(3), -np.eye(3)])
+    doc = {"gauge": {"dim": 3, "variant": "polytope", "params": {"facets": facets.tolist()}},
+           "profile": _EXPONENTIAL}
+    res = _run_cli(tmp_path, doc, "sample", "--n", "10")
+    assert (res.returncode, res.stderr) == (0, "")
+    rows = np.loadtxt(res.stdout.splitlines()[1:], delimiter=",")
+    assert rows.shape == (10, 3) and np.all(np.isfinite(rows) & (np.abs(rows) < 1e-190))
+
+
 def _tabulated(angles, radii):
     return {"dim": 2, "variant": "tabulated", "params": {"angles": angles, "radii": radii}}
 

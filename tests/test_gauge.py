@@ -246,6 +246,14 @@ def test_tabulated_nodes_must_be_finite():
         TabulatedRadialGauge([0.0, 1.0, 2.0], [1.0, np.nan, 1.0])
 
 
+def test_infinite_tabulated_nodes_raise_before_any_arithmetic():
+    # np.diff would form inf - inf; a RuntimeWarning fails the suite.
+    with pytest.raises(NonPositiveError, match="angles"):
+        TabulatedRadialGauge([0.0, np.inf, np.inf], [1.0, 1.0, 1.0])
+    with pytest.raises(NonPositiveError, match="radii"):
+        TabulatedRadialGauge([0.0, 1.0, 2.0], [1.0, np.inf, 1.0])
+
+
 def test_polytope_requires_origin_inside():
     with pytest.raises(NonPositiveError):
         PolytopeGauge([[1.0, 0.0], [0.0, 1.0]])  # open in the third quadrant

@@ -1,6 +1,8 @@
 import json
+import math
 
 import jsonschema
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -109,6 +111,25 @@ def test_table_head_of_a_steep_kotz_profile():
         assert np.all(np.isfinite(draws) & (draws > 0.0))
         report = ks_test(draws, table.cdf_at, alpha=0.01)
         assert report.passed, (t, report)
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(log_k=st.floats(-2.0, 3.0), tail=st.sampled_from([1e-10, 0.5]))
+def test_tail_quantile_scans_powers_of_two_of_the_gamma_variate(log_k, tail):
+    # f(g) = exp(-k g^t) at p = 2, t = 2/k, makes x = k g^t Gamma(k): the
+    # length is (x/k)^(1/t) at the smallest power of two x with Q(k, x) <= tail.
+    k = 10.0**log_k
+    t = 2.0 / k
+    profile = KotzProfile(0.0, k, t)
+    g = profile._tail_quantile(2, tail)
+    x = 2.0 ** round(math.log2(k) + t * math.log2(g))
+    assert g == (x / k) ** (1.0 / t)
+    q = lambda v: mp.gammainc(2.0 / t, v, mp.inf, regularized=True)  # noqa: E731
+    assert q(x) <= tail < q(x / 2.0)
+    if tail == 1e-10:
+        exact = mp.findroot(lambda y: mp.log(q(mp.exp(y))) - mp.log(tail),
+                            (math.log(x / 2.0), math.log(x)), solver="anderson")
+        assert RadialTable.build(profile, 2).g_hi >= (mp.exp(exact) / k) ** (1.0 / t)
 
 
 @pytest.mark.parametrize("key", ["kotz", "heavytail"])

@@ -8,7 +8,7 @@ from scipy import stats as sstats
 from scipy.special import roots_jacobi
 
 from starshape.quadrature import gauss
-from starshape.special import gammainc, gammaincc, gammainccinv
+from starshape.special import gammainc, gammaincc
 from starshape.stats import kolmogorov_sf
 
 mp.mp.dps = 50
@@ -73,35 +73,13 @@ def test_incomplete_gamma_ratios_keep_the_shape_and_the_ends():
     assert isinstance(gammaincc(2.5, 3.0), float)
 
 
-@_EXAMPLES
-@given(log_a=st.floats(-2.0, 2.0), log_tail=st.floats(-100.0, math.log10(0.5)),
-       lower=st.booleans())
-def test_gammainccinv_against_mpmath(log_a, log_tail, lower):
-    # For the lower tail, log_tail is log10(1 - q), down to 1e-15.  Near 0
-    # P is x^a / Gamma(1 + a), so x magnifies P's relative error by 1/a.
-    a = 10.0 ** log_a
-    if lower:
-        assume(log_tail >= -15.0)
-        q = 1.0 - 10.0**log_tail
-    else:
-        q = 10.0**log_tail
-    x = gammainccinv(a, q)
-    assume(x > 1e-300)
-    big_a = mp.mpf(a)
-    if lower:
-        target = mp.log(1 - mp.mpf(q))
-        f = lambda y: mp.log(mp.gammainc(big_a, 0, mp.exp(y), regularized=True)) - target
-    else:
-        target = mp.log(mp.mpf(q))
-        f = lambda y: mp.log(mp.gammainc(big_a, mp.exp(y), mp.inf, regularized=True)) - target
-    x_ref = mp.exp(mp.findroot(f, mp.log(x)))
-    assert _rel(x, x_ref) <= 1e-13 * max(1.0, 1.0 / a)
-
-
-def test_gammainccinv_ends():
-    assert gammainccinv(1.5, 0.0) == math.inf
-    assert gammainccinv(1.5, 1.0) == 0.0
-    assert gammainccinv(1.0, 1e-10) == pytest.approx(10.0 * math.log(10.0), rel=1e-15)
+def test_incomplete_gamma_ratios_where_x_over_a_overflows():
+    # For a < 1 and x > a 1.8e308, (x - a)/a leaves the double range; the
+    # ratios are still P = 1 and Q = 0 (RuntimeWarnings fail the suite).
+    assert (gammainc(0.03, 1e307), gammaincc(0.03, 1e307)) == (1.0, 0.0)
+    x = np.ldexp(1.0, np.arange(1000, 1024))
+    assert gammaincc(1.0 / 30.0, x).tolist() == [0.0] * 24
+    assert gammainc(1.0 / 30.0, x).tolist() == [1.0] * 24
 
 
 def test_kolmogorov_against_scipy_on_a_dense_grid():

@@ -38,6 +38,26 @@ def test_densities_far_from_the_origin():
     assert tab.densities([[1e200, 1e200]]).tolist() == [0.0]
     ell = StarDistribution(EllipticalGauge(np.diag([1.0, 2.0, 3.0])), KotzProfile(1.0, 0.5, 2.0))
     assert ell.densities([[1e200, 1e200, 1.0]]).tolist() == [0.0]
+    # With s > t, g^s overflows where exp(-r g^t) is already 0.
+    sup = StarDistribution(SupNormGauge(2), KotzProfile(3.0, 1.0, 1.0))
+    assert sup.densities([[1e200, 1e200], [1e300, 1.0]]).tolist() == [0.0, 0.0]
+
+
+def test_kotz_shape_keeps_its_bits_in_the_normal_range():
+    g = np.exp(stream(62).uniform(-30.0, 6.0, 100_000))
+    for s, r, t in ((3.0, 1.0, 1.0), (1.0, 0.5, 2.0), (0.0, 2.0, 0.5)):
+        assert np.array_equal(KotzProfile(s, r, t).shape(g, 2), g**s * np.exp(-r * g**t))
+
+
+def test_scaled_cube_draws_are_the_unit_cube_draws_scaled_exactly():
+    # The cone volumes are taken on the hull's power-of-two scaling of K and
+    # body points are scaled by powers of two before their norms are taken,
+    # so facets times 2^664 (K's volume ~1e-600) draw the same points.
+    cube = np.vstack([np.eye(3), -np.eye(3)])
+    unit, big = (StarDistribution(PolytopeGauge(c * cube), ExponentialProfile(1.0))
+                 for c in (1.0, 2.0**664))
+    x = unit.sample(stream(63), 5000)
+    assert np.array_equal(big.sample(stream(63), 5000), np.ldexp(x, -664))
 
 
 def test_densities_of_points_in_the_normal_range_are_the_unscaled_bits():
