@@ -76,7 +76,8 @@ class RadialProfile:
 
     def _tail_quantile(self, p: int, tail: float) -> float:
         """(x/r)^(1/t) at the smallest power of two x with Q(k, x) <= ``tail``
-        (inf if none), less than a factor 2^(1/t) above the exact quantile."""
+        (inf if none).  It is at least the exact quantile, and unless x is
+        the smallest subnormal, less than a factor 2^(1/t) above it."""
         from .special import gammaincc
 
         s, r, t = self._kotz_form()

@@ -689,6 +689,10 @@ _REJECTED = {
     "kotz-s500-r1e-3-t0.5": (
         {"gauge": _SUP, "profile": {"family": "kotz", "params": {"s": 500.0, "r": 1e-3, "t": 0.5}}},
         "radial integral evaluated to inf", None),
+    # The radial integral is e^706; the length with tail 1e-10 is about e^1125.
+    "kotz-s0-r290-t0.0015": (
+        {"gauge": _SUP, "profile": {"family": "kotz", "params": {"s": 0.0, "r": 290.0, "t": 0.0015}}},
+        "could not cover the radial tail", "length draw outside (0, inf) for kotz"),
     "heavytail-nu-1e-300": (
         {"gauge": _SUP, "profile": {"family": "heavytail", "params": {"nu": 1e-300}}},
         "could not cover the radial tail", "length draw outside (0, inf) for heavytail"),

@@ -124,7 +124,10 @@ def test_tail_quantile_scans_powers_of_two_of_the_gamma_variate(log_k, tail):
     g = profile._tail_quantile(2, tail)
     x = 2.0 ** round(math.log2(k) + t * math.log2(g))
     assert g == (x / k) ** (1.0 / t)
-    q = lambda v: mp.gammainc(2.0 / t, v, mp.inf, regularized=True)  # noqa: E731
+
+    def q(v):
+        return mp.gammainc(2.0 / t, v, mp.inf, regularized=True)
+
     assert q(x) <= tail < q(x / 2.0)
     if tail == 1e-10:
         exact = mp.findroot(lambda y: mp.log(q(mp.exp(y))) - mp.log(tail),
