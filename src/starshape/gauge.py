@@ -120,7 +120,7 @@ def _scaled_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Y, e): each row x of X divided by 2^(e-1), e the binary exponent of
     its largest |x_i|, so that max|y_i| lies in [1, 2).  The division is
     exact, and no coordinate of Y is squared past the double range."""
-    # Column by column: numpy reduces an (n, 2) array along axis 1 25x slower.
+    # Column by column: numpy's reduction along a short axis 1 is far slower.
     _, e = np.frexp(reduce(np.maximum, np.abs(X).T))
     return np.ldexp(X, 1 - e[:, None]), e
 
