@@ -26,7 +26,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import rng as _rng
 from .errors import (
     BoundsUnavailableError,
     DimensionMismatchError,
@@ -38,7 +37,7 @@ from .errors import (
 from .gauge import (
     DirectionDerivedGauge, Gauge, SphereBounds, _scaled_rows, sphere_surface, unit_angles,
 )
-from .quadrature import arcs, mean_stderr, panels, simpson
+from .quadrature import arcs, mc_mean, panels, simpson
 from .rng import uniform_sphere
 
 UNIT_ATOL = 1e-9
@@ -86,9 +85,10 @@ def direction_integral(gauge: Gauge, n_mc: int = 1_000_000, seed: int = 0) -> Sp
     """Integral of g^(-p) over the unit sphere.
 
     p = 2 sums the kink-aligned composite Simpson rule of
-    :func:`_arc_integrals` (deterministic, stderr 0).  p >= 3 uses
-    ``n_mc`` uniform sphere points from Philox stream 1000 of ``seed``, so
-    the result is a deterministic function of the seed.
+    :func:`_arc_integrals` (deterministic, stderr 0).  p >= 3 takes the
+    :func:`~starshape.quadrature.mc_mean` of ``n_mc`` uniform sphere points
+    drawn in blocks of Philox task 1000 of ``seed``, so the result is a
+    deterministic function of the seed.
     """
     p = gauge.dim
     if p < 2:
@@ -98,8 +98,10 @@ def direction_integral(gauge: Gauge, n_mc: int = 1_000_000, seed: int = 0) -> Sp
             float(sum(_arc_integrals(gauge)[1])), 0.0, "angular-quadrature", SPHERE_PANELS + 1
         )
     else:
-        U = uniform_sphere(_rng.stream(seed, 1000), n_mc, p)
-        mean, stderr = mean_stderr(gauge.values(U) ** (-float(p)))
+        def draw(gen: np.random.Generator, m: int) -> np.ndarray:
+            return gauge.values(uniform_sphere(gen, m, p)) ** (-float(p))
+
+        mean, stderr = mc_mean(draw, n_mc, seed, 1000)
         omega = sphere_surface(p)
         integral = SphereIntegral(omega * mean, omega * stderr, "monte-carlo", n_mc)
     if not 0.0 < integral.value < np.inf:

@@ -98,9 +98,7 @@ def _as_point(x, dim: int) -> np.ndarray:
         raise DimensionMismatchError(
             f"expected a point of dimension {dim}, got shape {x.shape}"
         )
-    with np.errstate(over="ignore"):  # a norm past the double range is not zero
-        if np.linalg.norm(x) < ZERO_NORM_EPS:
-            raise ZeroVectorError("gauge functions are undefined at the origin")
+    _check_not_origin(x[None, :], "gauge functions are undefined at the origin")
     return x
 
 
@@ -110,10 +108,22 @@ def _as_batch(X, dim: int) -> np.ndarray:
         raise DimensionMismatchError(
             f"expected points of shape (n, {dim}), got {X.shape}"
         )
-    with np.errstate(over="ignore"):
-        if X.shape[0] and np.min(np.linalg.norm(X, axis=1)) < ZERO_NORM_EPS:
-            raise ZeroVectorError("batch contains the origin")
+    _check_not_origin(X, "batch contains the origin")
     return X
+
+
+def _check_not_origin(X: np.ndarray, message: str) -> None:
+    """Raise ZeroVectorError if a row of X has norm below ZERO_NORM_EPS.
+
+    Rows whose squares underflow are measured again scaled by
+    :func:`_scaled_rows`, so (1e-200, 1e-200) is not the origin.
+    """
+    with np.errstate(over="ignore"):  # a norm past the double range is not zero
+        small = X[np.linalg.norm(X, axis=1) < ZERO_NORM_EPS]
+    if small.size:
+        Y, e = _scaled_rows(small)
+        if np.min(np.ldexp(np.linalg.norm(Y, axis=1), e - 1)) < ZERO_NORM_EPS:
+            raise ZeroVectorError(message)
 
 
 def _scaled_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -398,7 +408,7 @@ class PolytopeGauge(Gauge):
         X = _as_batch(X, self.dim)
         out = np.empty(len(X))
         for i in range(0, len(X), _VALUES_BLOCK):
-            out[i : i + _VALUES_BLOCK] = np.max(X[i : i + _VALUES_BLOCK] @ self.facets.T, axis=1)
+            out[i : i + _VALUES_BLOCK] = (self.facets @ X[i : i + _VALUES_BLOCK].T).max(axis=0)
         return out
 
     def _gradients(self, X, strict):

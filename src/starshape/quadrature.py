@@ -3,17 +3,27 @@
 Sphere and contour integrals in the plane use composite Simpson on equally
 spaced nodes, with panel boundaries aligned to the kinks of the integrand
 so every Simpson cell sees a C^1 function; integrals at p >= 3 use a Monte
-Carlo mean with its standard error.  Integrals with algebraic endpoint
-factors or graded panels (the plane integral, the matrix normalisers) use
-batch Gauss-Jacobi rules, Gauss-Legendre being the case without weight.
-Callers choose their own nodes and pass the samples in.
+Carlo mean with its standard error, drawn in keyed blocks on every core.
+Integrals with algebraic endpoint factors or graded panels (the plane
+integral, the matrix normalisers) use batch Gauss-Jacobi rules,
+Gauss-Legendre being the case without weight.  Callers choose their own
+nodes and pass the samples in, or, for a Monte Carlo mean, a function that
+draws them.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+from typing import Callable
 
 import numpy as np
+
+from . import rng as _rng
+
+# Points per Monte Carlo block (see mc_mean).
+MC_BLOCK = 1 << 16
 
 
 def arcs(kinks) -> list[tuple[float, float]]:
@@ -54,18 +64,57 @@ def simpson(vals: np.ndarray, h: float) -> float:
     )
 
 
-def mean_stderr(w: np.ndarray) -> tuple[float, float]:
-    """Sample mean of ``w`` and its standard error (unbiased variance).
+def mc_mean(draw: Callable[[np.random.Generator, int], np.ndarray], n: int, seed: int,
+            stream_id: int) -> tuple[float, float]:
+    """Monte Carlo mean of n values and its standard error (unbiased variance).
 
-    ``w`` is first divided by a power of two near its largest |w_i|, which
-    is exact, so that its squares cannot underflow or overflow.
+    The n values come in blocks of MC_BLOCK, the last one shorter: block b
+    is ``draw(gen, m)``, m values from the Philox stream keyed by (seed,
+    stream_id, b) (:func:`starshape.rng.block_stream`).  Each block is
+    divided by a power of two near its largest |w_i|, which is exact, so
+    that its squares cannot underflow or overflow, and reduced to its
+    exponent and scaled sums of w and w^2; the sums are brought to the
+    largest exponent and added in block order.  Blocks run on a thread per
+    available core, up to one per block, in a copy of the caller's context
+    (numpy's error state included), so the result is the same for every
+    core count.
     """
-    n = w.size
-    _, e = np.frexp(np.max(np.abs(w), initial=0.0))
-    w = np.ldexp(w, -e)
-    mean = w.sum() / n
-    var = max((w * w).sum() / n - mean * mean, 0.0) * n / (n - 1)
-    return float(np.ldexp(mean, e)), float(np.ldexp(np.sqrt(var / n), e))
+    if n < 2:
+        raise ValueError("a Monte Carlo standard error needs n >= 2")
+    n_blocks = -(-n // MC_BLOCK)
+    context = contextvars.copy_context()
+
+    def block(b: int) -> tuple[int, float, float]:
+        w = draw(_rng.block_stream(seed, stream_id, b), min(MC_BLOCK, n - b * MC_BLOCK))
+        _, e = np.frexp(np.max(np.abs(w), initial=0.0))
+        w = np.ldexp(w, -e)
+        return int(e), float(w.sum()), float((w * w).sum())
+
+    def run(b: int) -> tuple[int, float, float]:
+        return context.copy().run(block, b)
+
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cores or 1, n_blocks)
+    if workers == 1:
+        parts = [run(b) for b in range(n_blocks)]
+    else:
+        # Imported here, so that a command without a parallel mean does not load it.
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(workers)
+        try:
+            parts = list(pool.map(run, range(n_blocks)))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    # An all-zero block (sum of squares 0) carries no exponent.
+    top = max((e for e, _, s2 in parts if s2 > 0.0), default=0)
+    total = total2 = 0.0
+    for e, s, s2 in parts:
+        total += math.ldexp(s, e - top)
+        total2 += math.ldexp(s2, 2 * (e - top))
+    mean = np.float64(total / n)
+    var = max(total2 / n - mean * mean, 0.0) * n / (n - 1)
+    return float(np.ldexp(mean, top)), float(np.ldexp(np.sqrt(var / n), top))
 
 
 def gauss(order: int, lo, hi, alpha: float = 0.0, beta: float = 0.0):

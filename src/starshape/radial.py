@@ -21,6 +21,7 @@ import numpy as np
 from .errors import DivergentError, NonPositiveError, OutOfRangeError
 
 _LOG_TINY = float(np.log(np.finfo(float).tiny))
+_SQRT_TINY = 2.0**-511  # its square is the smallest normal double
 _POWERS_OF_TWO = np.ldexp(1.0, np.arange(-1074, 1024))
 
 
@@ -169,13 +170,23 @@ class HeavyTailProfile(RadialProfile):
         return float(0.5 * beta(p / 2.0, self.nu / 2.0))
 
     def _cdf(self, g: np.ndarray, p: int) -> np.ndarray:
-        # Past g = 1 take the upper tail from 1 - x = 1/(1 + g^2), which
-        # stays exact where x itself rounds to 1.
-        from scipy.special import betainc
+        """Length-law CDF at g: I_x(p/2, nu/2) with x = g^2/(1 + g^2).
+
+        Past g = 1 it is one minus the upper tail I_y(nu/2, p/2), where
+        y = 1 - x = t^2/(1 + t^2) with t = 1/g stays exact though x rounds
+        to 1.  Where t^2 underflows the normal range, I_y is its leading
+        term t^nu / ((nu/2) B(nu/2, p/2)) to double precision, and that is
+        taken in logs.
+        """
+        from scipy.special import betainc, betaln
 
         a, b = p / 2.0, self.nu / 2.0
-        x = g**2 / (1.0 + g**2)
-        return np.where(x < 0.5, betainc(a, b, x), 1.0 - betainc(b, a, 1.0 / (1.0 + g**2)))
+        u = np.minimum(g, 1.0)
+        t = 1.0 / np.maximum(g, 1.0)
+        with np.errstate(divide="ignore"):  # t = 0 at g = inf: the tail is 0
+            lead = np.exp(self.nu * np.log(t) - np.log(b) - betaln(b, a))
+        upper = np.where(t < _SQRT_TINY, lead, betainc(b, a, t * t / (1.0 + t * t)))
+        return np.where(g < 1.0, betainc(a, b, u * u / (1.0 + u * u)), 1.0 - upper)
 
     def _tail_quantile(self, p: int, tail: float) -> float:
         # 1 - g^2/(1 + g^2) is Beta(nu/2, p/2); inverting it on its own small

@@ -28,7 +28,7 @@ from .direction import (
 )
 from .errors import ConfigError, DimensionMismatchError, DivergentError, QuadratureFailureError
 from .gauge import Gauge, _as_batch, _as_point, _scaled_rows
-from .quadrature import gauss, mean_stderr
+from .quadrature import gauss, mc_mean
 from .radial import (
     ExponentialProfile,
     GaussianProfile,
@@ -158,8 +158,8 @@ class StarDistribution:
     def decompose_many(self, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized decomposition: returns (g, Z, Zprime) arrays."""
         X = _as_batch(X, self.p)
-        g = self.gauge.values(X)
-        return g, X / g[:, None], X / np.linalg.norm(X, axis=1, keepdims=True)
+        g, Y = _scaled_values(self.gauge, X)  # Y is X scaled so that it squares safely
+        return g, X / g[:, None], Y / np.linalg.norm(Y, axis=1, keepdims=True)
 
     # -- the radial route to c0 ----------------------------------------------
 
@@ -318,7 +318,9 @@ def _plane_integral_mc(
     Proposal: uniform direction times a Gamma(p, theta) radius with theta
     chosen per family so the proposal tail dominates the integrand tail.
     Heavy-tail/sub-exponential profiles are rejected with a ConfigError —
-    the importance weights would have infinite variance.
+    the importance weights would have infinite variance.  The mean of the
+    ``n_mc`` weights is :func:`~starshape.quadrature.mc_mean` over blocks
+    of Philox task 2000 of ``seed``.
     """
     p = gauge.dim
     if isinstance(profile, ExponentialProfile):
@@ -333,12 +335,15 @@ def _plane_integral_mc(
             f"{profile.family} profile at p = {p} (gaussian, exponential and "
             "kotz with t >= 1 have one)"
         )
-    gen = _rng.stream(seed, 2000)
-    radius = gen.gamma(shape=p, scale=theta, size=n_mc)
-    X = _rng.uniform_sphere(gen, n_mc, p)
-    X *= radius[:, None]
-    # Gamma(p, theta) pdf of the radius.
-    u = radius / theta
-    gamma_pdf = np.exp((p - 1.0) * np.log(u) - u - math.lgamma(p)) / theta
-    dens = gamma_pdf / (sphere_surface(p) * radius ** (p - 1))
-    return mean_stderr(profile.shape(gauge.values(X), p) / dens)
+
+    def draw(gen: np.random.Generator, m: int) -> np.ndarray:
+        radius = gen.gamma(shape=p, scale=theta, size=m)
+        X = _rng.uniform_sphere(gen, m, p)
+        X *= radius[:, None]
+        # Gamma(p, theta) pdf of the radius.
+        u = radius / theta
+        gamma_pdf = np.exp((p - 1.0) * np.log(u) - u - math.lgamma(p)) / theta
+        dens = gamma_pdf / (sphere_surface(p) * radius ** (p - 1))
+        return profile.shape(gauge.values(X), p) / dens
+
+    return mc_mean(draw, n_mc, seed, 2000)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from starshape import (
     EllipticalGauge,
@@ -22,6 +23,40 @@ def stream(seed, sid=0):
 def sign_vectors(p):
     """The 2^p vectors of +-1 entries, rows of shape (p,)."""
     return 1.0 - 2.0 * ((np.arange(2**p)[:, None] >> np.arange(p)) & 1)
+
+
+def spd(p, entries):
+    """A symmetric positive definite p x p matrix from p^2 entries."""
+    B = np.array(entries).reshape(p, p)
+    return B @ B.T + 0.1 * np.eye(p)
+
+
+def box_and_cuts(p, rows):
+    """A polytope gauge: the facets +-0.3 e_i and cuts of R^p by ``rows``."""
+    # +-0.3 e_i keep K inside the box |x_i| <= 10/3, so the origin is inside.
+    cuts = np.array(rows, dtype=float).reshape(-1, p)
+    return PolytopeGauge(np.vstack([0.3 * np.eye(p), -0.3 * np.eye(p), cuts]))
+
+
+def gauges_of_dim(p):
+    """Sup, l1, random elliptical and random polytope gauges on R^p."""
+    return st.one_of(
+        st.just(SupNormGauge(p)),
+        st.just(L1NormGauge(p)),
+        st.builds(lambda e: EllipticalGauge(spd(p, e)),
+                  st.lists(st.floats(-2.0, 2.0), min_size=p * p, max_size=p * p)),
+        st.builds(lambda rows: box_and_cuts(p, rows),
+                  st.lists(st.lists(st.floats(-1.0, 1.0), min_size=p, max_size=p),
+                           min_size=1, max_size=6)),
+    )
+
+
+def property_gauges(count=1):
+    """``count`` gauges of a shared dimension p in {2, 3, 6}, one if count is 1."""
+    dims = st.sampled_from([2, 3, 6])
+    if count == 1:
+        return dims.flatmap(gauges_of_dim)
+    return dims.flatmap(lambda p: st.tuples(*[gauges_of_dim(p)] * count))
 
 
 def random_unit(gen, n, p):

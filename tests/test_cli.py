@@ -5,6 +5,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import threading
 
 import jsonschema
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import Phase, given, settings, strategies as st
 from scipy import stats as sstats
 
 import starshape
-from starshape import direction_integral, ks_test, SupNormGauge
+from starshape import direction_integral, GaussianProfile, ks_test, SupNormGauge
 from starshape import cli, direction, starshaped
 from starshape.cli import _table_chunks, main
 from starshape.io import load_distribution, load_schema
@@ -580,13 +581,19 @@ def test_matrix_command_lt_p2_u_in_bounds(runner):
 
 
 def test_monte_carlo_depends_on_seed_only(monkeypatch):
-    # Seeded Monte Carlo results depend on the seed, not on STARSHAPE_THREADS.
+    # Both p >= 3 routes to c0 are bit-identical on 1, 2 and 3 cores, below
+    # one block and off a block multiple, and no worker thread outlives them.
     g = SupNormGauge(3)
-    monkeypatch.delenv("STARSHAPE_THREADS", raising=False)
-    a = direction_integral(g, n_mc=40_000, seed=9)
-    monkeypatch.setenv("STARSHAPE_THREADS", "4")
-    assert direction_integral(g, n_mc=40_000, seed=9) == a
-    assert direction_integral(g, n_mc=40_000, seed=10) != a
+    threads = threading.active_count()
+    for n_mc in (40_000, 3 * 2**16 + 5):
+        results = []
+        for cpus in ({0}, {0, 1}, {0, 1, 2}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            dist = starshaped.StarDistribution(g, GaussianProfile(1.0), n_mc=n_mc, seed=9)
+            results.append((direction_integral(g, n_mc=n_mc, seed=9), dist.c0_radial()))
+            assert threading.active_count() == threads
+        assert results[1] == results[0] and results[2] == results[0]
+        assert direction_integral(g, n_mc=n_mc, seed=10) != results[0][0]
 
 
 def _env() -> dict:
@@ -606,8 +613,8 @@ def _loaded_modules(code: str, modules: tuple[str, ...]) -> list[bool]:
 
 def test_cli_import_does_not_load_scipy_stats(cube_path, tmp_path):
     modules = ("scipy.stats", "scipy.integrate", "scipy.linalg", "scipy.spatial", "scipy.special",
-               "orjson", "jsonschema", "starshape.special")
-    assert _loaded_modules("import starshape.cli", modules) == [False] * 8
+               "orjson", "jsonschema", "starshape.special", "concurrent.futures")
+    assert _loaded_modules("import starshape.cli", modules) == [False] * 9
     # Only the table writer needs orjson; the document reader checks its
     # fields without jsonschema, a test-only dependency.
     args = ["constant", "--dist", cube_path, "--out", str(tmp_path / "c0.json")]

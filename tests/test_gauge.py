@@ -28,7 +28,7 @@ from starshape.errors import (
 )
 from starshape.gauge import _max_boundary_simplices
 from starshape.io import load_schema
-from conftest import random_unit, sign_vectors, stream
+from conftest import box_and_cuts, property_gauges, random_unit, sign_vectors, spd, stream
 
 
 def test_elliptical_euclidean_case():
@@ -527,15 +527,9 @@ def test_polytope_on_a_thin_arc_raises():
 # -- uniform points of the star body K = {g <= 1} ------------------------------
 
 
-def _box_and_cuts(p, rows):
-    # +-0.3 e_i keep K inside the box |x_i| <= 10/3, so the origin is inside.
-    cuts = np.array(rows, dtype=float).reshape(-1, p)
-    return PolytopeGauge(np.vstack([0.3 * np.eye(p), -0.3 * np.eye(p), cuts]))
-
-
 _random_polytopes = st.integers(3, 5).flatmap(
     lambda p: st.builds(
-        _box_and_cuts,
+        box_and_cuts,
         st.just(p),
         st.lists(st.lists(st.floats(-1.0, 1.0), min_size=p, max_size=p), min_size=1, max_size=12),
     )
@@ -552,17 +546,12 @@ def test_polytope_body_points_lie_in_k(gauge, seed):
     assert gauge.values(X).max() <= 1.0 + 1e-12
 
 
-def _spd(p, entries):
-    B = np.array(entries).reshape(p, p)
-    return B @ B.T + 0.1 * np.eye(p)
-
-
 _structured_gauges = st.integers(2, 6).flatmap(
     lambda p: st.one_of(
         st.just(SupNormGauge(p)),
         st.just(L1NormGauge(p)),
         st.builds(
-            lambda e: EllipticalGauge(_spd(p, e)),
+            lambda e: EllipticalGauge(spd(p, e)),
             st.lists(st.floats(-2.0, 2.0), min_size=p * p, max_size=p * p),
         ),
     )
@@ -574,3 +563,11 @@ _structured_gauges = st.integers(2, 6).flatmap(
 def test_structured_body_points_lie_in_k(gauge, seed):
     X = gauge.body_sample(stream(seed), 2_000)
     assert gauge.values(X).max() <= 1.0 + 1e-12
+
+
+@_PROPERTY
+@given(property_gauges(), st.integers(0, 2**32 - 1), st.floats(-50.0, 50.0))
+def test_gauges_are_positively_homogeneous(gauge, seed, log_c):
+    X = 3.0 * np.random.default_rng(seed).normal(size=(64, gauge.dim))
+    c = 10.0**log_c
+    np.testing.assert_allclose(gauge.values(c * X), c * gauge.values(X), rtol=1e-12)

@@ -191,6 +191,20 @@ def test_sampling_ks_against_table_cdf(profiles, key):
     assert report.passed, report
 
 
+@pytest.mark.parametrize("nu", [0.01, 1.0, 3.0])
+@pytest.mark.parametrize("p", [2, 3])
+def test_heavy_tail_cdf_far_out_matches_mpmath(nu, p):
+    # The upper tail I_y(nu/2, p/2), y = 1/(1 + g^2), is computed from t = 1/g:
+    # by betainc at g = 1e100 and by its leading term once t^2 underflows.
+    gs = np.array([1e100, 1e154, 1e200])
+    got = RadialTable.build(HeavyTailProfile(nu), p).cdf_at(gs)
+    for g, value in zip(gs, got):
+        y = 1 / (1 + mp.mpf(g) ** 2)
+        ref = 1 - mp.betainc(nu / 2, p / 2, 0, y, regularized=True)
+        assert value == pytest.approx(float(ref), rel=1e-14)
+    assert RadialTable.build(HeavyTailProfile(nu), p).cdf_at(np.inf) == 1.0
+
+
 def test_gaussian_scale_equivariance():
     base = RadialTable.build(GaussianProfile(1.0), 2).sample(stream(104), 50_000)
     scaled = RadialTable.build(GaussianProfile(2.5), 2).sample(stream(105), 50_000)

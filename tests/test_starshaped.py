@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from starshape import (
@@ -26,7 +27,7 @@ from starshape import (
 from starshape.errors import DimensionMismatchError, ZeroVectorError
 from starshape import starshaped
 from starshape.starshaped import _plane_integral_2d
-from conftest import polar_integral, stream
+from conftest import polar_integral, property_gauges, stream
 
 
 def test_densities_far_from_the_origin():
@@ -215,6 +216,32 @@ def test_within_orbit_map_bijective(analytic_gauges):
     W = within_orbit_map_many(gA, gB, X)
     back = within_orbit_map_many(gB, gA, W)
     np.testing.assert_allclose(back, X, rtol=1e-12)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(property_gauges(2), st.integers(0, 2**32 - 1))
+def test_within_orbit_map_is_a_bijection_of_each_ray(gauges, seed):
+    g_from, g_to = gauges
+    X = 3.0 * np.random.default_rng(seed).normal(size=(64, g_from.dim))
+    W = within_orbit_map_many(g_from, g_to, X)
+    np.testing.assert_allclose(g_to.values(W), g_from.values(X), rtol=1e-12)
+    np.testing.assert_allclose(within_orbit_map_many(g_to, g_from, W), X, rtol=1e-12)
+
+
+@pytest.mark.parametrize("gauge", [SupNormGauge(2), EllipticalGauge(np.eye(2))])
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_orbital_decompose_far_from_and_near_the_origin(gauge, scale):
+    # z' = x/|x| comes from rows scaled by powers of two, so nothing squares
+    # past the double range; the suite turns RuntimeWarnings into errors.
+    x = np.array([scale, scale])
+    dist = StarDistribution(gauge, GaussianProfile(1.0))
+    rec = dist.orbital_decompose(x)
+    np.testing.assert_allclose(rec.zprime, [0.5**0.5, 0.5**0.5], rtol=1e-15)
+    assert rec.g == pytest.approx(gauge.value(np.ones(2)) * scale, rel=1e-15)
+    np.testing.assert_allclose(rec.z * rec.g, x, rtol=1e-15)
+    g, Z, Zprime = dist.decompose_many(np.array([x, [-scale, 2.0 * scale]]))
+    np.testing.assert_allclose(Zprime, [[0.5**0.5, 0.5**0.5], [-(0.2**0.5), 0.8**0.5]],
+                               rtol=1e-15)
 
 
 def test_within_orbit_map_dim_mismatch(analytic_gauges):
