@@ -290,7 +290,9 @@ def gauge_from_direction_density(
 
     ``density`` maps a batch of unit vectors, shape (n, p), to positive
     values (n,) integrating to 1 over the sphere.  On the sphere the gauge
-    has g^(-p) = f, so :func:`direction_integral` checks the total.
+    has g^(-p) = f, so :func:`direction_integral` checks the total; at
+    p >= 3 that calls ``density`` from several threads at once, so it must
+    be safe to call concurrently.
     """
     gauge = DirectionDerivedGauge(density, dim)
     total = direction_integral(gauge, 200_000).value
