@@ -119,9 +119,9 @@ def _check_not_origin(X: np.ndarray, message: str) -> None:
     :func:`_scaled_rows`, so (1e-200, 1e-200) is not the origin.
     """
     with np.errstate(over="ignore"):  # a norm past the double range is not zero
-        small = X[np.linalg.norm(X, axis=1) < ZERO_NORM_EPS]
-    if small.size:
-        Y, e = _scaled_rows(small)
+        norms = np.linalg.norm(X, axis=1)
+    if X.shape[0] and norms.min() < ZERO_NORM_EPS:
+        Y, e = _scaled_rows(X[norms < ZERO_NORM_EPS])
         if np.min(np.ldexp(np.linalg.norm(Y, axis=1), e - 1)) < ZERO_NORM_EPS:
             raise ZeroVectorError(message)
 
