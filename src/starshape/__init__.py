@@ -21,7 +21,6 @@ from .direction import (
     direction_integral,
     direction_sample,
     gauge_from_direction_density,
-    rejection_sample,
 )
 from .errors import StarshapeError
 from .gauge import (

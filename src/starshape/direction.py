@@ -12,11 +12,11 @@ with them.
 
 Since the direction law is the same for every radial profile, the
 direction of a uniform point of the star body K = {g <= 1} is an exact
-draw: :func:`direction_sample` normalises ``Gauge.body_sample`` points,
-without rejection, when the gauge has them (sup, l1, elliptical, and
-polytopes at p >= 3 whose boundary triangulation is affordable), and
-otherwise falls back to :func:`rejection_sample` against the sphere bound
-g_min.  Both paths raise if a draw shows g_min false.
+draw, and :func:`direction_sample` draws every direction that way.  The
+points come from ``Gauge.body_sample`` where the gauge draws them (sup,
+l1, elliptical, and polytopes whose boundary triangulation is
+affordable), and otherwise by rejection from the ball of radius 1/g_min.
+A direction that shows g_min false raises.
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ UNIT_ATOL = 1e-9
 # Simpson panels of the planar sphere integral: 2^16 and 2^20 panels agree
 # to <= 2.2e-16 relative on polytope, sup, elliptical and tabulated gauges.
 SPHERE_PANELS = 1 << 16
+# Largest relative gap of the planar sphere integral's Simpson sums at h and 2h.
+_SIMPSON_RTOL = 1e-6
 _MAX_ROUNDS = 10_000
 # Rounding allowance of the lower-bound check on directions: g(u) and a
 # closed-form g_min are each within a few ulps of their exact values.
@@ -85,18 +87,22 @@ def direction_integral(gauge: Gauge, n_mc: int = 1_000_000, seed: int = 0) -> Sp
     """Integral of g^(-p) over the unit sphere.
 
     p = 2 sums the kink-aligned composite Simpson rule of
-    :func:`_arc_integrals` (deterministic, stderr 0).  p >= 3 takes the
-    :func:`~starshape.quadrature.mc_mean` of ``n_mc`` uniform sphere points
-    drawn in blocks of Philox task 1000 of ``seed``, so the result is a
-    deterministic function of the seed.
+    :func:`_arc_integrals` (deterministic, stderr 0), and raises where the
+    rule at twice the spacing differs by more than 1e-6 relative.  p >= 3
+    takes the :func:`~starshape.quadrature.mc_mean` of ``n_mc`` uniform
+    sphere points drawn in blocks of Philox task 1000 of ``seed``, so the
+    result is a deterministic function of the seed.
     """
     p = gauge.dim
     if p < 2:
         raise DimensionMismatchError("direction integrals need dim >= 2")
     if p == 2:
-        integral = SphereIntegral(
-            float(sum(_arc_integrals(gauge)[1])), 0.0, "angular-quadrature", SPHERE_PANELS + 1
-        )
+        _, fine, coarse, n_evals = _arc_integrals(gauge)
+        value, error = float(fine.sum()), float(np.abs(fine - coarse).sum())
+        if error > _SIMPSON_RTOL * value:
+            raise QuadratureFailureError(
+                f"sphere integral error {error:.2e} too large for {value:.6e}")
+        integral = SphereIntegral(value, 0.0, "angular-quadrature", n_evals)
     else:
         def draw(gen: np.random.Generator, m: int) -> np.ndarray:
             return gauge.values(uniform_sphere(gen, m, p)) ** (-float(p))
@@ -150,68 +156,48 @@ def direction_sample(
     """n i.i.d. directions with density c0 g^(-p), their gauge values and
     the acceptance rate.
 
-    Normalises n uniform points of K = {g <= 1} when ``gauge.body_sample``
-    draws them (acceptance rate 1), and otherwise runs
-    :func:`rejection_sample`.  A direction with g(z') < g_min raises on
-    both paths.
+    Normalises n uniform points of K = {g <= 1}, or of a multiple of K, from
+    ``gauge.body_sample`` (acceptance rate 1) or else :func:`_ball_rejection`.
+    A direction with g(z') < g_min raises: the fallback needs a true bound.
     """
     bounds = gauge.sphere_bounds() if bounds is None else bounds
     X = gauge.body_sample(gen, n)
+    accepted = proposed = n
     if X is None:
-        return rejection_sample(gauge, gen, n, bounds)
+        X, accepted, proposed = _ball_rejection(gauge, gen, n, bounds.g_min)
     X = _scaled_rows(X)[0]  # body points may be too small to square
     X /= np.linalg.norm(X, axis=1, keepdims=True)
     g_dir = gauge.values(X)
-    _check_lower_bound(g_dir, bounds)
-    return DirectionDraws(X, 1.0, n, g_dir)
-
-
-def rejection_sample(
-    gauge: Gauge,
-    gen: np.random.Generator,
-    n: int,
-    bounds: SphereBounds | None = None,
-) -> DirectionDraws:
-    """:func:`direction_sample` by rejection, for every gauge.
-
-    Proposes uniformly on the sphere and accepts with probability
-    (g_min/g(z'))^p; expected acceptance is g_min^p/(c0 omega_p).  Exactness
-    needs g >= g_min on the sphere: a proposal with g(u) < g_min raises.
-    """
-    p = gauge.dim
-    bounds = gauge.sphere_bounds() if bounds is None else bounds
-    out = np.empty((n, p))
-    g_out = np.empty(n)
-    got = 0
-    proposed = 0
-    accepted = 0
-    for _ in range(_MAX_ROUNDS):
-        if got >= n:
-            break
-        m = max(1024, int(1.5 * (n - got)))
-        Z = uniform_sphere(gen, m, p)
-        g_dir = gauge.values(Z)
-        _check_lower_bound(g_dir, bounds)
-        keep = gen.random(m) < (bounds.g_min / g_dir) ** p
-        pts, g_pts = Z[keep], g_dir[keep]
-        proposed += m
-        accepted += len(pts)
-        take = min(len(pts), n - got)
-        out[got : got + take] = pts[:take]
-        g_out[got : got + take] = g_pts[:take]
-        got += take
-    if got < n:
-        raise BoundsUnavailableError(
-            f"acceptance rate too low: {got}/{n} after {proposed} proposals"
-        )
-    return DirectionDraws(out, accepted / proposed if proposed else 1.0, proposed, g_out)
-
-
-def _check_lower_bound(g_dir: np.ndarray, bounds: SphereBounds) -> None:
-    """Raise if a direction's gauge value shows ``bounds.g_min`` false."""
     low = np.min(g_dir, initial=np.inf)
     if low < bounds.g_min * (1.0 - _BOUND_RTOL):
         raise BoundsUnavailableError(f"g(u) = {low:.9g} is below g_min")
+    return DirectionDraws(X, accepted / proposed if proposed else 1.0, proposed, g_dir)
+
+
+def _ball_rejection(gauge: Gauge, gen: np.random.Generator, n: int, g_min: float) -> tuple:
+    """(n uniform points of g_min K, points accepted, points proposed).
+
+    Rejection from the ball of radius 1/g_min, which holds K when g_min is
+    a bound: a proposal u V^(1/p) / g_min, u uniform on the sphere and
+    V = 1 - U in (0, 1] (never the origin), is kept if g <= 1.  All is
+    taken times g_min, in the unit ball, where g stays in range.  The
+    expected acceptance is Vol K / Vol(ball) = g_min^p / (c0 omega_p).
+    Where g_min is false, directions with g(u) < g_min are always kept.
+    """
+    p = gauge.dim
+    kept, accepted, proposed = [np.empty((0, p))], 0, 0
+    for _ in range(_MAX_ROUNDS):
+        if accepted >= n:
+            break
+        m = max(1024, int(1.5 * (n - accepted)))
+        Y = uniform_sphere(gen, m, p) * (1.0 - gen.random((m, 1))) ** (1.0 / p)
+        kept.append(Y[gauge.values(Y) <= g_min])
+        accepted += len(kept[-1])
+        proposed += m
+    if accepted < n:
+        raise BoundsUnavailableError(
+            f"acceptance rate too low: {accepted}/{n} after {proposed} proposals")
+    return np.concatenate(kept)[:n], accepted, proposed
 
 
 def cross_section_measure_density(gauge: Gauge, c0: float, z) -> float:
@@ -276,7 +262,7 @@ def angle_bin_probs(gauge: Gauge, c0: float, edges: np.ndarray) -> np.ndarray:
     ``edges`` increase over at most 2pi and cut the arcs of _arc_integrals."""
     if gauge.dim != 2:
         raise DimensionMismatchError("angle bins are planar only")
-    smooth, vals = _arc_integrals(gauge, edges)
+    smooth, vals, _, _ = _arc_integrals(gauge, edges)
     mid = edges[0] + np.mod(smooth.mean(axis=1) - edges[0], 2.0 * np.pi)
     idx = np.searchsorted(edges, mid, side="right") - 1
     inside = (idx >= 0) & (idx < len(edges) - 1)
@@ -303,16 +289,19 @@ def gauge_from_direction_density(
     return gauge
 
 
-def _arc_integrals(gauge: Gauge, cuts=()) -> tuple[np.ndarray, np.ndarray]:
-    """The arcs (a, b) between the gauge's kinks and ``cuts``, and the
-    composite Simpson integral of g^(-2) over each (p = 2).  SPHERE_PANELS
-    are shared among the arcs in proportion to length, so every Simpson
-    cell sees a C^1 integrand, polytope gauges included."""
+def _arc_integrals(gauge: Gauge, cuts=()) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The arcs (a, b) between the gauge's kinks and ``cuts``, the composite
+    Simpson integral of g^(-2) over each (p = 2) at spacings h and 2h, and
+    the gauge evaluations made.  SPHERE_PANELS are shared among the arcs in
+    proportion to length, so every Simpson cell sees a C^1 integrand."""
     smooth = arcs(np.concatenate([gauge.kink_angles(), cuts]))
     total_len = sum(b - a for a, b in smooth)
-    vals = []
+    fine, coarse, n_evals = [], [], 0
     for a, b in smooth:
         k = panels(SPHERE_PANELS, b - a, total_len)
         theta = np.linspace(a, b, k + 1)
-        vals.append(simpson(gauge.values(unit_angles(theta)) ** (-2.0), (b - a) / k))
-    return np.array(smooth), np.array(vals)
+        vals = gauge.values(unit_angles(theta)) ** (-2.0)
+        fine.append(simpson(vals, (b - a) / k))
+        coarse.append(simpson(vals[::2], 2.0 * (b - a) / k))
+        n_evals += k + 1
+    return np.array(smooth), np.array(fine), np.array(coarse), n_evals

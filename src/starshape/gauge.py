@@ -18,7 +18,7 @@ Batches (shape ``(n, p)``) go through ``values`` / ``gradients``, each
 written once per variant; the single-point forms ``value`` / ``gradient``
 (shape ``(p,)``) validate their point and index the batch result.
 ``body_sample`` draws uniform points of the star body K = {g <= 1} for the
-sup, l1 and elliptical gauges and for polytopes at p >= 3.
+sup, l1, elliptical and polytope gauges.
 """
 
 from __future__ import annotations
@@ -52,11 +52,11 @@ RIDGE_TIE_RTOL = 1e-9
 FD_STEP = 1e-6
 
 # Largest number of boundary simplices of K (McMullen's upper bound, from
-# its vertex count) for which a polytope gauge triangulates K to draw from
-# it; above it the polytope keeps rejection.  The benchmark's p = 6
-# hexacube (151 vertices) has a bound of 5.4e5 and 6,254 simplices; Qhull
-# took 4.1 s and 194 MB for 2.1e5 simplices at p = 7, and over a minute
-# for a random 30-facet polytope at p = 8.
+# its vertex count) for which a polytope gauge triangulates K at p >= 3 to
+# draw from it; above it its directions come from rejection.  The
+# benchmark's p = 6 hexacube (151 vertices) has a bound of 5.4e5 and 6,254
+# simplices; Qhull took 4.1 s and 194 MB for 2.1e5 simplices at p = 7, and
+# over a minute for a random 30-facet polytope at p = 8.
 MAX_BODY_SIMPLICES = 10**7
 
 # Row blocks of the polytope score matrix and of the simplex gathers, so
@@ -185,8 +185,8 @@ class Gauge(ABC):
     def body_sample(self, gen: np.random.Generator, n: int) -> np.ndarray | None:
         """n uniform points of the star body K = {g <= 1}, shape (n, p).
 
-        Returns None for gauges without a direct draw; their directions
-        come from rejection.
+        None for tabulated and direction-derived gauges, and for polytopes
+        whose triangulation is capped or fails; rejection draws theirs.
         """
         return None
 
@@ -361,7 +361,7 @@ class PolytopeGauge(Gauge):
     bounds are exact at every p: g_max = max_j |a_j| and g_min is the
     distance from the origin to the nearest facet of conv{a_j}, from the
     monotone chain at p = 2 (:func:`_hull_geometry`), from Qhull above.
-    At p >= 3 the facets of that polar hull give the vertices of K, whose
+    The edges or facets of that polar hull give the vertices of K, whose
     triangulated boundary ``body_sample`` draws from.
     """
 
@@ -377,7 +377,7 @@ class PolytopeGauge(Gauge):
         super().__init__(A.shape[1])
         self.facets = A
         self._kinks = np.empty(0)
-        self._polar = None
+        self._vertices = None  # of sK, s below
         # The hull is built on A/s, s a power of two near max|a_ij|, so that
         # its arithmetic stays in range; g scales by s exactly.
         top = float(np.max(np.abs(A)))
@@ -385,19 +385,22 @@ class PolytopeGauge(Gauge):
         if self.dim == 1:
             g_min = float(min(A.max(), -A.min()))
         elif self.dim == 2:
-            self._kinks, g_min = _hull_geometry(A / s)
+            self._kinks, g_min, self._vertices = _hull_geometry(A / s)
             g_min *= s
         else:
             # Qhull costs 0.1 s of import, so planar gauges keep the chain.
             from scipy.spatial import ConvexHull, QhullError
 
             try:
-                self._polar = ConvexHull(A / s).equations
-                g_min = s * float(np.min(-self._polar[:, -1]))
+                polar = ConvexHull(A / s).equations
+                g_min = s * float(np.min(-polar[:, -1]))
             except QhullError:  # the facet points lie in a hyperplane
                 g_min = 0.0
         if not g_min > 0.0:
             raise NonPositiveError("gauge is not positive on the unit sphere")
+        if self.dim > 2:
+            # Each facet n.y = -b of conv{a_j / s} is the vertex n/b of sK.
+            self._vertices = np.unique(polar[:, :-1] / -polar[:, -1:], axis=0)
         g_max = s * float(np.linalg.norm(A / s, axis=1).max())
         self._scale = s
         what = f"facets giving g in [{g_min:.3g}, {g_max:.3g}]"
@@ -435,24 +438,28 @@ class PolytopeGauge(Gauge):
     def _cones(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """(V, simplices, cumulative |det|) of K's triangulated boundary.
 
-        Built by Qhull on the first draw, None at p <= 2, above
-        MAX_BODY_SIMPLICES, or when the triangulation fails its checks.
+        At p = 2 the boundary is the cycle of K's vertices from the chain;
+        above, Qhull triangulates them on the first draw.  None at p = 1,
+        above MAX_BODY_SIMPLICES, or when the triangulation fails its checks.
         """
-        if self._polar is None:
+        # The vertices and the volumes are taken on sK, whose determinants
+        # stay in the double range; the vertices of K are those over s.
+        W = self._vertices
+        if W is None:
             return None
-        # Each facet n.y = -b of conv{a_j / s} is the vertex n/b of sK, and
-        # the vertices of K are those over s.  The hull and the volumes are
-        # taken on sK, whose determinants stay in the double range.
-        W = np.unique(self._polar[:, :-1] / -self._polar[:, -1:], axis=0)
-        V = W / self._scale
-        if _max_boundary_simplices(len(V), self.dim) > MAX_BODY_SIMPLICES:
+        if self.dim == 2:
+            cycle = np.arange(len(W))
+            simplices = np.column_stack([cycle, np.roll(cycle, -1)])
+        elif _max_boundary_simplices(len(W), self.dim) > MAX_BODY_SIMPLICES:
             return None
-        from scipy.spatial import ConvexHull, QhullError
+        else:
+            from scipy.spatial import ConvexHull, QhullError
 
-        try:
-            simplices = ConvexHull(W).simplices
-        except QhullError:
-            return None
+            try:
+                simplices = ConvexHull(W).simplices
+            except QhullError:
+                return None
+        V = W / self._scale
         # Each simplex must lie on one facet of K: all its vertices at
         # <a_j, v> >= 1 - 1e-9 for one j.
         scores = V @ self.facets.T
@@ -491,14 +498,16 @@ def _ridges_pair_up(simplices: np.ndarray) -> bool:
     return bool(np.all(counts == 2))
 
 
-def _hull_geometry(A: np.ndarray) -> tuple[np.ndarray, float]:
-    """Kink angles and g_min of the planar support function max_j <a_j, u>.
+def _hull_geometry(A: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """Kink angles, g_min and the vertices of K of g(u) = max_j <a_j, u>, p = 2.
 
     Andrew's monotone chain builds the hull of the a_j counterclockwise,
     collinear points dropped.  g switches facets at the outward edge
     normals, where it equals the edge lines' distances from the origin (its
     local minima).  Raises :class:`NonPositiveError` unless every distance is
     positive (two vertices give d and -d): the origin is inside the hull.
+    Edge i lies on the line n.y = cross_i, n its outward normal, so n/cross_i
+    is the vertex of K = {g <= 1} polar to it, counterclockwise in i.
     """
     pts = A[np.lexsort((A[:, 1], A[:, 0]))].tolist()
     hull: list[list[float]] = []
@@ -518,7 +527,8 @@ def _hull_geometry(A: np.ndarray) -> tuple[np.ndarray, float]:
     if cross.min() <= 0.0:
         raise NonPositiveError("gauge is not positive on the unit sphere")
     kinks = np.unique(np.mod(np.arctan2(-E[:, 0], E[:, 1]), 2.0 * np.pi))
-    return kinks, float(np.min(cross / np.linalg.norm(E, axis=1)))
+    normals = np.column_stack([E[:, 1], -E[:, 0]])
+    return kinks, float(np.min(cross / np.linalg.norm(E, axis=1))), normals / cross[:, None]
 
 
 class TabulatedRadialGauge(Gauge):

@@ -43,13 +43,14 @@ def arcs(kinks) -> list[tuple[float, float]]:
 
 
 def panels(n_panels: int, length: float = 1.0, total: float = 1.0) -> int:
-    """Even Simpson panel count, at least 8, for ``length`` out of ``total``.
+    """Simpson panel count, a multiple of 4 and at least 8, for ``length`` out of ``total``.
 
-    An arc gets its share ``n_panels * length / total`` of the budget,
-    rounded, so panel widths stay roughly equal across arcs.
+    An arc gets its share ``n_panels * length / total`` of the budget, rounded
+    up, so panel widths stay roughly equal across arcs; every other node
+    then gives the rule at twice the spacing.
     """
     k = max(8, int(round(n_panels * length / total)))
-    return k + k % 2
+    return k + -k % 4
 
 
 def simpson(vals: np.ndarray, h: float) -> float:

@@ -909,3 +909,49 @@ def test_planar_polytope_distribution_does_not_load_qhull():
         ".sample(starshape.rng.stream(0), 1000)"
     )
     assert _loaded_modules(code, ("scipy.spatial",)) == [False]
+
+
+# Planar laws whose sphere integral the Simpson rule cannot resolve.
+_UNRESOLVED = {
+    "ellipse-1e8": {"dim": 2, "variant": "elliptical",
+                    "params": {"sigma": [[1.0, 0.0], [0.0, 1e8]]}},
+    "rectangle-1e4": {"dim": 2, "variant": "polytope",
+                      "params": {"facets": [[1.0, 0.0], [-1.0, 0.0], [0.0, 1e4], [0.0, -1e4]]}},
+}
+
+
+@pytest.mark.parametrize("label", sorted(_UNRESOLVED))
+@pytest.mark.parametrize("args", [["constant"], ["direction-density", "--at", "1,0"]],
+                         ids=["constant", "direction-density"])
+def test_an_unresolved_planar_sphere_integral_exits_1(tmp_path, label, args):
+    res = _run_cli(tmp_path, {"gauge": _UNRESOLVED[label], "profile": _EXPONENTIAL}, *args)
+    assert (res.returncode, res.stdout) == (1, "")
+    assert len(res.stderr.splitlines()) == 1
+    assert res.stderr.startswith("error: sphere integral error ")
+
+
+def test_the_benchmark_tracer_installs_on_the_package(tmp_path):
+    # bench/run.py --trace wraps the package's functions by name; a renamed
+    # or deleted one would crash the traced benchmark.
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+    doc = tmp_path / "pentagon.json"
+    doc.write_text(json.dumps({
+        "gauge": {"dim": 2, "variant": "polytope",
+                  "params": {"facets": [[1.0, 0.2], [-0.8, 0.6], [0.1, -1.1], [-0.4, -0.7],
+                                        [0.9, 0.9]]}},
+        "profile": {"family": "gaussian", "params": {"scale": 1.0}},
+    }))
+    commands = [["sample", "--dist", str(doc), "--n", "1000", "--out", str(tmp_path / "x.csv")],
+                ["constant", "--dist", str(doc), "--out", str(tmp_path / "c0.json")]]
+    code = (
+        f"import json, sys; sys.path.insert(0, {bench!r}); import child\n"
+        "from starshape.cli import main\n"
+        "tracer = child.Tracer(); child.install(tracer)\n"
+        f"for args in {commands!r}: main(args, standalone_mode=False)\n"
+        "print('spans', json.dumps(sorted({s[0] for s in tracer.spans})))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True,
+                         text=True, check=True)
+    spans = json.loads(next(l for l in out.stdout.splitlines() if l.startswith("spans "))[6:])
+    for name in ("direction.direction_sample", "radial.RadialTable.sample", "starshaped.sample"):
+        assert name in spans

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -23,7 +25,6 @@ from starshape import (
     gauge_from_direction_density,
     planar_angles,
     ks_test,
-    rejection_sample,
     sphere_surface,
     two_sample_ks,
     unit_angles,
@@ -105,6 +106,38 @@ def test_a_sphere_integral_that_underflows_raises_at_every_p():
             direction_constant(gauge, n_mc=1000)
 
 
+@pytest.mark.parametrize("label", ["sup", "l1", "ell-14", "poly"])
+def test_planar_n_evals_counts_the_gauge_evaluations(analytic_gauges, label):
+    gauge = copy.copy(analytic_gauges[label])
+    counted = []
+    values = gauge.values
+    gauge.values = lambda X: counted.append(len(X)) or values(X)
+    assert direction_constant(gauge).integral.n_evals == sum(counted) > 0
+
+
+_THIN = {
+    "ellipse-1e6": (EllipticalGauge(np.diag([1.0, 1e6])), 2.0 * np.pi * 1e3),
+    "ellipse-1e7": (EllipticalGauge(np.diag([1.0, 1e7])), None),
+    "ellipse-1e8": (EllipticalGauge(np.diag([1.0, 1e8])), None),
+    # The rectangle |x| <= 1, |y| <= 1/a has area 4/a, half the integral.
+    "rectangle-100": (PolytopeGauge([[1.0, 0.0], [-1.0, 0.0], [0.0, 100.0], [0.0, -100.0]]),
+                      8.0 / 100.0),
+    "rectangle-1e3": (PolytopeGauge([[1.0, 0.0], [-1.0, 0.0], [0.0, 1e3], [0.0, -1e3]]), None),
+    "rectangle-1e4": (PolytopeGauge([[1.0, 0.0], [-1.0, 0.0], [0.0, 1e4], [0.0, -1e4]]), None),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_THIN))
+def test_planar_sphere_integral_fails_where_simpson_cannot_resolve_it(label):
+    # Simpson at spacings h and 2h, on the same nodes, must agree to 1e-6.
+    gauge, exact = _THIN[label]
+    if exact is None:
+        with pytest.raises(QuadratureFailureError, match="sphere integral error .* too large"):
+            direction_constant(gauge)
+    else:
+        assert direction_constant(gauge).integral.value == pytest.approx(exact, rel=1e-8)
+
+
 def test_direction_density_values():
     ell = EllipticalGauge(np.diag([1.0, 4.0]))
     c0 = direction_constant(ell).c0
@@ -142,6 +175,14 @@ def test_direction_density_requires_unit_vector():
         direction_density(SupNormGauge(2), 0.125, [1.0, 0.5])
 
 
+def rejection_sample(gauge, gen, n, bounds=None):
+    """:func:`direction_sample` through its rejection fallback, on a copy
+    of ``gauge`` that draws no body points."""
+    fallback = copy.copy(gauge)
+    fallback.body_sample = lambda gen, n: None
+    return direction_sample(fallback, gen, n, bounds)
+
+
 def test_rejection_acceptance_rate_spherical_target():
     draws = rejection_sample(EllipticalGauge(np.eye(2)), stream(201), 20_000)
     assert draws.acceptance_rate == 1.0
@@ -151,6 +192,18 @@ def test_rejection_acceptance_rate_hypercube():
     # Mean of (g_min/g)^2 over the circle: g_min^2 / (c0 omega_2) = 2/pi.
     draws = rejection_sample(SupNormGauge(2), stream(202), 100_000)
     assert draws.acceptance_rate == pytest.approx(2.0 / np.pi, abs=0.005)
+
+
+def test_rejection_acceptance_rate_matches_the_volume_ratio():
+    # Ball proposals land in K with probability Vol K / Vol(ball of radius
+    # 1/g_min) = g_min^p / (c0 omega_p); the rate counts every proposal.
+    nodes = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    gauge = TabulatedRadialGauge(nodes, 1.0 + 0.3 * np.cos(2 * nodes))
+    draws = direction_sample(gauge, stream(207), 100_000)
+    expected = gauge.sphere_bounds().g_min ** 2 / (direction_constant(gauge).c0 * 2.0 * np.pi)
+    sigma = np.sqrt(expected * (1.0 - expected) / draws.n_proposed)
+    assert 0.0 < expected < 1.0
+    assert abs(draws.acceptance_rate - expected) <= 4.0 * sigma
 
 
 @pytest.mark.parametrize(
@@ -169,7 +222,7 @@ def test_draws_carry_the_gauge_values_of_their_points(analytic_gauges, label, sa
 
 
 def test_zero_draws_are_an_empty_draw_on_both_samplers(analytic_gauges):
-    # The cone path (sup) and rejection (the rest) report the same empty draw.
+    # The body path (sup, poly) and rejection (the rest) report the same empty draw.
     nodes = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     gauges = {
         "sup": analytic_gauges["sup"],
@@ -285,16 +338,23 @@ def test_surface_direction_consistency():
     assert report.passed, report
 
 
-@pytest.mark.parametrize("route", ["rejection", "body"])
+@pytest.mark.parametrize("route", ["rejection", "body", "tabulated"])
 def test_sampler_rejects_a_false_lower_bound(route):
     # The true infimum of g on the circle is 0.5; 0.6 is not a lower bound.
     # "rejection" calls the direction sampler; "body" draws whole points,
-    # whose directions come from the same sampler under the stored bounds.
+    # whose directions come from the same sampler under the stored bounds;
+    # "tabulated" has no body points, so its draws come from the ball of
+    # radius 1/0.6, which misses part of K.
     gauge = EllipticalGauge(np.diag([1.0, 4.0]))
     false_bounds = SphereBounds(0.6, 1.0)
     with pytest.raises(BoundsUnavailableError, match="is below g_min"):
         if route == "rejection":
             direction_sample(gauge, stream(420), 1000, false_bounds)
+        elif route == "tabulated":
+            nodes = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
+            tabulated = TabulatedRadialGauge(nodes, 1.0 / gauge.values(unit_angles(nodes)))
+            assert tabulated.body_sample(stream(420), 1) is None
+            direction_sample(tabulated, stream(420), 1000, false_bounds)
         else:
             dist = StarDistribution(gauge, GaussianProfile(1.0), n_mc=20_000)
             dist.bounds = false_bounds
@@ -312,6 +372,13 @@ def _twin_gauge(kind, p):
     if kind == "elliptical":
         q, _ = np.linalg.qr(np.eye(p) + 0.3 * np.random.default_rng(p).standard_normal((p, p)))
         return EllipticalGauge(q @ np.diag(np.linspace(1.0, 4.0, p)) @ q.T)
+    if kind == "pentagon":
+        return PolytopeGauge([[1.0, 0.2], [-0.8, 0.6], [0.1, -1.1], [-0.4, -0.7], [0.9, 0.9]])
+    if kind == "12-gon":
+        return PolytopeGauge(unit_angles(np.arange(12) * np.pi / 6.0 + 0.1))
+    if kind == "interior":
+        # (0.2, 0.1) lies inside the hull of the others; the chain drops it.
+        return PolytopeGauge([[1.0, 0.0], [0.0, 1.5], [-1.0, 0.3], [0.2, -0.8], [0.2, 0.1]])
     box = np.vstack([np.eye(p), -np.eye(p)])
     if kind == "cube":
         return PolytopeGauge(box)
@@ -324,7 +391,9 @@ def _twin_gauge(kind, p):
 
 _TWIN_CASES = [
     (kind, p) for kind in ("sup", "l1", "elliptical") for p in (2, 3, 6)
-] + [(kind, p) for kind in ("cube", "cross", "cut-cube") for p in (3, 6)]
+] + [(kind, p) for kind in ("cube", "cross", "cut-cube") for p in (3, 6)] + [
+    (kind, 2) for kind in ("pentagon", "12-gon", "interior")
+]
 
 
 @pytest.mark.parametrize("kind, p", _TWIN_CASES, ids=[f"{k}-{p}" for k, p in _TWIN_CASES])

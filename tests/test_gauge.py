@@ -205,7 +205,7 @@ def test_polytope_sphere_bounds_are_exact_above_the_plane(p):
     assert cross.g_max == pytest.approx(p**0.5, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("p", [3, 6])
+@pytest.mark.parametrize("p", [2, 3, 6])
 def test_boundary_simplices_fill_the_cube_and_the_cross_polytope(p):
     # Sum |det| / p! over the cones of K is Vol K: 2^p and 2^p / p!.
     fact = math.factorial(p)
@@ -527,7 +527,7 @@ def test_polytope_on_a_thin_arc_raises():
 # -- uniform points of the star body K = {g <= 1} ------------------------------
 
 
-_random_polytopes = st.integers(3, 5).flatmap(
+_random_polytopes = st.integers(2, 5).flatmap(
     lambda p: st.builds(
         box_and_cuts,
         st.just(p),
