@@ -175,7 +175,7 @@ def test_direction_density_requires_unit_vector():
         direction_density(SupNormGauge(2), 0.125, [1.0, 0.5])
 
 
-def rejection_sample(gauge, gen, n, bounds=None):
+def sample_by_rejection(gauge, gen, n, bounds=None):
     """:func:`direction_sample` through its rejection fallback, on a copy
     of ``gauge`` that draws no body points."""
     fallback = copy.copy(gauge)
@@ -184,13 +184,13 @@ def rejection_sample(gauge, gen, n, bounds=None):
 
 
 def test_rejection_acceptance_rate_spherical_target():
-    draws = rejection_sample(EllipticalGauge(np.eye(2)), stream(201), 20_000)
+    draws = sample_by_rejection(EllipticalGauge(np.eye(2)), stream(201), 20_000)
     assert draws.acceptance_rate == 1.0
 
 
 def test_rejection_acceptance_rate_hypercube():
     # Mean of (g_min/g)^2 over the circle: g_min^2 / (c0 omega_2) = 2/pi.
-    draws = rejection_sample(SupNormGauge(2), stream(202), 100_000)
+    draws = sample_by_rejection(SupNormGauge(2), stream(202), 100_000)
     assert draws.acceptance_rate == pytest.approx(2.0 / np.pi, abs=0.005)
 
 
@@ -210,7 +210,7 @@ def test_rejection_acceptance_rate_matches_the_volume_ratio():
     "label, sampler",
     [
         pytest.param(label, sampler, id=label + suffix)
-        for suffix, sampler in (("", direction_sample), ("-rejection", rejection_sample))
+        for suffix, sampler in (("", direction_sample), ("-rejection", sample_by_rejection))
         for label in ["ell-i2", "ell-14", "sup", "l1", "poly"]
     ],
 )
@@ -402,7 +402,7 @@ def test_cone_draws_match_rejection_draws(kind, p):
     n = 20_000
     cone = direction_sample(gauge, stream(430, p), n)
     assert cone.acceptance_rate == 1.0 and cone.n_proposed == n
-    ref = rejection_sample(gauge, stream(431, p), n)
+    ref = sample_by_rejection(gauge, stream(431, p), n)
     for a, b in ((cone.g, ref.g), (cone.points[:, 0], ref.points[:, 0])):
         report = two_sample_ks(a, b, alpha=0.01)
         assert report.passed, report
