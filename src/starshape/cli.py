@@ -31,7 +31,7 @@ from .starshaped import StarDistribution, length_and_direction, planar_angles
 from .stats import independence_chisq
 from .verify import matrix_suite, vector_suite
 
-_BLOCK = 1 << 16  # rows per serializer call
+_BLOCK = 1 << 17  # values per serializer call
 # How tables spell NaN, +inf and -inf, as %g and json.dumps do.
 _NON_FINITE = {"csv": (b"nan", b"inf", b"-inf"), "json": (b"NaN", b"Infinity", b"-Infinity")}
 _COUNT = click.IntRange(min=1)
@@ -64,8 +64,8 @@ def _parse_point(raw: str, dim: int) -> np.ndarray:
     return vals
 
 
-def _write_text(out: str, chunks: Iterable[str]) -> None:
-    """Write the text chunks to ``out`` (- for stdout) one at a time.
+def _write_text(out: str, chunks: Iterable[bytes]) -> None:
+    """Write the byte chunks to ``out`` (- for stdout) one at a time.
 
     A regular file that this user owns and that has no other hard link (or
     a new path) is written under a temporary name in its directory, with
@@ -101,7 +101,7 @@ def _write_text(out: str, chunks: Iterable[str]) -> None:
         return
     renamed = False
     try:
-        with open(fd, "w", encoding="utf-8") as fh:
+        with open(fd, "wb") as fh:
             os.fchmod(fd, mode)
             fh.writelines(chunks)
         try:
@@ -134,34 +134,38 @@ def _replaceable(st: os.stat_result, target: str) -> bool:
     return True
 
 
-def _write_in_place(out: str, chunks: Iterable[str]) -> None:
-    with open(out, "w", encoding="utf-8") as fh:
+def _write_in_place(out: str, chunks: Iterable[bytes]) -> None:
+    with open(out, "wb") as fh:
         fh.writelines(chunks)
 
 
-def _table_chunks(fmt: str, columns: list[str], rows: np.ndarray) -> Iterator[str]:
-    """A table as a head, the text of its rows in blocks, and a tail.
+def _table_chunks(fmt: str, columns: list[str], rows: np.ndarray) -> Iterator[bytes]:
+    """A table as a head, the ASCII text of its rows in blocks, and a tail.
 
     Every float is written as the shortest decimal that parses back to it
     (orjson's numpy serializer), so CSV fields and JSON tokens round-trip
     exactly; JSON rows are separated as ``json.dumps`` separates them.
     Non-finite values are written ``nan``, ``inf``, ``-inf`` in CSV and
-    ``NaN``, ``Infinity``, ``-Infinity`` in JSON.
+    ``NaN``, ``Infinity``, ``-Infinity`` in JSON.  A block holds about
+    ``_BLOCK`` values, so its text stays near 3 MB however wide a row is.
     """
     import orjson  # only the commands that write a table load it
 
     if fmt == "csv":
-        head, tail = ",".join(columns) + "\n", ""
+        head, tail = ",".join(columns) + "\n", b""
     else:
-        head, tail = json.dumps({"columns": columns, "rows": []})[:-2], "]}\n"
-    yield head
-    for i in range(0, len(rows), _BLOCK):
-        block = np.ascontiguousarray(rows[i : i + _BLOCK], dtype=float)
+        head, tail = json.dumps({"columns": columns, "rows": []})[:-2], b"]}\n"
+    yield head.encode("ascii")
+    step = max(1, _BLOCK // rows.shape[1])  # rows per block
+    for i in range(0, len(rows), step):
+        block = np.ascontiguousarray(rows[i : i + step], dtype=float)
         text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
         if fmt == "csv":
             text = text[2:-2].replace(b"],[", b"\n") + b"\n"
         else:
-            text = (b", " if i else b"") + text[1:-1].replace(b",", b", ")
+            if i:
+                yield b", "
+            text = text[1:-1].replace(b",", b", ")
         # orjson writes NaN and +-inf as null; the block holds only numbers,
         # so its k-th null is its k-th non-finite value in row-major order.
         odd = block[~np.isfinite(block)].tolist()
@@ -172,7 +176,7 @@ def _table_chunks(fmt: str, columns: list[str], rows: np.ndarray) -> Iterator[st
                 (nan if v != v else inf if v > 0 else minus_inf) + part
                 for v, part in zip(odd, parts[1:])
             )
-        yield text.decode("ascii")
+        yield text
     yield tail
 
 
@@ -180,7 +184,7 @@ def _write_densities(out: str, fmt: str, prefix: str, X: np.ndarray, vals: np.nd
     """Write points and their density values as JSON records or CSV rows."""
     if fmt == "json":
         records = [{"x": x, "density": v} for x, v in zip(X.tolist(), vals.tolist())]
-        _write_text(out, [json.dumps({"values": records}) + "\n"])
+        _write_text(out, [(json.dumps({"values": records}) + "\n").encode()])
     else:
         columns = [f"{prefix}{i + 1}" for i in range(X.shape[1])] + ["density"]
         _write_text(out, _table_chunks("csv", columns, np.column_stack([X, vals])))
@@ -258,7 +262,7 @@ def constant(dist_path, seed, out):
     gauge, profile, _ = load_distribution(dist_path)
     dist = StarDistribution(gauge, profile, seed=seed)
     chk = dist.c0_cross_check()
-    _write_text(out, [json.dumps(chk) + "\n"])
+    _write_text(out, [(json.dumps(chk) + "\n").encode()])
 
 
 @main.command("independence-test")
@@ -276,7 +280,7 @@ def independence_test(dist_path, n, seed, alpha, report_path):
     report = independence_chisq(g, other, 8, 8, alpha=alpha, name="length-direction-independence")
     click.echo(json.dumps(report.to_dict()))
     if report_path:
-        _write_text(report_path, [json.dumps(report.to_dict()) + "\n"])
+        _write_text(report_path, [(json.dumps(report.to_dict()) + "\n").encode()])
     sys.exit(0 if report.passed else 1)
 
 
@@ -304,7 +308,7 @@ def verify(dist_path, matrix_mode, pdim, n1, n2, n, seed, alpha, report_path):
         status = "PASS" if rep.passed else "FAIL"
         click.echo(f"{status} {rep.name} (statistic={rep.statistic:.6g}, p={rep.p_value:.4g})")
     if report_path:
-        _write_text(report_path, (json.dumps(rep.to_dict()) + "\n" for rep in reports))
+        _write_text(report_path, ((json.dumps(rep.to_dict()) + "\n").encode() for rep in reports))
     sys.exit(0 if all(r.passed for r in reports) else 1)
 
 
@@ -323,22 +327,28 @@ def matrix(group, pdim, n1, n2, n, seed, out, fmt):
     gen = _rng.stream(seed, 0)
     W1 = wishart_sample(pdim, n1, gen, n)
     W2 = wishart_sample(pdim, n2, gen, n)
+    # Only rows is written: every other array is dropped once it is used.
     if group == "lt":
         T, U = lt_decompose_batch(W1, W2)
+        del W1, W2
         tril = [(i, j) for i in range(pdim) for j in range(i + 1)]
         triu = [(i, j) for i in range(pdim) for j in range(i, pdim)]
         columns = [f"t{i + 1}{j + 1}" for i, j in tril] + [f"u{i + 1}{j + 1}" for i, j in triu]
         rows = np.column_stack(
             [T[:, i, j] for i, j in tril] + [U[:, i, j] for i, j in triu]
         )
+        del T, U
         dropped = 0
     else:
         B, lam, ok = gl_decompose_batch(W1, W2)
+        del W1, W2
         dropped = int(np.sum(~ok))
-        B, lam = B[ok], lam[ok]
+        if dropped:
+            B, lam = B[ok], lam[ok]
         columns = [f"b{i + 1}{j + 1}" for i in range(pdim) for j in range(pdim)]
         columns += [f"l{i + 1}" for i in range(pdim)]
         rows = np.column_stack([B.reshape(len(B), -1), lam])
+        del B, lam
     _write_text(out, _table_chunks(fmt, columns, rows))
     click.echo(f"dropped {dropped} degenerate pair(s) of {n}", err=True)
 

@@ -111,7 +111,10 @@ def direction_integral(gauge: Gauge, n_mc: int = 1_000_000, seed: int = 0) -> Sp
         omega = sphere_surface(p)
         integral = SphereIntegral(omega * mean, omega * stderr, "monte-carlo", n_mc)
     if not 0.0 < integral.value < np.inf:
-        raise QuadratureFailureError(f"sphere integral evaluated to {integral.value}")
+        # The integral is p Vol K: at 0 or inf, c0 = 1/(p Vol K) is not a double.
+        beyond = integral.value in (0.0, np.inf)
+        why = ": c0 = 1/(p Vol K) is beyond the double range" if beyond else ""
+        raise QuadratureFailureError(f"sphere integral evaluated to {integral.value}{why}")
     return integral
 
 

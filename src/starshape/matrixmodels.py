@@ -297,11 +297,13 @@ def lt_decompose_batch(W1: np.ndarray, W2: np.ndarray) -> tuple[np.ndarray, np.n
     batch layout.  Validation is lighter than the scalar path (inputs are
     assumed symmetric; Cholesky still rejects non-PD slices).
     """
-    S = W1 + W2
-    T = np.linalg.cholesky(S)
+    T = np.linalg.cholesky(W1 + W2)
     Ti = np.linalg.inv(T)
     U = Ti @ W1 @ np.transpose(Ti, (0, 2, 1))
-    return T, 0.5 * (U + np.transpose(U, (0, 2, 1)))
+    del Ti
+    S = U + np.transpose(U, (0, 2, 1))
+    S *= 0.5  # 0.5 * (U + U^T), bit for bit, without a third array
+    return T, S
 
 
 def gl_decompose_batch(

@@ -189,7 +189,7 @@ class StarDistribution:
                 )
             return float(norm / total), 0.0
         total, se = _plane_integral_mc(self.gauge, self.profile, self.bounds, self.seed, self.n_mc)
-        return float(norm / total), float(norm * se / total**2)
+        return float(norm / total), float((norm / total) * (se / total))  # total^2 can underflow
 
     def c0_cross_check(self) -> dict:
         """Both routes to c0 plus their relative discrepancy."""

@@ -105,7 +105,7 @@ def _significant_digits(tokens: list[str]) -> np.ndarray:
     return np.array([len(digits) for digits in text.split(" ")]) if tokens else np.zeros(0)
 
 
-def _check_table_text(fmt: str, rows: np.ndarray, text: str) -> None:
+def _check_table_text(fmt: str, rows: np.ndarray, text: str, columns=("a", "b", "c")) -> None:
     """The float-text contract of a table: the layout of the format, fields
     that parse back to the exact doubles (NaN positions included), as many
     significant digits as ``repr``, no ``null``, non-finite words.  Every
@@ -113,21 +113,22 @@ def _check_table_text(fmt: str, rows: np.ndarray, text: str) -> None:
     of two large strings or lists would take minutes."""
     assert text.count("null") == 0
     if fmt == "csv":
-        head, body = "a,b,c\n", text[len("a,b,c\n"):]
+        head = ",".join(columns) + "\n"
+        body = text[len(head):]
         lines = body.split("\n")
         assert lines.pop() == ""
         tokens = [line.split(",") for line in lines]
         parsed = np.array([float(t) for row in tokens for t in row])
     else:
-        head = '{"columns": ["a", "b", "c"], "rows": ['
+        head = json.dumps({"columns": list(columns), "rows": []})[:-2]
         body = text[len(head) : -len("]}\n")]
         assert text.endswith("]}\n")
         tokens = [row.split(", ") for row in body[1:-1].split("], [")] if body else []
         obj = json.loads(text)
-        assert obj["columns"] == ["a", "b", "c"]
+        assert obj["columns"] == list(columns)
         parsed = np.array(obj["rows"], dtype=float).ravel()
     assert text.startswith(head)
-    assert len(tokens) == len(rows) and all(len(row) == 3 for row in tokens)
+    assert len(tokens) == len(rows) and all(len(row) == len(columns) for row in tokens)
     values = rows.ravel()
     nan = np.isnan(values)
     assert np.array_equal(np.isnan(parsed), nan)
@@ -142,7 +143,7 @@ def _check_table_text(fmt: str, rows: np.ndarray, text: str) -> None:
 
 
 def _table_text(fmt: str, rows: np.ndarray) -> str:
-    return "".join(_table_chunks(fmt, ["a", "b", "c"], rows))
+    return b"".join(_table_chunks(fmt, ["a", "b", "c"], rows)).decode("ascii")
 
 
 def test_csv_rows_match_per_value_formatting():
@@ -199,6 +200,76 @@ def test_table_text_does_not_depend_on_the_cpu_count(monkeypatch, fmt, n_rows):
         texts.append(_table_text(fmt, rows))
     same = texts[0] == texts[1]
     assert same
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("ncols", [7, 12])
+def test_wide_tables_are_cut_into_blocks_of_values(fmt, ncols):
+    # A block holds _BLOCK // ncols rows; every float of random bits is at
+    # most 24 characters, each with a separator of at most 2.
+    step = cli._BLOCK // ncols
+    columns = [f"c{i}" for i in range(ncols)]
+    for n_rows in (0, 1, 2 * step, 2 * step + 1):
+        rows = np.random.default_rng(n_rows).integers(
+            0, 2**64, size=(n_rows, ncols), dtype=np.uint64).view(np.float64)
+        chunks = list(_table_chunks(fmt, columns, rows))
+        assert all(type(chunk) is bytes for chunk in chunks)
+        blocks = [chunk for chunk in chunks[1:-1] if chunk != b", "]
+        assert len(blocks) == -(-n_rows // step)
+        assert max(map(len, blocks), default=0) <= 26 * cli._BLOCK
+        _check_table_text(fmt, rows, b"".join(chunks).decode("ascii"), columns)
+
+
+def _same_bytes_on_stdout_and_out(runner, args, out_option="--out"):
+    """Run ``args`` to stdout and to a file; both exit alike and write the same bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        to_stdout = runner.invoke(main, args + [out_option, "-"])
+        to_file = runner.invoke(main, args + [out_option, out])
+        assert to_stdout.exit_code == to_file.exit_code, to_stdout.output
+        with open(out, "rb") as fh:
+            assert to_stdout.stdout_bytes == to_file.stdout_bytes + fh.read()
+
+
+def test_every_writer_puts_the_same_bytes_on_stdout_as_in_its_out_file(runner, cube_path):
+    # --n 12000 rows of 12 columns span two blocks.
+    _same_bytes_on_stdout_and_out(
+        runner, ["matrix", "--group", "lt", "--p", "3", "--n", "12000", "--format", "json"])
+    _same_bytes_on_stdout_and_out(runner, ["constant", "--dist", cube_path])
+    _same_bytes_on_stdout_and_out(
+        runner, ["verify", "--matrix", "--n", "5000"], out_option="--report")
+    for fmt in ("csv", "json"):
+        _same_bytes_on_stdout_and_out(
+            runner, ["density", "--dist", cube_path, "--at", "0.5,-2", "--at", "1,1",
+                     "--format", fmt])
+    _same_bytes_on_stdout_and_out(
+        runner, ["direction-density", "--dist", cube_path, "--at", "1,0", "--at", "0.6,0.8"])
+
+
+def test_matrix_holds_only_its_table_while_writing(monkeypatch, tmp_path):
+    # numpy reports its buffers to tracemalloc.  Each of W1, W2, T and U at
+    # p = 3 is 9 of the table's 12 values a row: 0.75 of the table's bytes.
+    import tracemalloc
+
+    write, seen = cli._write_text, []
+
+    def measured(out, chunks):
+        seen.append((tracemalloc.get_traced_memory()[0], chunks.gi_frame.f_locals["rows"].nbytes))
+        write(out, chunks)
+
+    args = ["matrix", "--group", "lt", "--p", "3", "--format", "json",
+            "--out", str(tmp_path / "lt.json")]
+    main(args + ["--n", "10"], standalone_mode=False)  # loads what the command imports
+    monkeypatch.setattr(cli, "_write_text", measured)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        main(args + ["--n", "20000"], standalone_mode=False)
+    finally:
+        tracemalloc.stop()
+    [(on_entry, table)] = seen
+    assert table == 20000 * 12 * 8
+    assert on_entry - before < 1.5 * table
 
 
 def test_sample_writes_the_same_bytes_to_stdout_and_to_a_file(runner, cube_path, tmp_path):
@@ -785,6 +856,33 @@ def test_sample_draws_from_a_cube_whose_volume_underflows(tmp_path):
     assert rows.shape == (10, 3) and np.all(np.isfinite(rows) & (np.abs(rows) < 1e-190))
 
 
+def _scaled_cube_constant(tmp_path, scale) -> subprocess.CompletedProcess:
+    """`constant` under -W error on the p = 3 cube with facets +-scale e_i."""
+    facets = scale * np.vstack([np.eye(3), -np.eye(3)])
+    path = tmp_path / "cube3.json"
+    path.write_text(json.dumps({
+        "gauge": {"dim": 3, "variant": "polytope", "params": {"facets": facets.tolist()}},
+        "profile": {"family": "gaussian", "params": {"scale": 1.0}}}))
+    return subprocess.run([sys.executable, "-W", "error", "-m", "starshape.cli", "constant",
+                           "--dist", str(path)], env=_env(), capture_output=True, text=True)
+
+
+def test_constant_of_a_cube_whose_plane_integral_squares_to_zero(tmp_path):
+    # At facets x 1e100, K's volume is ~1e-300: the radial route's total
+    # squares below the double range, and c0 ~ 4e298 is still a double.
+    res = _scaled_cube_constant(tmp_path, 1e100)
+    assert (res.returncode, res.stderr) == (0, "")
+    chk = json.loads(res.stdout)
+    assert np.isfinite(chk["c0_radial"]) and 0.0 < chk["stderr_radial"] < np.inf
+
+
+def test_constant_of_a_cube_whose_c0_is_beyond_the_double_range_exits_1(tmp_path):
+    res = _scaled_cube_constant(tmp_path, 1e200)
+    assert (res.returncode, res.stdout) == (1, "")
+    assert res.stderr == ("error: sphere integral evaluated to 0.0: "
+                          "c0 = 1/(p Vol K) is beyond the double range\n")
+
+
 def _tabulated(angles, radii):
     return {"dim": 2, "variant": "tabulated", "params": {"angles": angles, "radii": radii}}
 
@@ -942,7 +1040,9 @@ def test_the_benchmark_tracer_installs_on_the_package(tmp_path):
         "profile": {"family": "gaussian", "params": {"scale": 1.0}},
     }))
     commands = [["sample", "--dist", str(doc), "--n", "1000", "--out", str(tmp_path / "x.csv")],
-                ["constant", "--dist", str(doc), "--out", str(tmp_path / "c0.json")]]
+                ["constant", "--dist", str(doc), "--out", str(tmp_path / "c0.json")],
+                ["matrix", "--group", "lt", "--p", "3", "--out", str(tmp_path / "lt.csv")],
+                ["matrix", "--group", "gl", "--p", "2", "--out", str(tmp_path / "gl.csv")]]
     code = (
         f"import json, sys; sys.path.insert(0, {bench!r}); import child\n"
         "from starshape.cli import main\n"
@@ -953,5 +1053,6 @@ def test_the_benchmark_tracer_installs_on_the_package(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True,
                          text=True, check=True)
     spans = json.loads(next(l for l in out.stdout.splitlines() if l.startswith("spans "))[6:])
-    for name in ("direction.direction_sample", "radial.RadialTable.sample", "starshaped.sample"):
+    for name in ("direction.direction_sample", "radial.RadialTable.sample", "starshaped.sample",
+                 "matrixmodels.lt_decompose_batch", "matrixmodels.gl_decompose_batch"):
         assert name in spans

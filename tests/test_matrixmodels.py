@@ -446,6 +446,17 @@ def test_t_u_independence():
     assert report.passed, report
 
 
+def test_lt_decompose_batch_is_the_symmetrised_formula_bit_for_bit():
+    W1, W2 = wishart_pairs(stream(411), 2000, p=3)
+    T, U = lt_decompose_batch(W1, W2)
+    T_ref = np.linalg.cholesky(W1 + W2)
+    Ti = np.linalg.inv(T_ref)
+    U_ref = Ti @ W1 @ np.transpose(Ti, (0, 2, 1))
+    U_ref = 0.5 * (U_ref + np.transpose(U_ref, (0, 2, 1)))
+    assert np.array_equal(T.view(np.uint64), T_ref.view(np.uint64))
+    assert np.array_equal(U.view(np.uint64), U_ref.view(np.uint64))
+
+
 # -- both decompositions on arbitrary positive-definite pairs ----------------
 
 _PAIRS = settings(derandomize=True, max_examples=200, deadline=None)
