@@ -67,6 +67,8 @@ def _parse_point(raw: str, dim: int) -> np.ndarray:
 def _write_text(out: str, chunks: Iterable[bytes]) -> None:
     """Write the byte chunks to ``out`` (- for stdout) one at a time.
 
+    Stdout takes the bytes on its binary buffer, after its text layer is
+    flushed, or, where it has none (a StringIO), their ASCII text.
     A regular file that this user owns and that has no other hard link (or
     a new path) is written under a temporary name in its directory, with
     the mode ``open(out, "w")`` would leave it, and renamed over it only
@@ -76,8 +78,14 @@ def _write_text(out: str, chunks: Iterable[bytes]) -> None:
     the temporary file or the rename.
     """
     if out == "-":
+        binary = getattr(sys.stdout, "buffer", None)
+        sys.stdout.flush()
         for chunk in chunks:
-            click.echo(chunk, nl=False)
+            if binary is None:
+                sys.stdout.write(chunk.decode("ascii"))
+            else:
+                binary.write(chunk)
+        sys.stdout.flush()
         return
     try:
         st = os.stat(out)

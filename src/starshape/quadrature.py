@@ -1,12 +1,12 @@
 """The numerical rules the package's integrals run on.
 
-Sphere and contour integrals in the plane use composite Simpson on equally
-spaced nodes, with panel boundaries aligned to the kinks of the integrand
-so every Simpson cell sees a C^1 function; integrals at p >= 3 use a Monte
-Carlo mean with its standard error, drawn in keyed blocks on every core.
-Integrals with algebraic endpoint factors or graded panels (the plane
-integral, the matrix normalisers) use batch Gauss-Jacobi rules,
-Gauss-Legendre being the case without weight.  Callers choose their own
+Every deterministic integral runs on batch Gauss-Jacobi rules,
+Gauss-Legendre being the case without weight: sphere and contour integrals
+in the plane on equal panels of the arcs between the kinks of the
+integrand, so every panel sees a smooth function, and the plane integral
+and the matrix normalisers on graded panels or with algebraic endpoint
+factors.  Integrals at p >= 3 use a Monte Carlo mean with its standard
+error, drawn in keyed blocks on every core.  Callers choose their own
 nodes and pass the samples in, or, for a Monte Carlo mean, a function that
 draws them.
 """
@@ -42,27 +42,25 @@ def arcs(kinks) -> list[tuple[float, float]]:
     return out
 
 
-def panels(n_panels: int, length: float = 1.0, total: float = 1.0) -> int:
-    """Simpson panel count, a multiple of 4 and at least 8, for ``length`` out of ``total``.
+def arc_rule(intervals, n_panels: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of ``order`` on equal panels of the
+    arcs (a, b) in ``intervals``, and the index of each arc's first node.
 
-    An arc gets its share ``n_panels * length / total`` of the budget, rounded
-    up, so panel widths stay roughly equal across arcs; every other node
-    then gives the rule at twice the spacing.
+    The arcs share ``n_panels`` in proportion to length, by rounding the
+    running total of their lengths, and each gets at least one panel; so
+    panel widths stay near equal, no panel straddles an arc end, and no
+    node lies on one.  ``np.add.reduceat(w * f(theta), starts)`` gives each
+    arc's integral of f, summed pairwise.
     """
-    k = max(8, int(round(n_panels * length / total)))
-    return k + -k % 4
-
-
-def simpson(vals: np.ndarray, h: float) -> float:
-    """Composite Simpson h/3 (v_0 + v_n + 4 sum v_odd + 2 sum v_even).
-
-    ``vals`` are an odd number of samples at spacing ``h``.
-    """
-    if vals.size % 2 == 0:
-        raise ValueError("Simpson needs an odd sample count")
-    return float(
-        h / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-2:2].sum())
-    )
+    a, b = np.asarray(intervals, dtype=float).T
+    ends = np.round(n_panels / (b - a).sum() * np.cumsum(np.r_[0.0, b - a]))
+    k = np.maximum(np.diff(ends), 1.0).astype(int)
+    first = np.cumsum(k) - k
+    arc = np.repeat(np.arange(a.size), k)
+    j = np.arange(arc.size) - first[arc]
+    width = ((b - a) / k)[arc]
+    theta, w = gauss(order, a[arc] + j * width, a[arc] + (j + 1) * width)
+    return theta.ravel(), w.ravel(), order * first
 
 
 def mc_mean(draw: Callable[[np.random.Generator, int], np.ndarray], n: int, seed: int,

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -244,6 +246,22 @@ def test_every_writer_puts_the_same_bytes_on_stdout_as_in_its_out_file(runner, c
                      "--format", fmt])
     _same_bytes_on_stdout_and_out(
         runner, ["direction-density", "--dist", cube_path, "--at", "1,0", "--at", "0.6,0.8"])
+
+
+def test_a_text_stdout_gets_the_text_of_the_out_file(cube_path, tmp_path):
+    # A stdout without a binary buffer, such as a StringIO, takes text.
+    for args, out_option in ((["constant", "--dist", cube_path], "--out"),
+                             (["sample", "--dist", cube_path, "--n", "3"], "--out"),
+                             (["verify", "--matrix", "--n", "2000"], "--report")):
+        texts = []
+        for target in ("-", str(tmp_path / "out")):
+            with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                try:
+                    main(args + [out_option, target], standalone_mode=False)
+                except SystemExit as exc:
+                    assert not exc.code, args
+            texts.append(stdout.getvalue())
+        assert texts[0] == texts[1] + (tmp_path / "out").read_text(), args
 
 
 def test_matrix_holds_only_its_table_while_writing(monkeypatch, tmp_path):
@@ -555,6 +573,26 @@ def test_verify_detects_tampered_constant(runner, tmp_path):
     res = runner.invoke(main, ["verify", "--dist", str(path), "--n", "20000"])
     assert res.exit_code == 1
     assert "FAIL c0-stored-consistency" in res.output
+
+
+@pytest.mark.parametrize("angles, radii", [
+    (np.pi / 4.0 * np.arange(8.0), [1.0, 1.3, 0.8, 1.1, 0.9, 1.2, 1.0, 0.7]),
+    ([0.2, 1.0, 2.1, 3.0, 4.4, 5.5], [1.0, 0.6, 1.4, 0.9, 1.2, 0.8]),
+    ([0.0, 1.5, 1.501, 3.0, 4.5], [1.0, 1.2, 0.9, 1.1, 0.8]),
+], ids=["8-nodes", "6-nodes", "nodes-1e-3-apart"])
+def test_verify_passes_a_tabulated_law(runner, tmp_path, angles, radii):
+    # Tabulated gradients are central differences, which must not reach
+    # across a node from the nodes of the surface-mass rule.
+    path, report = tmp_path / "tabulated.json", tmp_path / "verify.jsonl"
+    path.write_text(json.dumps({
+        "gauge": {"dim": 2, "variant": "tabulated",
+                  "params": {"angles": list(angles), "radii": radii}},
+        "profile": {"family": "gaussian", "params": {"scale": 1.0}},
+    }))
+    res = runner.invoke(main, ["verify", "--dist", str(path), "--report", str(report)])
+    assert res.exit_code == 0, res.output
+    stats = {r["name"]: r["statistic"] for r in map(json.loads, report.read_text().splitlines())}
+    assert stats["surface-measure-mass"] < 1e-8
 
 
 def test_verify_matrix_mode(runner):
@@ -1009,7 +1047,7 @@ def test_planar_polytope_distribution_does_not_load_qhull():
     assert _loaded_modules(code, ("scipy.spatial",)) == [False]
 
 
-# Planar laws whose sphere integral the Simpson rule cannot resolve.
+# Planar laws whose sphere integral the Gauss-Legendre arc rule cannot resolve.
 _UNRESOLVED = {
     "ellipse-1e8": {"dim": 2, "variant": "elliptical",
                     "params": {"sigma": [[1.0, 0.0], [0.0, 1e8]]}},
@@ -1042,17 +1080,26 @@ def test_the_benchmark_tracer_installs_on_the_package(tmp_path):
     commands = [["sample", "--dist", str(doc), "--n", "1000", "--out", str(tmp_path / "x.csv")],
                 ["constant", "--dist", str(doc), "--out", str(tmp_path / "c0.json")],
                 ["matrix", "--group", "lt", "--p", "3", "--out", str(tmp_path / "lt.csv")],
-                ["matrix", "--group", "gl", "--p", "2", "--out", str(tmp_path / "gl.csv")]]
+                ["matrix", "--group", "gl", "--p", "2", "--out", str(tmp_path / "gl.csv")],
+                ["verify", "--dist", str(doc), "--n", "4000", "--report", str(tmp_path / "v.jsonl")]]
+    # verify ends in sys.exit, 0 when every check passes.
     code = (
         f"import json, sys; sys.path.insert(0, {bench!r}); import child\n"
         "from starshape.cli import main\n"
         "tracer = child.Tracer(); child.install(tracer)\n"
-        f"for args in {commands!r}: main(args, standalone_mode=False)\n"
-        "print('spans', json.dumps(sorted({s[0] for s in tracer.spans})))"
+        f"for args in {commands!r}:\n"
+        "    try:\n        main(args, standalone_mode=False)\n"
+        "    except SystemExit as exc:\n        assert not exc.code, args\n"
+        "print('spans', json.dumps([s[::4] for s in tracer.spans]))"
     )
     out = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True,
                          text=True, check=True)
     spans = json.loads(next(l for l in out.stdout.splitlines() if l.startswith("spans "))[6:])
+    names = {name for name, _ in spans}
     for name in ("direction.direction_sample", "radial.RadialTable.sample", "starshaped.sample",
-                 "matrixmodels.lt_decompose_batch", "matrixmodels.gl_decompose_batch"):
-        assert name in spans
+                 "matrixmodels.lt_decompose_batch", "matrixmodels.gl_decompose_batch",
+                 "direction.angle_bin_probs", "direction.cross_section_mass"):
+        assert name in names
+    # The pentagon's five arcs share 2^10 panels, each at orders 32 and 24.
+    c0_evals = [attrs["n_evals"] for name, attrs in spans if name == "direction.direction_constant"]
+    assert c0_evals and set(c0_evals) == {1024 * (32 + 24)}

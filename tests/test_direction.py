@@ -2,6 +2,7 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy import integrate
 
 from starshape import (
@@ -30,6 +31,7 @@ from starshape import (
     unit_angles,
 )
 from starshape import gauge as gauge_module
+from starshape.direction import _arc_integrals
 from starshape.errors import (
     BoundsUnavailableError,
     DimensionMismatchError,
@@ -117,25 +119,70 @@ def test_planar_n_evals_counts_the_gauge_evaluations(analytic_gauges, label):
 
 _THIN = {
     "ellipse-1e6": (EllipticalGauge(np.diag([1.0, 1e6])), 2.0 * np.pi * 1e3),
-    "ellipse-1e7": (EllipticalGauge(np.diag([1.0, 1e7])), None),
+    "ellipse-1e7": (EllipticalGauge(np.diag([1.0, 1e7])), 2.0 * np.pi * np.sqrt(1e7)),
     "ellipse-1e8": (EllipticalGauge(np.diag([1.0, 1e8])), None),
     # The rectangle |x| <= 1, |y| <= 1/a has area 4/a, half the integral.
     "rectangle-100": (PolytopeGauge([[1.0, 0.0], [-1.0, 0.0], [0.0, 100.0], [0.0, -100.0]]),
                       8.0 / 100.0),
-    "rectangle-1e3": (PolytopeGauge([[1.0, 0.0], [-1.0, 0.0], [0.0, 1e3], [0.0, -1e3]]), None),
+    "rectangle-1e3": (PolytopeGauge([[1.0, 0.0], [-1.0, 0.0], [0.0, 1e3], [0.0, -1e3]]),
+                      8.0 / 1e3),
     "rectangle-1e4": (PolytopeGauge([[1.0, 0.0], [-1.0, 0.0], [0.0, 1e4], [0.0, -1e4]]), None),
 }
 
 
 @pytest.mark.parametrize("label", sorted(_THIN))
 def test_planar_sphere_integral_fails_where_simpson_cannot_resolve_it(label):
-    # Simpson at spacings h and 2h, on the same nodes, must agree to 1e-6.
+    # Gauss-Legendre at orders 32 and 24, on the same panels, must agree to 1e-6.
     gauge, exact = _THIN[label]
     if exact is None:
         with pytest.raises(QuadratureFailureError, match="sphere integral error .* too large"):
             direction_constant(gauge)
     else:
         assert direction_constant(gauge).integral.value == pytest.approx(exact, rel=1e-8)
+
+
+_CUTS = st.lists(st.floats(0.0, 2.0 * np.pi, exclude_max=True), max_size=40)
+
+
+def _end_radii(gauge, smooth):
+    """Radii 1/g of the cross section at the ends of each arc, shape (n, 2)."""
+    return 1.0 / gauge.values(unit_angles(smooth.ravel())).reshape(-1, 2)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(start=st.floats(0.0, 2.0 * np.pi), gaps=st.lists(st.floats(0.05, 1.0), min_size=3,
+                                                           max_size=8),
+       distances=st.lists(st.floats(0.1, 1.0), min_size=8, max_size=8), cuts=_CUTS)
+def test_each_polygon_arc_integral_is_twice_its_triangle(start, gaps, distances, cuts):
+    # Facets at distances d_j with normals less than pi apart bound a
+    # polygon, whose vertices lie far out where two normals are nearly
+    # opposite; within pi - 0.05, r stays below 40 d_j, where g near a
+    # vertex, a cosine near 0, keeps most of its digits.  An arc inside
+    # one facet's cone sweeps the triangle (0, z(a), z(b)), and the
+    # integral of g^(-2) = r^2 over it is twice its area.
+    gaps = 2.0 * np.pi * np.array(gaps) / sum(gaps)
+    assume(gaps.max() < np.pi - 0.05)
+    normals = unit_angles(start + np.cumsum(gaps))
+    gauge = PolytopeGauge(normals / np.array(distances[: len(gaps)])[:, None])
+    smooth, vals, _, _ = _arc_integrals(gauge, cuts)
+    r = _end_radii(gauge, smooth)
+    exact = r[:, 0] * r[:, 1] * np.sin(smooth[:, 1] - smooth[:, 0])
+    np.testing.assert_allclose(vals, exact, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(gaps=st.lists(st.floats(0.05, 1.0), min_size=3, max_size=20),
+       radii=st.lists(st.floats(0.5, 2.0), min_size=20, max_size=20), cuts=_CUTS)
+def test_each_tabulated_arc_integral_is_exact_for_its_linear_radius(gaps, radii, cuts):
+    # r is linear in angle between nodes, so r^2 integrates to
+    # (b - a)(r_a^2 + r_a r_b + r_b^2) / 3 over each arc.  Nodes at least
+    # 0.015 apart keep r'/r, and so the rounding of r at a node, small.
+    angles = 2.0 * np.pi * np.cumsum(gaps) / (sum(gaps) + gaps[0])
+    gauge = TabulatedRadialGauge(angles, radii[: len(angles)])
+    smooth, vals, _, _ = _arc_integrals(gauge, cuts)
+    ra, rb = _end_radii(gauge, smooth).T
+    exact = (smooth[:, 1] - smooth[:, 0]) * (ra * ra + ra * rb + rb * rb) / 3.0
+    np.testing.assert_allclose(vals, exact, rtol=1e-12, atol=0.0)
 
 
 def test_direction_density_values():
