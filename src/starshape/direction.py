@@ -232,10 +232,10 @@ def cross_section_mass(gauge: Gauge, c0: float) -> float:
     Parameterizes the cross section by angle, z(t) = u(t)/g(u(t)), and
     integrates the surface density times the curve speed |dz/dt| by the
     Gauss-Legendre rule on kink-aligned panels.  A panel's end nodes lie
-    0.0014 of it inside, so the finite differences of the speed and of a
-    gradient (reach 1e-6 max(1, |z|)) stay off the kinks on arcs longer
-    than about 7e-4 / min(1, |z|).  Equals 1 when the gradient geometry is
-    consistent.
+    0.0014 of it inside, so the finite differences of the speed (reach
+    1e-7 rad) and of a gradient (1e-6 rad, taken at z/|z|) stay off the
+    kinks on arcs longer than about 7e-4 rad.  Equals 1 when the gradient
+    geometry is consistent.
     """
     if gauge.dim != 2:
         raise DimensionMismatchError("cross-section mass check is planar only")

@@ -54,10 +54,16 @@ FD_STEP = 1e-6
 # Largest number of boundary simplices of K (McMullen's upper bound, from
 # its vertex count) for which a polytope gauge triangulates K at p >= 3 to
 # draw from it; above it its directions come from rejection.  The
-# benchmark's p = 6 hexacube (151 vertices) has a bound of 5.4e5 and 6,254
-# simplices; Qhull took 4.1 s and 194 MB for 2.1e5 simplices at p = 7, and
-# over a minute for a random 30-facet polytope at p = 8.
+# benchmark's p = 6 hexacube (154 vertices) has a bound of 5.7e5 and 4,711
+# simplices.  On a 2-vCPU x86 container, _convex_hull took 1.0 s for the
+# 34,050 simplices of a 7-cube with six corner cuts (315 vertices, bound
+# 9.9e6) and 1.9 s for the 57,916 of a random 15-facet polytope at p = 7
+# (266 vertices, bound 5.9e6), with 44 and 52 MB of peak allocation.
 MAX_BODY_SIMPLICES = 10**7
+
+# A point more than this times the largest |x_i| of a convex hull's points
+# above one of its facet planes sees that facet; one nearer lies on it.
+_HULL_RTOL = 1e-10
 
 # Row blocks of the polytope score matrix and of the simplex gathers, so
 # that neither holds a (10^6, m) or (n, p, p) array at once.
@@ -215,15 +221,18 @@ class Gauge(ABC):
         return self.gradients(_as_point(x, self.dim)[None, :], strict)[0]
 
     def _gradients(self, X: np.ndarray, strict: bool) -> np.ndarray:
-        # Central differences, for gauges without a closed-form gradient.
+        # Central differences, for gauges without a closed-form gradient.  The
+        # gradient is 0-homogeneous, so they are taken at x/|x|: a step of
+        # FD_STEP there reaches FD_STEP radians across, whatever |x|.
         n, p = X.shape
-        h = FD_STEP * np.maximum(1.0, np.linalg.norm(X, axis=1))
-        probes = np.repeat(X[:, None, :], 2 * p, axis=1)
+        U, _ = _scaled_rows(X)
+        U /= np.linalg.norm(U, axis=1)[:, None]
+        probes = np.repeat(U[:, None, :], 2 * p, axis=1)
         axes = np.arange(p)
-        probes[:, 2 * axes, axes] += h[:, None]
-        probes[:, 2 * axes + 1, axes] -= h[:, None]
+        probes[:, 2 * axes, axes] += FD_STEP
+        probes[:, 2 * axes + 1, axes] -= FD_STEP
         vals = self.values(probes.reshape(-1, p)).reshape(n, 2 * p)
-        return (vals[:, 0::2] - vals[:, 1::2]) / (2.0 * h[:, None])
+        return (vals[:, 0::2] - vals[:, 1::2]) / (2.0 * FD_STEP)
 
     def cross_section_point(self, x) -> np.ndarray:
         """Projection z = x / g(x) onto the unit cross section {g = 1}."""
@@ -360,9 +369,10 @@ class PolytopeGauge(Gauge):
     max_j <a_j, u> > 0 for every direction u.  The check and the sphere
     bounds are exact at every p: g_max = max_j |a_j| and g_min is the
     distance from the origin to the nearest facet of conv{a_j}, from the
-    monotone chain at p = 2 (:func:`_hull_geometry`), from Qhull above.
-    The edges or facets of that polar hull give the vertices of K, whose
-    triangulated boundary ``body_sample`` draws from.
+    monotone chain at p = 2 (:func:`_hull_geometry`), from the incremental
+    hull of :func:`_convex_hull` above.  The edges or faces of that polar
+    hull give the vertices of K, whose triangulated boundary ``body_sample``
+    draws from.
     """
 
     variant = "polytope"
@@ -388,19 +398,19 @@ class PolytopeGauge(Gauge):
             self._kinks, g_min, self._vertices = _hull_geometry(A / s)
             g_min *= s
         else:
-            # Qhull costs 0.1 s of import, so planar gauges keep the chain.
-            from scipy.spatial import ConvexHull, QhullError
-
-            try:
-                polar = ConvexHull(A / s).equations
-                g_min = s * float(np.min(-polar[:, -1]))
-            except QhullError:  # the facet points lie in a hyperplane
-                g_min = 0.0
+            polar = _convex_hull(A / s)
+            # None: the facet points lie in a hyperplane, or the hull failed
+            # its checks.
+            g_min = 0.0 if polar is None else s * float(polar[2].min())
         if not g_min > 0.0:
             raise NonPositiveError("gauge is not positive on the unit sphere")
         if self.dim > 2:
-            # Each facet n.y = -b of conv{a_j / s} is the vertex n/b of sK.
-            self._vertices = np.unique(polar[:, :-1] / -polar[:, -1:], axis=0)
+            # Each face n.y = b of conv{a_j / s} is the vertex n/b of sK.  A
+            # face split into several simplices is known by the points on it.
+            _, N, B = polar
+            on = np.abs(A / s @ N.T - B) <= _HULL_RTOL * np.abs(A / s).max()
+            _, first = np.unique(on.T, axis=0, return_index=True)
+            self._vertices = N[first] / B[first, None]
         g_max = s * float(np.linalg.norm(A / s, axis=1).max())
         self._scale = s
         what = f"facets giving g in [{g_min:.3g}, {g_max:.3g}]"
@@ -439,8 +449,9 @@ class PolytopeGauge(Gauge):
         """(V, simplices, cumulative |det|) of K's triangulated boundary.
 
         At p = 2 the boundary is the cycle of K's vertices from the chain;
-        above, Qhull triangulates them on the first draw.  None at p = 1,
-        above MAX_BODY_SIMPLICES, or when the triangulation fails its checks.
+        above, :func:`_convex_hull` triangulates them on the first draw.
+        None at p = 1, above MAX_BODY_SIMPLICES, or when the triangulation
+        fails its checks.
         """
         # The vertices and the volumes are taken on sK, whose determinants
         # stay in the double range; the vertices of K are those over s.
@@ -453,12 +464,10 @@ class PolytopeGauge(Gauge):
         elif _max_boundary_simplices(len(W), self.dim) > MAX_BODY_SIMPLICES:
             return None
         else:
-            from scipy.spatial import ConvexHull, QhullError
-
-            try:
-                simplices = ConvexHull(W).simplices
-            except QhullError:
+            hull = _convex_hull(W)
+            if hull is None:
                 return None
+            simplices = hull[0]
         V = W / self._scale
         # Each simplex must lie on one facet of K: all its vertices at
         # <a_j, v> >= 1 - 1e-9 for one j.
@@ -469,8 +478,6 @@ class PolytopeGauge(Gauge):
             if np.any(scores[block].min(axis=1).max(axis=1) < 1.0 - _FACET_ATOL):
                 return None
             dets.append(np.abs(np.linalg.det(W[block])))
-        if not _ridges_pair_up(simplices):
-            return None
         return V, simplices, np.cumsum(np.concatenate(dets))
 
     def sphere_bounds(self) -> SphereBounds:
@@ -489,13 +496,136 @@ def _max_boundary_simplices(v: int, p: int) -> int:
     return comb(v - k, k) + comb(v - k - 1, k - 1)
 
 
-def _ridges_pair_up(simplices: np.ndarray) -> bool:
-    """Whether every ridge of the (k, p) simplices is shared by exactly two,
-    as in a triangulated closed surface."""
-    s = np.sort(simplices, axis=1)
-    ridges = np.concatenate([np.delete(s, i, axis=1) for i in range(s.shape[1])])
-    _, counts = np.unique(ridges, axis=0, return_counts=True)
-    return bool(np.all(counts == 2))
+def _ridges_pair_up(simplices: np.ndarray, up: np.ndarray) -> bool:
+    """Whether the (k, p) simplices form an oriented closed surface: every
+    ridge shared by exactly two, which induce opposite orientations on it.
+    ``up`` is each simplex's orientation in its own vertex order."""
+    order = np.argsort(simplices, axis=1)
+    s = np.take_along_axis(simplices, order, axis=1)
+    p = s.shape[1]
+    # Sorting a row by an odd permutation reverses its orientation, and its
+    # ridge without vertex i has the row's orientation times (-1)^i.
+    odd = sum(np.sum(order[:, i, None] > order[:, i + 1 :], axis=1) for i in range(p)) % 2 == 1
+    R = np.concatenate([np.delete(s, i, axis=1) for i in range(p)])
+    o = np.concatenate([up ^ odd ^ bool(i % 2) for i in range(p)])
+    order = np.lexsort(R.T)
+    R, o = R[order], o[order]
+    # Sorted, the rows pair up iff rows 2k and 2k + 1 are equal and differ
+    # from row 2k + 2.
+    return bool(len(R) % 2 == 0 and np.all(R[0::2] == R[1::2])
+                and np.all(np.any(R[2::2] != R[1:-1:2], axis=1)) and np.all(o[0::2] != o[1::2]))
+
+
+def _convex_hull(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(simplices, N, B) of the convex hull of the rows of X, p >= 2: its
+    boundary triangulated into simplices of row indices, each on the plane
+    n.y = b of its unit outward normal n.  None if the rows lie in a
+    hyperplane, or if the hull fails its checks: every row lies under every
+    plane within the hull's tolerance, and the simplices, each oriented by
+    its outward normal, make a closed surface with no fold.
+    """
+    tol = _HULL_RTOL * float(np.abs(X).max())
+    hull = _beneath_beyond(X, tol)
+    if hull is None:
+        return None
+    S, N, B = hull
+    up = np.empty(len(S), dtype=bool)
+    step = max(1, (1 << 20) // len(X))
+    for i in range(0, len(S), step):
+        b = slice(i, i + step)
+        if np.max(X @ N[b].T - B[b]) > tol:
+            return None
+        # Whether the edges from the first vertex, then n, are right-handed.
+        P = X[S[b]]
+        up[b] = np.linalg.det(np.concatenate([P[:, 1:] - P[:, :1], N[b, None]], axis=1)) > 0.0
+    return hull if _ridges_pair_up(S, up) else None
+
+
+def _beneath_beyond(
+    X: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The incremental hull of :func:`_convex_hull` (Clarkson & Shor 1989).
+
+    It starts from a greedy simplex of X and adds the other rows farthest
+    first.  A row more than ``tol`` above some facet planes replaces those
+    facets by the cone from it over their horizon: the ridges that only one
+    of them has.  Rows nearer a plane than ``tol`` count as on it, so the
+    coplanar facets of a polytope come out triangulated.
+    """
+    n, p = X.shape
+    chosen = [int(np.argmax(np.linalg.norm(X - X.mean(axis=0), axis=1)))]
+    basis = np.empty((0, p))
+    for _ in range(p):
+        D = X - X[chosen[0]]
+        D -= (D @ basis.T) @ basis
+        dist = np.linalg.norm(D, axis=1)
+        j = int(np.argmax(dist))
+        if not dist[j] > tol:
+            return None
+        chosen.append(j)
+        basis = np.vstack([basis, D[j] / dist[j]])
+    centre = X[chosen].mean(axis=0)
+    # Facet rows stay sorted, so that each of their ridges is too.
+    S = np.sort([chosen[:i] + chosen[i + 1 :] for i in range(p + 1)], axis=1)
+    N, B = _facet_planes(X, S, centre)
+    drop = np.array([np.delete(np.arange(p), i) for i in range(p)])
+    rest = np.setdiff1d(np.arange(n), chosen)
+    # Slots of deleted facets, reused for new ones, have B = inf: no row
+    # sees them or lies on them.
+    free = np.empty(0, dtype=int)
+    for q in rest[np.argsort(-np.linalg.norm(X[rest] - centre, axis=1), kind="stable")]:
+        h = N @ X[q] - B
+        seen = np.flatnonzero(h > tol)
+        if not seen.size:
+            continue
+        # Sorted, a ridge that one seen facet has differs from both neighbours.
+        R = S[seen][:, drop].reshape(-1, p - 1)
+        R = R[np.lexsort(R.T)]
+        once = np.concatenate([[True], np.any(R[1:] != R[:-1], axis=1), [True]])
+        horizon = R[once[:-1] & once[1:]]
+        cone = np.sort(np.column_stack([horizon, np.full(len(horizon), q)]), axis=1)
+        N_new, B_new = _facet_planes(X, cone, centre)
+        # The cone facet over a ridge of a facet that q lies on is coplanar
+        # with it and takes its plane, so that all simplices of a face share
+        # one plane, not each a sliver's own tilted one.  Only facets with
+        # p - 1 vertices on seen facets can have a ridge on the horizon.
+        on_seen = np.zeros(n, dtype=bool)
+        on_seen[S[seen]] = True
+        flat = np.flatnonzero(np.abs(h) <= tol)
+        flat = flat[on_seen[S[flat]].sum(axis=1) >= p - 1]
+        R = np.concatenate([horizon, S[flat][:, drop].reshape(-1, p - 1)])
+        order = np.lexsort(R.T)
+        pair = np.flatnonzero(np.all(R[order[1:]] == R[order[:-1]], axis=1))
+        i, j = np.sort([order[pair], order[pair + 1]], axis=0)
+        i, owner = i[i < len(horizon)], flat[(j[i < len(horizon)] - len(horizon)) // p]
+        N_new[i], B_new[i] = N[owner], B[owner]
+        slots = np.concatenate([seen, free])
+        if len(cone) > len(slots):
+            grow = max(len(cone) - len(slots), len(B))
+            slots = np.concatenate([slots, np.arange(len(B), len(B) + grow)])
+            S = np.concatenate([S, np.zeros((grow, p), dtype=int)])
+            N = np.concatenate([N, np.zeros((grow, p))])
+            B = np.concatenate([B, np.full(grow, np.inf)])
+        new, free = slots[: len(cone)], slots[len(cone) :]
+        S[new], N[new], B[new] = cone, N_new, B_new
+        N[free], B[free] = 0.0, np.inf
+    live = B < np.inf
+    return S[live], N[live], B[live]
+
+
+def _facet_planes(
+    X: np.ndarray, S: np.ndarray, centre: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unit normals and offsets of the planes through the simplices S of X,
+    each normal pointing away from ``centre``.  The normal is the last
+    column of the complete QR factor of the edges from the first vertex."""
+    P = X[S]
+    N = np.linalg.qr(np.swapaxes(P[:, 1:] - P[:, :1], 1, 2), mode="complete")[0][:, :, -1]
+    B = np.einsum("ij,ij->i", N, P.mean(axis=1))
+    flip = N @ centre > B
+    N[flip] *= -1.0
+    B[flip] *= -1.0
+    return N, B
 
 
 def _hull_geometry(A: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:

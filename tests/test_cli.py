@@ -22,6 +22,7 @@ from starshape import direction_integral, GaussianProfile, ks_test, SupNormGauge
 from starshape import cli, direction, starshaped
 from starshape.cli import _table_chunks, main
 from starshape.io import load_distribution, load_schema
+from conftest import sign_vectors
 
 
 @pytest.fixture()
@@ -595,6 +596,23 @@ def test_verify_passes_a_tabulated_law(runner, tmp_path, angles, radii):
     assert stats["surface-measure-mass"] < 1e-8
 
 
+@pytest.mark.parametrize("scale", [0.05, 0.01])
+def test_verify_passes_a_small_tabulated_law(runner, tmp_path, scale):
+    # The differences are taken at z/|z|, so small radii bring them no
+    # nearer a node.
+    radii = scale * np.array([1.0, 1.3, 0.8, 1.1, 0.9, 1.2, 1.0, 0.7])
+    path, report = tmp_path / "tabulated.json", tmp_path / "verify.jsonl"
+    path.write_text(json.dumps({
+        "gauge": {"dim": 2, "variant": "tabulated",
+                  "params": {"angles": list(np.pi / 4.0 * np.arange(8.0)), "radii": list(radii)}},
+        "profile": {"family": "gaussian", "params": {"scale": 1.0}},
+    }))
+    res = runner.invoke(main, ["verify", "--dist", str(path), "--report", str(report)])
+    assert res.exit_code == 0, res.output
+    stats = {r["name"]: r["statistic"] for r in map(json.loads, report.read_text().splitlines())}
+    assert stats["surface-measure-mass"] < 1e-6
+
+
 def test_verify_matrix_mode(runner):
     res = runner.invoke(
         main, ["verify", "--matrix", "--p", "2", "--n1", "5", "--n2", "7", "--n", "20000"]
@@ -773,6 +791,25 @@ def test_cli_import_does_not_load_scipy_stats(cube_path, tmp_path):
             "    try:\n        main(args, standalone_mode=False)\n"
             "    except SystemExit as exc:\n        assert not exc.code, args")
     assert _loaded_modules(code, ("scipy.special", "scipy.linalg")) == [False, False]
+
+
+def test_polytope_commands_above_the_plane_load_no_scipy(tmp_path):
+    # K's vertices and its triangulation come from the package's own hull.
+    # Every scipy module loads the package "scipy" first.
+    assert _loaded_modules("import starshape.cli", ("scipy",)) == [False]
+    out = str(tmp_path / "out.txt")
+    runs = []
+    for p, corners in ((3, [0, 3, 5]), (6, [6, 12, 20, 27, 10, 49])):
+        facets = np.vstack([np.eye(p), -np.eye(p), 0.3 * sign_vectors(p)[corners]])
+        path = tmp_path / f"poly{p}.json"
+        path.write_text(json.dumps({
+            "gauge": {"dim": p, "variant": "polytope", "params": {"facets": facets.tolist()}},
+            "profile": {"family": "exponential", "params": {"rate": 1.0}},
+        }))
+        runs += [["constant", "--dist", str(path), "--out", out],
+                 ["sample", "--dist", str(path), "--n", "1000", "--out", out]]
+    code = f"from starshape.cli import main\nfor args in {runs!r}:\n    main(args, standalone_mode=False)"
+    assert _loaded_modules(code, ("scipy",)) == [False]
 
 
 def test_sampling_a_polytope_at_p3_never_computes_c0(monkeypatch, runner, tmp_path):

@@ -464,47 +464,41 @@ def test_body_points_have_uniform_lengths(kind, p):
     assert report.passed, report
 
 
-def _broken_hull(hull_class, breaks):
-    """scipy's ConvexHull with its simplices passed through ``breaks``."""
+def _broken_hull(build, breaks):
+    """The hull construction ``build`` with its result passed through ``breaks``."""
 
-    def hull(points):
-        h = hull_class(points)
-        h.simplices = breaks(h.simplices, len(points))
-        return h
+    def hull(points, tol):
+        return breaks(*build(points, tol), len(points))
 
     return hull
 
 
 _BREAKS = {
     # one simplex missing: its ridges are each shared by one simplex only
-    "dropped-simplex": lambda s, v: s[1:],
+    "dropped-simplex": lambda s, n, b, v: (s[1:], n[1:], b[1:]),
     # vertices relabelled: still a closed surface, but off the facets of K
-    "relabelled-vertices": lambda s, v: np.roll(np.arange(v), 1)[s],
+    "relabelled-vertices": lambda s, n, b, v: (np.roll(np.arange(v), 1)[s], n, b),
 }
 
 
 @pytest.mark.parametrize("breakage", sorted(_BREAKS))
 def test_a_broken_triangulation_falls_back_to_rejection(monkeypatch, breakage):
-    import scipy.spatial
-
     gauge = _twin_gauge("cut-cube", 3)
-    broken = _broken_hull(scipy.spatial.ConvexHull, _BREAKS[breakage])
-    monkeypatch.setattr(scipy.spatial, "ConvexHull", broken)
+    broken = _broken_hull(gauge_module._beneath_beyond, _BREAKS[breakage])
+    monkeypatch.setattr(gauge_module, "_beneath_beyond", broken)
     draws = direction_sample(gauge, stream(432), 5_000)
     assert gauge._cones is None
     assert draws.acceptance_rate < 1.0
 
 
 def test_above_the_simplex_cap_qhull_is_not_run_on_k(monkeypatch):
-    import scipy.spatial
-
     gauge = _twin_gauge("cut-cube", 3)
 
-    def no_qhull(points):
+    def no_hull(points):
         raise AssertionError("K was triangulated above the cap")
 
     monkeypatch.setattr(gauge_module, "MAX_BODY_SIMPLICES", 10)
-    monkeypatch.setattr(scipy.spatial, "ConvexHull", no_qhull)
+    monkeypatch.setattr(gauge_module, "_convex_hull", no_hull)
     draws = direction_sample(gauge, stream(433), 5_000)
     assert draws.acceptance_rate < 1.0
 

@@ -5,6 +5,7 @@ import jsonschema
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.spatial import ConvexHull
 
 from starshape import (
     EllipticalGauge,
@@ -26,7 +27,7 @@ from starshape.errors import (
     NotADensityError,
     ZeroVectorError,
 )
-from starshape.gauge import _max_boundary_simplices
+from starshape.gauge import _convex_hull, _max_boundary_simplices, _ridges_pair_up
 from starshape.io import load_schema
 from conftest import box_and_cuts, property_gauges, random_unit, sign_vectors, spd, stream
 
@@ -571,3 +572,111 @@ def test_gauges_are_positively_homogeneous(gauge, seed, log_c):
     X = 3.0 * np.random.default_rng(seed).normal(size=(64, gauge.dim))
     c = 10.0**log_c
     np.testing.assert_allclose(gauge.values(c * X), c * gauge.values(X), rtol=1e-12)
+
+
+# -- the convex hull behind polytope gauges at p >= 3, against Qhull -----------
+
+
+def _prism(p):
+    """A pentagon times the cube [-1, 1]^(p - 2)."""
+    pentagon = unit_angles(0.3 + 2.0 * np.pi * np.arange(5) / 5)
+    box = np.vstack([np.eye(p - 2), -np.eye(p - 2)])
+    return np.vstack([np.column_stack([pentagon, np.zeros((5, p - 2))]),
+                      np.column_stack([np.zeros((2 * p - 4, 2)), box])])
+
+
+def _cut_cube(p, depth, corners):
+    return np.vstack([np.eye(p), -np.eye(p), depth * sign_vectors(p)[corners]])
+
+
+# Facet sets rich in coplanar points: the cube and the cross-polytope, whose
+# polar hulls and K have non-simplicial faces, a prism, cut cubes and the
+# benchmark's seed-7919 hexacube.
+_COPLANAR = {
+    **{f"cube-{p}": np.vstack([np.eye(p), -np.eye(p)]) for p in (3, 4, 5, 6)},
+    **{f"cross-{p}": sign_vectors(p) for p in (3, 4, 5, 6)},
+    **{f"prism-{p}": _prism(p) for p in (3, 4, 5)},
+    "cut-cube-3": _cut_cube(3, 0.6, [0, 3, 5]),
+    "cut-cube-6": _cut_cube(6, 0.3, [0, 9, 22, 37, 50, 63]),
+    "hexacube": _cut_cube(6, 0.3, [6, 12, 20, 27, 10, 49]),
+}
+
+
+def _check_against_qhull(A):
+    """The gauge's g_min, vertices of K and boundary simplices against scipy's
+    Qhull: g_min and sum |det S| within 1e-12 relative, the same vertices, and
+    every simplex on a facet of K."""
+    p = A.shape[1]
+    gauge = PolytopeGauge(A)
+    polar = ConvexHull(A).equations
+    assert gauge.sphere_bounds().g_min == pytest.approx(
+        np.min(-polar[:, -1]), rel=1e-12, abs=0.0)
+    # Qhull's triangulated coplanar facets give copies of a vertex that differ
+    # in their last bits; every copy lies next to one vertex of the gauge's.
+    cones = gauge._cones
+    assert cones is not None
+    V, simplices, _ = cones
+    ref = polar[:, :-1] / -polar[:, -1:]
+    gap = np.linalg.norm(ref[:, None, :] - V[None, :, :], axis=2)
+    assert np.all(gap.min(axis=1) <= 1e-9 * np.abs(V).max())
+    assert np.all(gap.min(axis=0) <= 1e-9 * np.abs(V).max())
+    own = np.linalg.norm(V[:, None, :] - V[None, :, :], axis=2) + np.eye(len(V))
+    assert own.min() > 1e-6 * np.abs(V).max()
+    volume = np.abs(np.linalg.det(V[simplices])).sum()
+    assert volume == pytest.approx(math.factorial(p) * ConvexHull(V).volume, rel=1e-12, abs=0.0)
+    assert np.all((V[simplices] @ A.T).min(axis=1).max(axis=1) >= 1.0 - 1e-9)
+    return gauge
+
+
+@pytest.mark.parametrize("label", sorted(_COPLANAR))
+def test_polytope_hull_matches_qhull_on_coplanar_points(label):
+    gauge = _check_against_qhull(_COPLANAR[label])
+    if label == "hexacube":
+        assert len(gauge._vertices) == 154
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(3, 6).flatmap(lambda p: st.tuples(
+    st.just(p), st.integers(0, 12 - p), st.integers(0, 2**32 - 1))))
+def test_polytope_hull_matches_qhull_on_random_polytopes(case):
+    # A random facet set around the box |x_i| <= 1, which keeps the origin
+    # inside; a cut may lie beyond the box's hull of facets or inside it.
+    # At most 12 - p cuts keep K's simplex bound under MAX_BODY_SIMPLICES.
+    p, m, seed = case
+    rng = np.random.default_rng(seed)
+    cuts = rng.normal(size=(m, p)) * rng.uniform(0.3, 1.5, (m, 1))
+    _check_against_qhull(np.vstack([np.eye(p), -np.eye(p), cuts]))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_polytope_with_a_flat_facet_set_raises(p):
+    # Facets in the hyperplane x_p = 0: the polar hull is flat, and g is 0
+    # along e_p.
+    flat = np.column_stack([np.vstack([np.eye(p - 1), -np.eye(p - 1)]), np.zeros(2 * p - 2)])
+    with pytest.raises(NonPositiveError):
+        PolytopeGauge(flat)
+    assert _convex_hull(flat) is None
+
+
+def test_convex_hull_planes_hold_every_point():
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(200, 4))
+    simplices, normals, offsets = _convex_hull(X)
+    assert np.allclose(np.linalg.norm(normals, axis=1), 1.0)
+    assert np.max(X @ normals.T - offsets) <= 1e-12 * np.abs(X).max()
+    # Each simplex lies on its own plane, and the origin inside all of them.
+    assert np.max(np.abs(np.einsum("kij,kj->ki", X[simplices], normals) - offsets[:, None])) < 1e-12
+    assert offsets.min() > 0.0
+
+
+def test_ridge_check_wants_an_oriented_closed_surface():
+    # The edges of a square, each oriented along the cycle: every vertex is
+    # the end of one edge and the start of the next.
+    cycle = np.array([[0, 1], [1, 2], [2, 3], [3, 0]])
+    up = np.ones(4, dtype=bool)
+    assert _ridges_pair_up(cycle, up)
+    # An edge written backwards with the opposite orientation is the same edge.
+    assert _ridges_pair_up(np.vstack([cycle[:3], [[0, 3]]]), np.array([True, True, True, False]))
+    # One edge reversed folds the cycle back on itself; one missing opens it.
+    assert not _ridges_pair_up(cycle, np.array([True, False, True, True]))
+    assert not _ridges_pair_up(cycle[1:], up[1:])
