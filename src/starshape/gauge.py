@@ -55,9 +55,9 @@ FD_STEP = 1e-6
 # its vertex count) for which a polytope gauge triangulates K at p >= 3 to
 # draw from it; above it its directions come from rejection.  The
 # benchmark's p = 6 hexacube (154 vertices) has a bound of 5.7e5 and 4,711
-# simplices.  On a 2-vCPU x86 container, _convex_hull took 1.0 s for the
+# simplices.  On a 2-vCPU x86 container, _convex_hull took 0.8 s for the
 # 34,050 simplices of a 7-cube with six corner cuts (315 vertices, bound
-# 9.9e6) and 1.9 s for the 57,916 of a random 15-facet polytope at p = 7
+# 9.9e6) and 1.5 s for the 57,916 of a random 15-facet polytope at p = 7
 # (266 vertices, bound 5.9e6), with 44 and 52 MB of peak allocation.
 MAX_BODY_SIMPLICES = 10**7
 
@@ -584,11 +584,11 @@ def _beneath_beyond(
         once = np.concatenate([[True], np.any(R[1:] != R[:-1], axis=1), [True]])
         horizon = R[once[:-1] & once[1:]]
         cone = np.sort(np.column_stack([horizon, np.full(len(horizon), q)]), axis=1)
-        N_new, B_new = _facet_planes(X, cone, centre)
         # The cone facet over a ridge of a facet that q lies on is coplanar
         # with it and takes its plane, so that all simplices of a face share
-        # one plane, not each a sliver's own tilted one.  Only facets with
-        # p - 1 vertices on seen facets can have a ridge on the horizon.
+        # one plane, not each a sliver's own tilted one; the others get their
+        # own.  Only facets with p - 1 vertices on seen facets can have a
+        # ridge on the horizon.
         on_seen = np.zeros(n, dtype=bool)
         on_seen[S[seen]] = True
         flat = np.flatnonzero(np.abs(h) <= tol)
@@ -598,7 +598,11 @@ def _beneath_beyond(
         pair = np.flatnonzero(np.all(R[order[1:]] == R[order[:-1]], axis=1))
         i, j = np.sort([order[pair], order[pair + 1]], axis=0)
         i, owner = i[i < len(horizon)], flat[(j[i < len(horizon)] - len(horizon)) // p]
+        N_new, B_new = np.empty((len(cone), p)), np.empty(len(cone))
         N_new[i], B_new[i] = N[owner], B[owner]
+        own = np.ones(len(cone), dtype=bool)
+        own[i] = False
+        N_new[own], B_new[own] = _facet_planes(X, cone[own], centre)
         slots = np.concatenate([seen, free])
         if len(cone) > len(slots):
             grow = max(len(cone) - len(slots), len(B))
