@@ -18,7 +18,9 @@ Batches (shape ``(n, p)``) go through ``values`` / ``gradients``, each
 written once per variant; the single-point forms ``value`` / ``gradient``
 (shape ``(p,)``) validate their point and index the batch result.
 ``body_sample`` draws uniform points of the star body K = {g <= 1} for the
-sup, l1, elliptical and polytope gauges.
+sup, l1, elliptical and polytope gauges.  A polytope gauge reads its sphere
+bounds, its kinks and K's vertices off one convex hull of its facet
+functionals, built by :func:`_convex_hull` at every p >= 2.
 """
 
 from __future__ import annotations
@@ -52,13 +54,13 @@ RIDGE_TIE_RTOL = 1e-9
 FD_STEP = 1e-6
 
 # Largest number of boundary simplices of K (McMullen's upper bound, from
-# its vertex count) for which a polytope gauge triangulates K at p >= 3 to
-# draw from it; above it its directions come from rejection.  The
-# benchmark's p = 6 hexacube (154 vertices) has a bound of 5.7e5 and 4,711
-# simplices.  On a 2-vCPU x86 container, _convex_hull took 0.8 s for the
-# 34,050 simplices of a 7-cube with six corner cuts (315 vertices, bound
-# 9.9e6) and 1.5 s for the 57,916 of a random 15-facet polytope at p = 7
-# (266 vertices, bound 5.9e6), with 44 and 52 MB of peak allocation.
+# its vertex count) for which a polytope gauge triangulates K to draw from
+# it; above it its directions come from rejection.  The benchmark's p = 6
+# hexacube (154 vertices) has a bound of 5.7e5 and 4,711 simplices.  On a
+# 2-vCPU x86 container, _convex_hull took 0.8 s for the 34,050 simplices
+# of a 7-cube with six corner cuts (315 vertices, bound 9.9e6) and 1.5 s
+# for the 57,916 of a random 15-facet polytope at p = 7 (266 vertices,
+# bound 5.9e6), with 44 and 52 MB of peak allocation.
 MAX_BODY_SIMPLICES = 10**7
 
 # A point more than this times the largest |x_i| of a convex hull's points
@@ -369,10 +371,10 @@ class PolytopeGauge(Gauge):
     max_j <a_j, u> > 0 for every direction u.  The check and the sphere
     bounds are exact at every p: g_max = max_j |a_j| and g_min is the
     distance from the origin to the nearest facet of conv{a_j}, from the
-    monotone chain at p = 2 (:func:`_hull_geometry`), from the incremental
-    hull of :func:`_convex_hull` above.  The edges or faces of that polar
-    hull give the vertices of K, whose triangulated boundary ``body_sample``
-    draws from.
+    incremental hull of :func:`_convex_hull` at every p >= 2.  The faces of
+    that polar hull give the vertices of K (and at p = 2 the kinks, the
+    rays through them), whose triangulated boundary ``body_sample`` draws
+    from.
     """
 
     variant = "polytope"
@@ -394,9 +396,6 @@ class PolytopeGauge(Gauge):
         s = 2.0 ** min(round(log2(top)), 1023) if 0.0 < top < np.inf else 1.0
         if self.dim == 1:
             g_min = float(min(A.max(), -A.min()))
-        elif self.dim == 2:
-            self._kinks, g_min, self._vertices = _hull_geometry(A / s)
-            g_min *= s
         else:
             polar = _convex_hull(A / s)
             # None: the facet points lie in a hyperplane, or the hull failed
@@ -404,13 +403,16 @@ class PolytopeGauge(Gauge):
             g_min = 0.0 if polar is None else s * float(polar[2].min())
         if not g_min > 0.0:
             raise NonPositiveError("gauge is not positive on the unit sphere")
-        if self.dim > 2:
+        if self.dim > 1:
             # Each face n.y = b of conv{a_j / s} is the vertex n/b of sK.  A
             # face split into several simplices is known by the points on it.
             _, N, B = polar
             on = np.abs(A / s @ N.T - B) <= _HULL_RTOL * np.abs(A / s).max()
             _, first = np.unique(on.T, axis=0, return_index=True)
             self._vertices = N[first] / B[first, None]
+        if self.dim == 2:
+            # g switches facets on the rays through K's vertices.
+            self._kinks = np.unique(np.mod(np.arctan2(N[first, 1], N[first, 0]), 2.0 * np.pi))
         g_max = s * float(np.linalg.norm(A / s, axis=1).max())
         self._scale = s
         what = f"facets giving g in [{g_min:.3g}, {g_max:.3g}]"
@@ -448,26 +450,19 @@ class PolytopeGauge(Gauge):
     def _cones(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """(V, simplices, cumulative |det|) of K's triangulated boundary.
 
-        At p = 2 the boundary is the cycle of K's vertices from the chain;
-        above, :func:`_convex_hull` triangulates them on the first draw.
+        :func:`_convex_hull` triangulates K's vertices on the first draw.
         None at p = 1, above MAX_BODY_SIMPLICES, or when the triangulation
         fails its checks.
         """
         # The vertices and the volumes are taken on sK, whose determinants
         # stay in the double range; the vertices of K are those over s.
         W = self._vertices
-        if W is None:
+        if W is None or _max_boundary_simplices(len(W), self.dim) > MAX_BODY_SIMPLICES:
             return None
-        if self.dim == 2:
-            cycle = np.arange(len(W))
-            simplices = np.column_stack([cycle, np.roll(cycle, -1)])
-        elif _max_boundary_simplices(len(W), self.dim) > MAX_BODY_SIMPLICES:
+        hull = _convex_hull(W)
+        if hull is None:
             return None
-        else:
-            hull = _convex_hull(W)
-            if hull is None:
-                return None
-            simplices = hull[0]
+        simplices = hull[0]
         V = W / self._scale
         # Each simplex must lie on one facet of K: all its vertices at
         # <a_j, v> >= 1 - 1e-9 for one j.
@@ -630,39 +625,6 @@ def _facet_planes(
     N[flip] *= -1.0
     B[flip] *= -1.0
     return N, B
-
-
-def _hull_geometry(A: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-    """Kink angles, g_min and the vertices of K of g(u) = max_j <a_j, u>, p = 2.
-
-    Andrew's monotone chain builds the hull of the a_j counterclockwise,
-    collinear points dropped.  g switches facets at the outward edge
-    normals, where it equals the edge lines' distances from the origin (its
-    local minima).  Raises :class:`NonPositiveError` unless every distance is
-    positive (two vertices give d and -d): the origin is inside the hull.
-    Edge i lies on the line n.y = cross_i, n its outward normal, so n/cross_i
-    is the vertex of K = {g <= 1} polar to it, counterclockwise in i.
-    """
-    pts = A[np.lexsort((A[:, 1], A[:, 0]))].tolist()
-    hull: list[list[float]] = []
-    for chain in (pts, pts[::-1]):
-        start = len(hull)
-        for x, y in chain:
-            while len(hull) - start >= 2:
-                (ax, ay), (bx, by) = hull[-2:]
-                if (bx - ax) * (y - ay) - (by - ay) * (x - ax) > 0.0:
-                    break
-                hull.pop()
-            hull.append([x, y])
-        hull.pop()
-    V = np.array(hull)
-    E = np.roll(V, -1, axis=0) - V
-    cross = V[:, 0] * E[:, 1] - V[:, 1] * E[:, 0]
-    if cross.min() <= 0.0:
-        raise NonPositiveError("gauge is not positive on the unit sphere")
-    kinks = np.unique(np.mod(np.arctan2(-E[:, 0], E[:, 1]), 2.0 * np.pi))
-    normals = np.column_stack([E[:, 1], -E[:, 0]])
-    return kinks, float(np.min(cross / np.linalg.norm(E, axis=1))), normals / cross[:, None]
 
 
 class TabulatedRadialGauge(Gauge):

@@ -424,7 +424,7 @@ def _twin_gauge(kind, p):
     if kind == "12-gon":
         return PolytopeGauge(unit_angles(np.arange(12) * np.pi / 6.0 + 0.1))
     if kind == "interior":
-        # (0.2, 0.1) lies inside the hull of the others; the chain drops it.
+        # (0.2, 0.1) lies inside the hull of the others, which drops it.
         return PolytopeGauge([[1.0, 0.0], [0.0, 1.5], [-1.0, 0.3], [0.2, -0.8], [0.2, 0.1]])
     box = np.vstack([np.eye(p), -np.eye(p)])
     if kind == "cube":
@@ -481,14 +481,22 @@ _BREAKS = {
 }
 
 
-@pytest.mark.parametrize("breakage", sorted(_BREAKS))
-def test_a_broken_triangulation_falls_back_to_rejection(monkeypatch, breakage):
-    gauge = _twin_gauge("cut-cube", 3)
+def _check_broken_hull_falls_back(monkeypatch, gauge, breakage):
     broken = _broken_hull(gauge_module._beneath_beyond, _BREAKS[breakage])
     monkeypatch.setattr(gauge_module, "_beneath_beyond", broken)
     draws = direction_sample(gauge, stream(432), 5_000)
     assert gauge._cones is None
     assert draws.acceptance_rate < 1.0
+
+
+@pytest.mark.parametrize("breakage", sorted(_BREAKS))
+def test_a_broken_triangulation_falls_back_to_rejection(monkeypatch, breakage):
+    _check_broken_hull_falls_back(monkeypatch, _twin_gauge("cut-cube", 3), breakage)
+
+
+@pytest.mark.parametrize("breakage", sorted(_BREAKS))
+def test_a_broken_planar_triangulation_falls_back_to_rejection(monkeypatch, breakage):
+    _check_broken_hull_falls_back(monkeypatch, _twin_gauge("pentagon", 2), breakage)
 
 
 def test_above_the_simplex_cap_qhull_is_not_run_on_k(monkeypatch):

@@ -574,7 +574,7 @@ def test_gauges_are_positively_homogeneous(gauge, seed, log_c):
     np.testing.assert_allclose(gauge.values(c * X), c * gauge.values(X), rtol=1e-12)
 
 
-# -- the convex hull behind polytope gauges at p >= 3, against Qhull -----------
+# -- the convex hull behind polytope gauges at p >= 2, against Qhull -----------
 
 
 def _prism(p):
@@ -591,8 +591,18 @@ def _cut_cube(p, depth, corners):
 
 # Facet sets rich in coplanar points: the cube and the cross-polytope, whose
 # polar hulls and K have non-simplicial faces, a prism, cut cubes and the
-# benchmark's seed-7919 hexacube.
+# benchmark's seed-7919 hexacube.  At p = 2: the square and the diamond, a
+# square with a facet point on an edge of conv{a_j}, and the benchmark's
+# seed-7919 sample pentagon.
 _COPLANAR = {
+    "cube-2": np.vstack([np.eye(2), -np.eye(2)]),
+    "cross-2": sign_vectors(2),
+    "square-edge-point": np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [0.5, 0.5]]),
+    "pentagon": np.array([[0.9163152414854293, 0.32081669524408374],
+                          [0.01900713612019206, 1.0072884743610653],
+                          [-0.9306490864667535, 0.28280778020469477],
+                          [-0.6072754832568049, -0.8141299309813355],
+                          [0.5978175490578991, -0.7776642060468129]]),
     **{f"cube-{p}": np.vstack([np.eye(p), -np.eye(p)]) for p in (3, 4, 5, 6)},
     **{f"cross-{p}": sign_vectors(p) for p in (3, 4, 5, 6)},
     **{f"prism-{p}": _prism(p) for p in (3, 4, 5)},
@@ -646,6 +656,15 @@ def test_polytope_hull_matches_qhull_on_random_polytopes(case):
     rng = np.random.default_rng(seed)
     cuts = rng.normal(size=(m, p)) * rng.uniform(0.3, 1.5, (m, 1))
     _check_against_qhull(np.vstack([np.eye(p), -np.eye(p), cuts]))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(0, 10), st.integers(0, 2**32 - 1))
+def test_polygon_hull_matches_qhull_on_random_polygons(m, seed):
+    # The square's facets plus m random cuts, as at p >= 3 above.
+    rng = np.random.default_rng(seed)
+    cuts = rng.normal(size=(m, 2)) * rng.uniform(0.3, 1.5, (m, 1))
+    _check_against_qhull(np.vstack([np.eye(2), -np.eye(2), cuts]))
 
 
 @pytest.mark.parametrize("p", [3, 5])
