@@ -38,7 +38,7 @@ from .gauge import (
     DirectionDerivedGauge, Gauge, SphereBounds, _scaled_rows, sphere_surface, unit_angles,
 )
 from .quadrature import arc_rule, arcs, mc_mean
-from .rng import uniform_sphere
+from .rng import row_norms, uniform_sphere
 
 UNIT_ATOL = 1e-9
 # Planar sphere integral: Gauss-Legendre on SPHERE_PANELS panels, the
@@ -171,7 +171,7 @@ def direction_sample(
     if X is None:
         X, accepted, proposed = _ball_rejection(gauge, gen, n, bounds.g_min)
     X = _scaled_rows(X)[0]  # body points may be too small to square
-    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    X /= row_norms(X)[:, None]
     g_dir = gauge.values(X)
     low = np.min(g_dir, initial=np.inf)
     if low < bounds.g_min * (1.0 - _BOUND_RTOL):
@@ -223,7 +223,7 @@ def cross_section_measure_densities(gauge: Gauge, c0: float, Z) -> np.ndarray:
     Z = np.asarray(Z, dtype=float)
     _check_ones(gauge.values(Z), NotOnCrossSectionError, "g(z)")
     grad = gauge.gradients(Z)
-    return c0 * np.einsum("ij,ij->i", Z, grad) / np.linalg.norm(grad, axis=1)
+    return c0 * np.einsum("ij,ij->i", Z, grad) / row_norms(grad)
 
 
 def cross_section_mass(gauge: Gauge, c0: float) -> float:
@@ -248,7 +248,7 @@ def cross_section_mass(gauge: Gauge, c0: float) -> float:
     u_minus = unit_angles(theta - delta)
     z_plus = u_plus / gauge.values(u_plus)[:, None]
     z_minus = u_minus / gauge.values(u_minus)[:, None]
-    speed = np.linalg.norm(z_plus - z_minus, axis=1) / (2.0 * delta)
+    speed = row_norms(z_plus - z_minus) / (2.0 * delta)
     return float(w @ (cross_section_measure_densities(gauge, c0, z) * speed))
 
 

@@ -127,10 +127,10 @@ def _check_not_origin(X: np.ndarray, message: str) -> None:
     :func:`_scaled_rows`, so (1e-200, 1e-200) is not the origin.
     """
     with np.errstate(over="ignore"):  # a norm past the double range is not zero
-        norms = np.linalg.norm(X, axis=1)
+        norms = _rng.row_norms(X)
     if X.shape[0] and norms.min() < ZERO_NORM_EPS:
         Y, e = _scaled_rows(X[norms < ZERO_NORM_EPS])
-        if np.min(np.ldexp(np.linalg.norm(Y, axis=1), e - 1)) < ZERO_NORM_EPS:
+        if np.min(np.ldexp(_rng.row_norms(Y), e - 1)) < ZERO_NORM_EPS:
             raise ZeroVectorError(message)
 
 
@@ -228,7 +228,7 @@ class Gauge(ABC):
         # FD_STEP there reaches FD_STEP radians across, whatever |x|.
         n, p = X.shape
         U, _ = _scaled_rows(X)
-        U /= np.linalg.norm(U, axis=1)[:, None]
+        U /= _rng.row_norms(U)[:, None]
         probes = np.repeat(U[:, None, :], 2 * p, axis=1)
         axes = np.arange(p)
         probes[:, 2 * axes, axes] += FD_STEP
@@ -289,7 +289,7 @@ class EllipticalGauge(Gauge):
 
     def values(self, X) -> np.ndarray:
         X = _as_batch(X, self.dim)
-        return np.sqrt(np.einsum("ij,jk,ik->i", X, self.sigma_inv, X))
+        return np.sqrt(np.einsum("ij,ij->i", X @ self.sigma_inv, X))
 
     def _gradients(self, X, strict):
         return (X @ self.sigma_inv.T) / self.values(X)[:, None]
@@ -413,7 +413,7 @@ class PolytopeGauge(Gauge):
         if self.dim == 2:
             # g switches facets on the rays through K's vertices.
             self._kinks = np.unique(np.mod(np.arctan2(N[first, 1], N[first, 0]), 2.0 * np.pi))
-        g_max = s * float(np.linalg.norm(A / s, axis=1).max())
+        g_max = s * float(_rng.row_norms(A / s).max())
         self._scale = s
         what = f"facets giving g in [{g_min:.3g}, {g_max:.3g}]"
         _check_value_range(self.dim, log(g_min), log(g_max), what)
@@ -465,12 +465,18 @@ class PolytopeGauge(Gauge):
         simplices = hull[0]
         V = W / self._scale
         # Each simplex must lie on one facet of K: all its vertices at
-        # <a_j, v> >= 1 - 1e-9 for one j.
-        scores = V @ self.facets.T
+        # <a_j, v> >= 1 - 1e-9 for one j.  The scores and the gathers of
+        # their incidences come in blocks of 2^20, however many facets.
+        m, p = self.facets.shape
+        on = np.empty((len(V), m), dtype=bool)
+        step = max(1, (1 << 20) // m)
+        for i in range(0, len(V), step):
+            on[i : i + step] = V[i : i + step] @ self.facets.T >= 1.0 - _FACET_ATOL
+        step = max(1, (1 << 20) // (p * m))
         dets = []
-        for i in range(0, len(simplices), _SIMPLEX_BLOCK):
-            block = simplices[i : i + _SIMPLEX_BLOCK]
-            if np.any(scores[block].min(axis=1).max(axis=1) < 1.0 - _FACET_ATOL):
+        for i in range(0, len(simplices), step):
+            block = simplices[i : i + step]
+            if not on[block].all(axis=1).any(axis=1).all():
                 return None
             dets.append(np.abs(np.linalg.det(W[block])))
         return V, simplices, np.cumsum(np.concatenate(dets))
@@ -667,7 +673,7 @@ class TabulatedRadialGauge(Gauge):
     def values(self, X) -> np.ndarray:
         X = _as_batch(X, self.dim)
         theta = np.arctan2(X[:, 1], X[:, 0])
-        return np.linalg.norm(X, axis=1) / self._radius(theta)
+        return _rng.row_norms(X) / self._radius(theta)
 
     def sphere_bounds(self) -> SphereBounds:
         # Piecewise-linear r attains its extremes at the nodes.
@@ -695,7 +701,7 @@ class DirectionDerivedGauge(Gauge):
 
     def values(self, X) -> np.ndarray:
         X = _as_batch(X, self.dim)
-        norms = np.linalg.norm(X, axis=1)
+        norms = _rng.row_norms(X)
         f = np.asarray(self.density(X / norms[:, None]), dtype=float)
         if not np.all(f > 0.0):
             raise NonPositiveError("direction density must be positive")

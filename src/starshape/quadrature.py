@@ -6,16 +6,19 @@ in the plane on equal panels of the arcs between the kinks of the
 integrand, so every panel sees a smooth function, and the plane integral
 and the matrix normalisers on graded panels or with algebraic endpoint
 factors.  Integrals at p >= 3 use a Monte Carlo mean with its standard
-error, drawn in keyed blocks on every core.  Callers choose their own
-nodes and pass the samples in, or, for a Monte Carlo mean, a function that
-draws them.
+error, drawn in keyed blocks on every core with one BLAS thread.  Callers
+choose their own nodes and pass the samples in, or, for a Monte Carlo mean,
+a function that draws them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
+import functools
 import math
 import os
+import threading
 from typing import Callable
 
 import numpy as np
@@ -24,6 +27,11 @@ from . import rng as _rng
 
 # Points per Monte Carlo block (see mc_mean).
 MC_BLOCK = 1 << 16
+
+# The OpenBLAS thread count before the running mc_mean calls set it to 1,
+# and how many of them are running (see _one_blas_thread).
+_blas_lock = threading.Lock()
+_blas_saved = _blas_users = 0
 
 
 def arcs(kinks) -> list[tuple[float, float]]:
@@ -76,7 +84,9 @@ def mc_mean(draw: Callable[[np.random.Generator, int], np.ndarray], n: int, seed
     largest exponent and added in block order.  Blocks run on a thread per
     available core, up to one per block, in a copy of the caller's context
     (numpy's error state included), so the result is the same for every
-    core count.
+    core count.  While they run, numpy's bundled OpenBLAS uses one thread,
+    so that each block's matrix products do not contend with the other
+    blocks for the cores (:func:`_one_blas_thread`).
     """
     if n < 2:
         raise ValueError("a Monte Carlo standard error needs n >= 2")
@@ -94,17 +104,18 @@ def mc_mean(draw: Callable[[np.random.Generator, int], np.ndarray], n: int, seed
 
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(cores or 1, n_blocks)
-    if workers == 1:
-        parts = [run(b) for b in range(n_blocks)]
-    else:
-        # Imported here, so that a command without a parallel mean does not load it.
-        from concurrent.futures import ThreadPoolExecutor
+    with _one_blas_thread():
+        if workers == 1:
+            parts = [run(b) for b in range(n_blocks)]
+        else:
+            # Imported here, so that a command without a parallel mean does not load it.
+            from concurrent.futures import ThreadPoolExecutor
 
-        pool = ThreadPoolExecutor(workers)
-        try:
-            parts = list(pool.map(run, range(n_blocks)))
-        finally:
-            pool.shutdown(cancel_futures=True)
+            pool = ThreadPoolExecutor(workers)
+            try:
+                parts = list(pool.map(run, range(n_blocks)))
+            finally:
+                pool.shutdown(cancel_futures=True)
     # An all-zero block (sum of squares 0) carries no exponent.
     top = max((e for e, _, s2 in parts if s2 > 0.0), default=0)
     total = total2 = 0.0
@@ -114,6 +125,59 @@ def mc_mean(draw: Callable[[np.random.Generator, int], np.ndarray], n: int, seed
     mean = np.float64(total / n)
     var = max(total2 / n - mean * mean, 0.0) * n / (n - 1)
     return float(np.ldexp(mean, top)), float(np.ldexp(np.sqrt(var / n), top))
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Set numpy's bundled OpenBLAS to one thread, and back to its previous
+    count on exit, also on an exception; nothing where it is not found.
+
+    Calls may overlap in several threads: the first to enter saves the
+    count, and the last to leave restores it.
+    """
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    global _blas_saved, _blas_users
+    get, set_ = blas
+    with _blas_lock:
+        if _blas_users == 0:
+            _blas_saved = get()
+            set_(1)
+        _blas_users += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_users -= 1
+            if _blas_users == 0:
+                set_(_blas_saved)
+
+
+@functools.cache
+def _openblas():
+    """(get, set) of the thread count of the OpenBLAS that numpy wheels
+    bundle in ``numpy.libs``, or None where no library there exports them."""
+    # Imported here, so that a command without a Monte Carlo mean does not load it.
+    import ctypes
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        names = sorted(f for f in os.listdir(libs) if f.startswith("libscipy_openblas"))
+    except OSError:
+        return None
+    for name in names:
+        try:
+            lib = ctypes.CDLL(os.path.join(libs, name))
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
 
 
 def gauss(order: int, lo, hi, alpha: float = 0.0, beta: float = 0.0):

@@ -46,5 +46,15 @@ def _keyed(seed: int, k: int) -> np.random.Generator:
 def uniform_sphere(gen: np.random.Generator, n: int, p: int) -> np.ndarray:
     """n uniform points on the unit sphere via normalized Gaussians."""
     U = gen.normal(size=(n, p))
-    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    U /= row_norms(U)[:, None]
     return U
+
+
+def row_norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an (n, p) array.
+
+    An unscaled sum of squares, as in ``np.linalg.norm(X, axis=1)``, which
+    it may differ from in the last bit, at about a third of its cost on
+    (2^16, p) blocks for p from 3 to 6.
+    """
+    return np.sqrt(np.einsum("ij,ij->i", X, X))

@@ -159,7 +159,7 @@ class StarDistribution:
         """Vectorized decomposition: returns (g, Z, Zprime) arrays."""
         X = _as_batch(X, self.p)
         g, Y = _scaled_values(self.gauge, X)  # Y is X scaled so that it squares safely
-        return g, X / g[:, None], Y / np.linalg.norm(Y, axis=1, keepdims=True)
+        return g, X / g[:, None], Y / _rng.row_norms(Y)[:, None]
 
     # -- the radial route to c0 ----------------------------------------------
 

@@ -18,7 +18,8 @@ from hypothesis import Phase, given, settings, strategies as st
 from scipy import stats as sstats
 
 import starshape
-from starshape import direction_integral, GaussianProfile, ks_test, SupNormGauge
+from starshape import (direction_integral, EllipticalGauge, GaussianProfile, ks_test, PolytopeGauge,
+                       SupNormGauge)
 from starshape import cli, direction, starshaped
 from starshape.cli import _table_chunks, main
 from starshape.io import load_distribution, load_schema
@@ -721,6 +722,21 @@ def test_monte_carlo_depends_on_seed_only(monkeypatch):
             assert threading.active_count() == threads
         assert results[1] == results[0] and results[2] == results[0]
         assert direction_integral(g, n_mc=n_mc, seed=10) != results[0][0]
+
+
+def test_monte_carlo_through_blas_depends_on_seed_only(monkeypatch):
+    # The gauges whose values are matrix products, a polytope at p = 6 and
+    # an ellipse at p = 3, give the same bits on 1, 2 and 3 cores.
+    gauges = [PolytopeGauge(np.vstack([np.eye(6), -np.eye(6), 0.3 * sign_vectors(6)[:6]])),
+              EllipticalGauge([[1.0, 0.3, 0.1], [0.3, 2.0, -0.4], [0.1, -0.4, 1.5]])]
+    n_mc = 3 * 2**16 + 5
+    for g in gauges:
+        results = []
+        for cpus in ({0}, {0, 1}, {0, 1, 2}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            dist = starshaped.StarDistribution(g, GaussianProfile(1.0), n_mc=n_mc, seed=9)
+            results.append((direction_integral(g, n_mc=n_mc, seed=9), dist.c0_radial()))
+        assert results[1] == results[0] and results[2] == results[0]
 
 
 def _env() -> dict:

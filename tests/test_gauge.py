@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import jsonschema
 import numpy as np
@@ -665,6 +666,23 @@ def test_polygon_hull_matches_qhull_on_random_polygons(m, seed):
     rng = np.random.default_rng(seed)
     cuts = rng.normal(size=(m, 2)) * rng.uniform(0.3, 1.5, (m, 1))
     _check_against_qhull(np.vstack([np.eye(2), -np.eye(2), cuts]))
+
+
+def test_the_facet_check_of_many_cones_holds_a_bounded_block():
+    # 1,000 facets on the unit circle, each a vertex of conv{a_j}: K has
+    # 1,000 cones.  A (cones, 2, facets) gather of the facet scores would
+    # take 16 MB; the check's blocks hold 2^20 scores (8 MiB), and the
+    # hull's own plane check two arrays of that size.
+    t = 2.0 * np.pi * np.arange(1000) / 1000
+    gauge = PolytopeGauge(np.column_stack([np.cos(t), np.sin(t)]))
+    tracemalloc.start()
+    try:
+        cones = gauge._cones
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cones is not None and len(cones[1]) == 1000
+    assert peak < 3 * 8 * 2**20
 
 
 @pytest.mark.parametrize("p", [3, 5])

@@ -1,10 +1,12 @@
 import math
 import os
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+from starshape import quadrature
 from starshape import rng as srng
 from starshape.quadrature import MC_BLOCK, mc_mean
 
@@ -94,6 +96,95 @@ def test_blocks_run_under_the_callers_error_state(monkeypatch):
             _cpus(monkeypatch, k)
             results.append(mc_mean(draw, 2 * MC_BLOCK, 0, 77))
     assert results[1] == results[0]
+
+
+_no_openblas = pytest.mark.skipif(quadrature._openblas() is None,
+                                  reason="numpy bundles no OpenBLAS with a thread count")
+
+
+@_no_openblas
+def test_blocks_run_on_one_blas_thread_and_restore_the_count(monkeypatch):
+    get, set_ = quadrature._openblas()
+    before = get()
+    seen = []
+
+    def draw(gen, m):
+        seen.append(get())
+        if m < MC_BLOCK:
+            raise ArithmeticError("last block")
+        return gen.normal(size=m)
+
+    def nested(gen, m):
+        # A mean inside a block leaves the count pinned for the outer one.
+        mc_mean(lambda g, k: g.normal(size=k), 2, 0, 78)
+        seen.append(get())
+        return gen.normal(size=m)
+
+    try:
+        set_(2)
+        for k in (1, 2):
+            _cpus(monkeypatch, k)
+            mc_mean(nested, 2 * MC_BLOCK, 0, 77)
+            assert get() == 2
+            with pytest.raises(ArithmeticError, match="last block"):
+                mc_mean(draw, 3 * MC_BLOCK + 1, 0, 77)
+            assert get() == 2
+    finally:
+        set_(before)
+    assert seen and set(seen) == {1}
+
+
+@_no_openblas
+def test_overlapping_means_keep_one_blas_thread_until_the_last_ends(monkeypatch):
+    # Means on more threads than cores, switching often: each block sees one
+    # thread, and the count is restored once, when the last mean returns.
+    get, set_ = quadrature._openblas()
+    before, switch = get(), sys.getswitchinterval()
+    seen = []
+
+    def draw(gen, m):
+        seen.append(get())
+        return gen.normal(size=m)
+
+    _cpus(monkeypatch, 2)
+    threads = [threading.Thread(target=mc_mean, args=(draw, 3 * MC_BLOCK, i, 77)) for i in range(6)]
+    try:
+        set_(2)
+        sys.setswitchinterval(1e-6)
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+        assert not any(t.is_alive() for t in threads)
+        assert get() == 2
+    finally:
+        sys.setswitchinterval(switch)
+        set_(before)
+    assert len(seen) == 18 and set(seen) == {1}
+
+
+@_no_openblas
+def test_a_numpy_without_openblas_symbols_gives_the_same_bits(monkeypatch):
+    A = srng.stream(0, 5).normal(size=(6, 40))
+
+    def draw(gen, m):
+        return (gen.normal(size=(m, 6)) @ A).max(axis=1)
+
+    pinned = mc_mean(draw, 3 * MC_BLOCK + 5, 1, 77)
+
+    class NoSymbols:
+        def __init__(self, path):
+            pass
+
+    monkeypatch.setattr("ctypes.CDLL", NoSymbols)
+    quadrature._openblas.cache_clear()
+    try:
+        assert quadrature._openblas() is None
+        for k in (1, 2, 3):
+            _cpus(monkeypatch, k)
+            assert mc_mean(draw, 3 * MC_BLOCK + 5, 1, 77) == pinned
+    finally:
+        quadrature._openblas.cache_clear()
 
 
 def test_block_streams_are_keyed_apart_from_task_streams():
