@@ -68,8 +68,11 @@ MAX_BODY_SIMPLICES = 10**7
 _HULL_RTOL = 1e-10
 
 # Row blocks of the polytope score matrix and of the simplex gathers, so
-# that neither holds a (10^6, m) or (n, p, p) array at once.
-_VALUES_BLOCK = 1 << 16
+# that neither holds a (10^6, m) or (n, p, p) array at once.  The score
+# blocks are a quarter of a Monte Carlo block: with (m, 2^16) ones, the
+# benchmark's p = 6 `constant` (m = 18, two blocks at a time) peaked at
+# 71-80 MB RSS on a 2-vCPU x86 container, and with (m, 2^14) at 57-59 MB.
+_VALUES_BLOCK = 1 << 14
 _SIMPLEX_BLOCK = 1 << 15
 
 # Tolerance of the check that a boundary simplex of K lies on a facet.
