@@ -409,8 +409,12 @@ class PolytopeGauge(Gauge):
         if self.dim > 1:
             # Each face n.y = b of conv{a_j / s} is the vertex n/b of sK.  A
             # face split into several simplices is known by the points on it.
+            # The incidences come in row blocks of 2^20 scores.
             _, N, B = polar
-            on = np.abs(A / s @ N.T - B) <= _HULL_RTOL * np.abs(A / s).max()
+            As, step = A / s, max(1, (1 << 20) // len(N))
+            tol = _HULL_RTOL * np.abs(As).max()
+            on = np.vstack([np.abs(As[i : i + step] @ N.T - B) <= tol
+                            for i in range(0, len(As), step)])
             _, first = np.unique(on.T, axis=0, return_index=True)
             self._vertices = N[first] / B[first, None]
         if self.dim == 2:

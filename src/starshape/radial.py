@@ -165,37 +165,39 @@ class HeavyTailProfile(RadialProfile):
             return (1.0 + g ** 2) ** (-(p + self.nu) / 2.0)
 
     def _mass(self, p: int) -> float:
-        from scipy.special import beta
+        from .special import betaln
 
-        return float(0.5 * beta(p / 2.0, self.nu / 2.0))
+        with np.errstate(over="ignore"):  # inf is rejected by radial_constant
+            return float(0.5 * np.exp(betaln(p / 2.0, self.nu / 2.0)))
 
     def _cdf(self, g: np.ndarray, p: int) -> np.ndarray:
-        """Length-law CDF at g: I_x(p/2, nu/2) with x = g^2/(1 + g^2).
+        """Length-law CDF at g: I_x(p/2, nu/2) with x = g^2/(1 + g^2) below
+        g = 1, and one minus the :meth:`_upper_tail` from there on."""
+        from .special import betainc
 
-        Past g = 1 it is one minus the upper tail I_y(nu/2, p/2), where
-        y = 1 - x = t^2/(1 + t^2) with t = 1/g stays exact though x rounds
-        to 1.  Where t^2 underflows the normal range, I_y is its leading
-        term t^nu / ((nu/2) B(nu/2, p/2)) to double precision, and that is
-        taken in logs.
-        """
-        from scipy.special import betainc, betaln
+        u = np.minimum(g, 1.0)
+        lower = betainc(p / 2.0, self.nu / 2.0, u * u / (1.0 + u * u))
+        return np.where(g < 1.0, lower, 1.0 - self._upper_tail(g, p))
+
+    def _upper_tail(self, g: np.ndarray, p: int) -> np.ndarray:
+        """One minus the CDF at g: I_y(nu/2, p/2) with y = 1/(1 + g^2), which
+        past g = 1 is t^2/(1 + t^2) with t = 1/g, exact though g^2 overflows.
+        Where t^2 underflows the normal range, I_y is its leading term
+        t^nu / ((nu/2) B(nu/2, p/2)) to double precision, taken in logs."""
+        from .special import betainc, betaln
 
         a, b = p / 2.0, self.nu / 2.0
-        u = np.minimum(g, 1.0)
-        t = 1.0 / np.maximum(g, 1.0)
+        u, t = np.minimum(g, 1.0), 1.0 / np.maximum(g, 1.0)
+        y = np.where(g < 1.0, 1.0 / (1.0 + u * u), t * t / (1.0 + t * t))
         with np.errstate(divide="ignore"):  # t = 0 at g = inf: the tail is 0
             lead = np.exp(self.nu * np.log(t) - np.log(b) - betaln(b, a))
-        upper = np.where(t < _SQRT_TINY, lead, betainc(b, a, t * t / (1.0 + t * t)))
-        return np.where(g < 1.0, betainc(a, b, u * u / (1.0 + u * u)), 1.0 - upper)
+        return np.where(t < _SQRT_TINY, lead, betainc(b, a, y))
 
     def _tail_quantile(self, p: int, tail: float) -> float:
-        # 1 - g^2/(1 + g^2) is Beta(nu/2, p/2); inverting it on its own small
-        # side keeps the tail accurate.  A subnormal quantile (nu near 0) is
-        # not accurate: report none.
-        from scipy.special import betaincinv
-
-        y = betaincinv(self.nu / 2.0, p / 2.0, tail)
-        return float(np.sqrt((1.0 - y) / y)) if y >= np.finfo(float).tiny else np.inf
+        """The smallest power of two g whose upper tail is <= ``tail`` (inf if
+        none): at least the exact quantile, and less than a factor 2 above it."""
+        g = _POWERS_OF_TWO[self._upper_tail(_POWERS_OF_TWO, p) <= tail]
+        return float(g[0]) if g.size else math.inf
 
     def _draw(self, gen: np.random.Generator, n: int, p: int) -> np.ndarray:
         """n lengths sqrt(X/Y), X ~ Gamma(p/2) drawn before Y ~ Gamma(nu/2)."""

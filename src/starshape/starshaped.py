@@ -29,13 +29,7 @@ from .direction import (
 from .errors import ConfigError, DimensionMismatchError, DivergentError, QuadratureFailureError
 from .gauge import Gauge, _as_batch, _as_point, _scaled_rows
 from .quadrature import gauss, mc_mean
-from .radial import (
-    ExponentialProfile,
-    GaussianProfile,
-    KotzProfile,
-    RadialProfile,
-    RadialTable,
-)
+from .radial import RadialProfile, RadialTable
 
 # Plane rule: Gauss-Legendre of the first order gives the value, the second
 # order the error estimate; x panels halve to 2^-25 of the median length.
@@ -284,8 +278,9 @@ def _plane_integral_2d(
     R = 1.3 * table.g_hi / gauge.sphere_bounds().g_min
     angles = np.asarray(gauge.kink_angles(), dtype=float)
     slopes = np.tan(angles[np.abs(np.cos(angles)) > 1e-12])
-    # A Kotz-form median is high by less than 2^(1/t): halve 1/t more times.
-    rounding = 0.0 if profile.family == "heavytail" else 1.0 / profile._kotz_form()[2]
+    # The median is high by less than 2 for a heavy tail and 2^(1/t) for a
+    # Kotz form: halve 1 or 1/t more times.
+    rounding = 1.0 if profile.family == "heavytail" else 1.0 / profile._kotz_form()[2]
     levels = int(np.ceil(np.log2(R / profile._tail_quantile(2, 0.5)) + rounding)) + _PLANE_DEPTH
     edges = np.append(R / 2.0 ** np.arange(levels + 1.0), 0.0)
     totals = []
@@ -315,26 +310,23 @@ def _plane_integral_mc(
 ) -> tuple[float, float]:
     """Importance-sampled integral of profile(g(x)) dx for p >= 3.
 
-    Proposal: uniform direction times a Gamma(p, theta) radius with theta
-    chosen per family so the proposal tail dominates the integrand tail.
-    Heavy-tail/sub-exponential profiles are rejected with a ConfigError —
-    the importance weights would have infinite variance.  The mean of the
-    ``n_mc`` weights is :func:`~starshape.quadrature.mc_mean` over blocks
-    of Philox task 2000 of ``seed``.
+    Proposal: uniform direction times a Gamma(p, theta) radius, whose tail
+    dominates that of a profile g^s exp(-r g^t) with t >= 1 for theta =
+    1.5 / (r^(1/t) g_min).  Heavy tails and t < 1 are rejected with a
+    ConfigError: the importance weights would have infinite variance.  The
+    mean of the ``n_mc`` weights is :func:`~starshape.quadrature.mc_mean`
+    over blocks of Philox task 2000 of ``seed``.
     """
     p = gauge.dim
-    if isinstance(profile, ExponentialProfile):
-        theta = 1.5 / (profile.rate * bounds.g_min)
-    elif isinstance(profile, GaussianProfile):
-        theta = 2.0 * profile.scale / bounds.g_min
-    elif isinstance(profile, KotzProfile) and profile.t >= 1.0:
-        theta = 1.5 / (profile.r ** (1.0 / profile.t) * bounds.g_min)
-    else:
+    form = None if profile.family == "heavytail" else profile._kotz_form()
+    if form is None or form[2] < 1.0:
         raise ConfigError(
             "the radial route to c0 has no finite-variance proposal for a "
             f"{profile.family} profile at p = {p} (gaussian, exponential and "
             "kotz with t >= 1 have one)"
         )
+    _, r, t = form
+    theta = 1.5 / (r ** (1.0 / t) * bounds.g_min)
 
     def draw(gen: np.random.Generator, m: int) -> np.ndarray:
         radius = gen.gamma(shape=p, scale=theta, size=m)

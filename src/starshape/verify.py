@@ -106,7 +106,7 @@ def matrix_suite(
     alpha: float = 0.001,
 ) -> list[TestReport]:
     """Criteria for the Wishart-pair fixture under both group actions."""
-    from .special import gammainc
+    from .special import betainc, gammainc
 
     if p >= 2 and min(n1, n2) < 3.0:
         # Below a, b = 3/2 the shapes are unbounded at the edge of their
@@ -121,8 +121,6 @@ def matrix_suite(
     reports: list[TestReport] = []
 
     if p == 1:
-        from scipy.special import betainc
-
         reports.append(
             ks_test(
                 U[:, 0, 0],

@@ -828,6 +828,24 @@ def test_polytope_commands_above_the_plane_load_no_scipy(tmp_path):
     assert _loaded_modules(code, ("scipy",)) == [False]
 
 
+def test_heavy_tails_and_scalar_matrix_betas_run_without_scipy(tmp_path):
+    # The beta family is the package's own: with the scipy package made
+    # unimportable, every command that evaluates it still exits 0.
+    heavy = tmp_path / "heavy.json"
+    heavy.write_text(json.dumps({"gauge": _SUP, "profile": {"family": "heavytail",
+                                                            "params": {"nu": 1.0}}}))
+    out = str(tmp_path / "out.txt")
+    runs = [["constant", "--dist", str(heavy), "--out", out],
+            ["density", "--dist", str(heavy), "--at", "1,2", "--out", out],
+            ["verify", "--dist", str(heavy), "--n", "20000", "--report", out],
+            ["verify", "--matrix", "--p", "1", "--n", "20000", "--report", out]]
+    code = ("import sys\nsys.modules['scipy'] = None\nfrom starshape.cli import main\n"
+            f"for args in {runs!r}:\n    try:\n        main(args, standalone_mode=False)\n"
+            "    except SystemExit as exc:\n        assert not exc.code, args")
+    res = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+
+
 def test_sampling_a_polytope_at_p3_never_computes_c0(monkeypatch, runner, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("sample computed c0")

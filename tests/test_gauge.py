@@ -685,6 +685,22 @@ def test_the_facet_check_of_many_cones_holds_a_bounded_block():
     assert peak < 3 * 8 * 2**20
 
 
+def test_the_vertices_of_many_facets_come_from_a_bounded_incidence_block():
+    # 2,000 facets on the unit circle, each a face of the polar hull: a
+    # (facets, faces) float matrix of the incidences would take 32 MB.  The
+    # constructor's blocks hold 2^20 scores (8 MiB); the hull itself peaks
+    # near 16 MiB.
+    t = 2.0 * np.pi * np.arange(2000) / 2000
+    tracemalloc.start()
+    try:
+        gauge = PolytopeGauge(np.column_stack([np.cos(t), np.sin(t)]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(gauge._vertices) == 2000
+    assert peak < 32 * 2**20
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_polytope_with_a_flat_facet_set_raises(p):
     # Facets in the hyperplane x_p = 0: the polar hull is flat, and g is 0

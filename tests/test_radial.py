@@ -205,6 +205,29 @@ def test_heavy_tail_cdf_far_out_matches_mpmath(nu, p):
     assert RadialTable.build(HeavyTailProfile(nu), p).cdf_at(np.inf) == 1.0
 
 
+@pytest.mark.parametrize("nu", [0.5, 1.0, 3.0, 30.0])
+@pytest.mark.parametrize("p", [2, 3])
+def test_heavy_tail_g_hi_is_a_power_of_two_within_twice_the_quantile(nu, p):
+    # The upper tail I_{1/(1 + g^2)}(nu/2, p/2) is at most 1e-10 at g_hi and
+    # above it at g_hi/2, so the exact quantile lies in (g_hi/2, g_hi].
+    g_hi = RadialTable.build(HeavyTailProfile(nu), p).g_hi
+    assert g_hi == 2.0 ** round(math.log2(g_hi))
+
+    def tail(g):
+        return mp.betainc(nu / 2, p / 2, 0, 1 / (1 + mp.mpf(g) ** 2), regularized=True)
+
+    assert tail(g_hi) <= 1e-10 < tail(g_hi / 2)
+
+
+def test_heavy_tail_quantile_beyond_the_double_range_is_none():
+    # At nu = 0.01 the tail is about g^-0.01, still ~0.03 at g = 2^512 where
+    # g^2 overflows, and 1e-10 only near g = 1e1000.
+    profile = HeavyTailProfile(0.01)
+    assert profile._tail_quantile(2, 1e-10) == math.inf
+    with pytest.raises(DivergentError, match="could not cover the radial tail"):
+        RadialTable.build(profile, 2).g_hi
+
+
 def test_gaussian_scale_equivariance():
     base = RadialTable.build(GaussianProfile(1.0), 2).sample(stream(104), 50_000)
     scaled = RadialTable.build(GaussianProfile(2.5), 2).sample(stream(105), 50_000)

@@ -8,7 +8,8 @@ from scipy import stats as sstats
 from scipy.special import roots_jacobi
 
 from starshape.quadrature import gauss
-from starshape.special import gammainc, gammaincc
+from starshape.errors import NonPositiveError
+from starshape.special import betainc, betaln, gammainc, gammaincc
 from starshape.stats import kolmogorov_sf
 
 mp.mp.dps = 50
@@ -80,6 +81,64 @@ def test_incomplete_gamma_ratios_where_x_over_a_overflows():
     x = np.ldexp(1.0, np.arange(1000, 1024))
     assert gammaincc(1.0 / 30.0, x).tolist() == [0.0] * 24
     assert gammainc(1.0 / 30.0, x).tolist() == [1.0] * 24
+
+
+def _lower_beta(a: mp.mpf, b: mp.mpf, z: mp.mpf) -> mp.mpf:
+    """I_z(a, b) = z^a (1 - z)^b / (a B(a, b)) F(a + b, 1; a + 1; z) (DLMF
+    8.17.8), a series of positive terms.  mpmath's own betainc sums
+    F(a, 1 - b; a + 1; z), whose terms alternate, and does not converge for
+    a or b near 5e5 at moderate z.  A tail far below the double range is 0."""
+    log_pre = a * mp.log(z) + b * mp.log1p(-z) - mp.log(a) - mp.log(mp.beta(a, b))
+    if log_pre < -800:
+        return mp.mpf(0)
+    return mp.exp(log_pre) * mp.hyp2f1(a + b, 1, a + 1, z, maxterms=10**6)
+
+
+_BETA_GRID = [1e-3, 0.3, 1.0, 20.0, 1e3, 5e5, 1e6]
+
+
+@pytest.mark.parametrize("a", _BETA_GRID)
+def test_incomplete_beta_against_mpmath(a):
+    # x from 1e-300 to 1/2 and at the mean and 3 standard deviations either
+    # side of it; as (b, a) is in the grid too, I_x(b, a) = 1 - I_{1-x}(a, b)
+    # takes x to within 1e-300 of 1.  The reference is the smaller tail
+    # (symmetry), and every point where I_x(a, b) >= 1e-300 is gated.  The
+    # worst, 1.2e-13 at a = 1000, b = 20, x = 1/2 (I = 1.8e-267), is the
+    # rounding of the exponent, about 1e-16 per unit of |log I|.
+    for b in _BETA_GRID:
+        mean = a / (a + b)
+        sd = math.sqrt(mean * (1.0 - mean) / (a + b + 1.0))
+        xs = [1e-300, 1e-100, 1e-20, 1e-5, 0.01, 0.1, 0.3, 0.5]
+        xs += [v for v in (mean - 3.0 * sd, mean, mean + 3.0 * sd) if 0.0 < v <= 0.5]
+        got = betainc(a, b, np.array(xs))
+        big_a, big_b = mp.mpf(a), mp.mpf(b)
+        for x, value in zip(xs, got):
+            z = mp.mpf(x)
+            if z <= big_a / (big_a + big_b):
+                ref = _lower_beta(big_a, big_b, z)
+            else:
+                ref = 1 - _lower_beta(big_b, big_a, 1 - z)
+            if ref >= 1e-300:
+                assert _rel(value, ref) <= 1.2e-13, (a, b, x)
+            else:
+                assert value < 1e-290, (a, b, x)
+        assert abs(betaln(a, b) - mp.log(mp.beta(big_a, big_b))) <= 1e-13 * max(1.0, abs(betaln(a, b)))
+
+
+def test_incomplete_beta_keeps_the_shape_and_the_ends():
+    x = np.array([[0.0, 0.25], [0.75, 1.0]])
+    got = betainc(2.5, 0.5, x)
+    assert got.shape == (2, 2)
+    assert (got[0, 0], got[1, 1]) == (0.0, 1.0)
+    assert got[0, 1] + betainc(0.5, 2.5, 0.75) == pytest.approx(1.0, abs=4e-16)
+    assert isinstance(betainc(2.5, 0.5, 0.25), float)
+    # a + b near the top of the double range: I_x(1, b) = 1 - (1 - x)^b.
+    assert betainc(1.0, 1e305, 1e-306) == pytest.approx(-math.expm1(-0.1), rel=1e-13)
+    for a, b in ((0.0, 1.0), (1.0, -1.0), (np.inf, 1.0), (1.0, np.nan)):
+        with pytest.raises(NonPositiveError):
+            betainc(a, b, 0.5)
+        with pytest.raises(NonPositiveError):
+            betaln(a, b)
 
 
 def test_kolmogorov_against_scipy_on_a_dense_grid():
